@@ -112,8 +112,7 @@ class _ChainVersionSpace:
 def a2_classify(points: PointSet, oracle: LabelOracle,
                 epsilon: float = 0.5, delta: Optional[float] = None,
                 samples_per_round: int = 32, max_rounds: int = 64,
-                rng: RngLike = None,
-                flow_backend: str = "dinic") -> A2Result:
+                rng: RngLike = None) -> A2Result:
     """Run the A²-style learner on a hidden-label point set.
 
     Stops when every chain's version space is a single threshold, when the
@@ -158,7 +157,7 @@ def a2_classify(points: PointSet, oracle: LabelOracle,
     if probed:
         labels = np.asarray([oracle.peek(i) for i in probed], dtype=np.int8)
         probed_points = PointSet(points.coords[np.asarray(probed)], labels)
-        classifier = solve_passive(probed_points, backend=flow_backend).classifier
+        classifier = solve_passive(probed_points).classifier
     else:  # pragma: no cover - max_rounds=0 style degenerate configuration
         from ..core.classifier import ConstantClassifier
 

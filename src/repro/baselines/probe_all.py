@@ -29,13 +29,12 @@ class ProbeAllResult:
     optimal_error: float
 
 
-def probe_all_classify(points: PointSet, oracle: LabelOracle,
-                       flow_backend: str = "dinic") -> ProbeAllResult:
+def probe_all_classify(points: PointSet, oracle: LabelOracle) -> ProbeAllResult:
     """Probe all ``n`` labels and return an exactly optimal classifier."""
     n = points.n
     labels = np.asarray(oracle.probe_many(range(n)), dtype=np.int8)
     revealed = points.replace(labels=labels)
-    result = solve_passive(revealed, backend=flow_backend)
+    result = solve_passive(revealed)
     return ProbeAllResult(
         classifier=result.classifier,
         probing_cost=oracle.cost,

@@ -103,7 +103,6 @@ def active_classify(points: PointSet, oracle: LabelOracle, epsilon: float,
                     decomposition: str = "exact",
                     plan: Optional[SamplingPlan] = None,
                     rng: RngLike = None,
-                    flow_backend: str = "dinic",
                     workers: int = 1,
                     resilience: Optional["ResilienceConfig"] = None
                     ) -> ActiveResult:
@@ -128,8 +127,6 @@ def active_classify(points: PointSet, oracle: LabelOracle, epsilon: float,
         may exceed ``w`` chains (ablation A2).
     plan:
         Sampling plan controlling per-level sample sizes.
-    flow_backend:
-        Max-flow backend used for the final passive solve on ``Σ``.
     workers:
         Number of processes for the chain-sampling phase.  Each chain's
         1-D recursion is independent (disjoint probes, its own spawned
@@ -276,7 +273,7 @@ def active_classify(points: PointSet, oracle: LabelOracle, epsilon: float,
                 rec.gauge("active.sigma_size", sigma.size)
                 rec.gauge("active.sigma_weight", sigma.total_weight)
             with rec.span("passive_solve"):
-                passive = solve_passive(sigma_points, backend=flow_backend)
+                passive = solve_passive(sigma_points)
 
             probing_cost = effective.cost - cost_before
             report = state.report(w, probing_cost)

@@ -93,8 +93,7 @@ def _solve_on_probed(points: PointSet, oracle: LabelOracle) -> MonotoneClassifie
 def active_classify_budgeted(points: PointSet, oracle: LabelOracle,
                              budget: int,
                              rng: RngLike = None,
-                             plan: Optional[SamplingPlan] = None,
-                             flow_backend: str = "dinic") -> BudgetedResult:
+                             plan: Optional[SamplingPlan] = None) -> BudgetedResult:
     """Learn the best monotone classifier obtainable within ``budget`` probes.
 
     The oracle's own budget (if any) must be at least ``budget``; this
@@ -115,7 +114,7 @@ def active_classify_budgeted(points: PointSet, oracle: LabelOracle,
     if budget >= n:
         labels = np.asarray(oracle.probe_many(range(n)), dtype=np.int8)
         revealed = points.replace(labels=labels)
-        result = solve_passive(revealed, backend=flow_backend)
+        result = solve_passive(revealed)
         return BudgetedResult(result.classifier, oracle.cost - cost_before,
                               budget, mode="exact")
 
@@ -128,8 +127,7 @@ def active_classify_budgeted(points: PointSet, oracle: LabelOracle,
         capped = _CappedOracle(oracle, remaining)
         try:
             result: ActiveResult = active_classify(
-                points, capped, epsilon=epsilon, plan=plan, rng=gen,
-                flow_backend=flow_backend)
+                points, capped, epsilon=epsilon, plan=plan, rng=gen)
             return BudgetedResult(result.classifier,
                                   oracle.cost - cost_before, budget,
                                   mode="theorem2", epsilon=epsilon)

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..flow import FLOW_ARRAY_CUTOFF, FlowNetwork, array_backend_for, solve_min_cut
+from ..flow import FlowNetwork, solve_min_cut
 from ..obs import recorder
 from .classifier import (
     MonotoneClassifier,
@@ -129,11 +129,8 @@ class PassiveResult:
         Max-flow value = min-cut weight = optimal weighted error on
         ``P^con``.
     backend:
-        Max-flow backend actually used.  Above
-        :data:`repro.flow.FLOW_ARRAY_CUTOFF` network vertices a loop
-        backend is auto-upgraded to its array-native sibling (e.g.
-        ``"dinic"`` → ``"dinic_array"``), and the upgraded name is
-        reported here.
+        Max-flow backend used (a key of :data:`repro.flow.FLOW_BACKENDS`);
+        the same engine runs at every network size.
     """
 
     classifier: MonotoneClassifier
@@ -203,12 +200,10 @@ def solve_passive(points: PointSet, backend: str = "dinic",
     points:
         Fully-labeled weighted point set.
     backend:
-        Max-flow backend (any key of :data:`repro.flow.FLOW_BACKENDS`).
-        Loop backends with an array-native sibling (``"dinic"``,
-        ``"push_relabel"``) are auto-upgraded to it when the min-cut
-        network reaches :data:`repro.flow.FLOW_ARRAY_CUTOFF` vertices;
-        pass the array name explicitly to force it, or a loop-only name
-        (``"edmonds_karp"``, ``"capacity_scaling"``) to avoid it.
+        Max-flow backend: ``"dinic"`` or ``"push_relabel"`` (the keys of
+        :data:`repro.flow.FLOW_BACKENDS`).  Both yield the same
+        assignment: the residual-reachable source side is the same for
+        every maximum flow.
     use_contending_reduction:
         When False, the min-cut instance is built over *all* points instead
         of just ``P^con`` (still correct, since non-contending points have
@@ -329,17 +324,7 @@ def solve_passive(points: PointSet, backend: str = "dinic",
                      network.num_edges - len(active))
 
         with rec.span("min_cut"):
-            # Above the measured crossover, upgrade a loop backend to its
-            # array-native sibling (mirrors the BITSET_CUTOFF auto-select
-            # in repro.poset): same flow values, vectorized BFS sweeps.
-            effective_backend = backend
-            upgrade = array_backend_for(backend)
-            if upgrade is not None and network.num_nodes >= FLOW_ARRAY_CUTOFF:
-                effective_backend = upgrade
-                if rec.enabled:
-                    rec.incr("passive.array_backend_upgrades")
-            cut = solve_min_cut(network, source, sink,
-                                backend=effective_backend)
+            cut = solve_min_cut(network, source, sink, backend=backend)
 
         with rec.span("verify"):
             # Cut source edges flip label-0 points to 1; a source edge
@@ -384,7 +369,7 @@ def solve_passive(points: PointSet, backend: str = "dinic",
             optimal_error=float(optimal_error),
             num_contending=len(active),
             flow_value=float(cut.value),
-            backend=effective_backend,
+            backend=backend,
         )
 
 

@@ -51,7 +51,7 @@ class RepairReport:
         return len(self.flipped_indices)
 
 
-def repair_labels(points: PointSet, backend: str = "dinic",
+def repair_labels(points: PointSet,
                   block_size: Optional[int] = None) -> RepairReport:
     """Minimum-weight repair of a labeling into a monotone one.
 
@@ -60,7 +60,7 @@ def repair_labels(points: PointSet, backend: str = "dinic",
     from the input by a smaller total weight.
     """
     points.require_full_labels()
-    result = solve_passive(points, backend=backend, block_size=block_size)
+    result = solve_passive(points, block_size=block_size)
     changed = np.flatnonzero(result.assignment != points.labels)
     flips_0_to_1 = int(np.count_nonzero(
         (points.labels[changed] == 0) if len(changed) else np.array([], bool)))

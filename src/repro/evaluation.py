@@ -114,8 +114,7 @@ class HoldoutReport:
 
 
 def holdout_evaluation(points: PointSet, test_fraction: float = 0.25,
-                       rng: RngLike = None,
-                       flow_backend: str = "dinic") -> HoldoutReport:
+                       rng: RngLike = None) -> HoldoutReport:
     """Fit the exact passive solver on a train split, score both splits.
 
     The monotone extension (:class:`~repro.core.classifier.UpsetClassifier`)
@@ -123,7 +122,7 @@ def holdout_evaluation(points: PointSet, test_fraction: float = 0.25,
     points — exactly the deployment scenario of Section 1.1.
     """
     train, test = train_test_split(points, test_fraction, rng)
-    result = solve_passive(train, backend=flow_backend)
+    result = solve_passive(train)
     return HoldoutReport(
         train_metrics=classification_metrics(train, result.classifier),
         test_metrics=classification_metrics(test, result.classifier),
@@ -134,8 +133,7 @@ def holdout_evaluation(points: PointSet, test_fraction: float = 0.25,
 
 
 def cross_validate(points: PointSet, folds: int = 5,
-                   rng: RngLike = None,
-                   flow_backend: str = "dinic") -> List[Dict[str, float]]:
+                   rng: RngLike = None) -> List[Dict[str, float]]:
     """k-fold evaluation: one row of held-out metrics per fold."""
     if folds < 2:
         raise ValueError(f"folds must be >= 2; got {folds}")
@@ -152,7 +150,7 @@ def cross_validate(points: PointSet, folds: int = 5,
             [permutation[:boundaries[k]], permutation[boundaries[k + 1]:]])
         train = points.subset(sorted(train_idx))
         test = points.subset(sorted(test_idx))
-        result = solve_passive(train, backend=flow_backend)
+        result = solve_passive(train)
         metrics = classification_metrics(test, result.classifier)
         metrics["fold"] = float(k)
         metrics["train_optimal_error"] = result.optimal_error

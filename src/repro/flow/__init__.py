@@ -6,47 +6,34 @@ cut-edge set (Lemmas 7 and 8).  Everything is implemented from scratch:
 * :class:`.graph.FlowNetwork` — mutable residual-graph representation,
   plus the shared epsilon-boundary contract (``RESIDUAL_EPS`` /
   ``has_residual``) every backend routes admissibility through;
-* :mod:`.dinic` — Dinic's algorithm (``O(V^2 E)``, fast in practice);
-* :mod:`.push_relabel` — Goldberg–Tarjan FIFO push-relabel with the gap
-  heuristic, the ``O(V^3)`` algorithm the paper cites [14];
-* :mod:`.array` — array-native siblings of both production backends over
-  a frozen CSR snapshot (vectorized frontier BFS for Dinic; global
-  relabeling for push-relabel), auto-selected by ``solve_passive`` above
-  :data:`~repro.flow.array.FLOW_ARRAY_CUTOFF` vertices;
+* :mod:`.array` — the two production engines over a frozen CSR snapshot:
+  Dinic (vectorized frontier BFS) and Goldberg–Tarjan FIFO push-relabel
+  with gap and global relabeling, the ``O(V^3)`` algorithm the paper
+  cites [14];
+* :mod:`.dinic` — loop Dinic, the reference the differential tests and
+  the fuzzer compare the production engines against (not a backend);
 * :mod:`.mincut` — source-side cut extraction and cut-edge sets (Lemma 8).
 
 A ``networkx`` backend is available for cross-checking in tests.
 """
 
 from .array import (
-    ARRAY_UPGRADES,
-    FLOW_ARRAY_CUTOFF,
     CSRFlowSnapshot,
-    array_backend_for,
     dinic_array_max_flow,
     push_relabel_array_max_flow,
 )
 from .dinic import dinic_max_flow
-from .edmonds_karp import edmonds_karp_max_flow
 from .graph import RESIDUAL_EPS, FlowNetwork, has_residual
 from .mincut import MinCut, min_cut_from_residual, solve_min_cut
-from .push_relabel import push_relabel_max_flow
-from .scaling import capacity_scaling_max_flow
 
 __all__ = [
     "FlowNetwork",
     "RESIDUAL_EPS",
     "has_residual",
     "dinic_max_flow",
-    "push_relabel_max_flow",
-    "edmonds_karp_max_flow",
-    "capacity_scaling_max_flow",
     "CSRFlowSnapshot",
     "dinic_array_max_flow",
     "push_relabel_array_max_flow",
-    "FLOW_ARRAY_CUTOFF",
-    "ARRAY_UPGRADES",
-    "array_backend_for",
     "MinCut",
     "min_cut_from_residual",
     "solve_min_cut",
@@ -72,10 +59,6 @@ def solve_max_flow(network: FlowNetwork, source: int, sink: int,
 
 
 FLOW_BACKENDS = {
-    "dinic": dinic_max_flow,
-    "push_relabel": push_relabel_max_flow,
-    "edmonds_karp": edmonds_karp_max_flow,
-    "capacity_scaling": capacity_scaling_max_flow,
-    "dinic_array": dinic_array_max_flow,
-    "push_relabel_array": push_relabel_array_max_flow,
+    "dinic": dinic_array_max_flow,
+    "push_relabel": push_relabel_array_max_flow,
 }

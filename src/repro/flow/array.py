@@ -1,24 +1,24 @@
-"""Array-native max-flow solvers over a frozen CSR snapshot.
+"""Array-native max-flow engines over a frozen CSR snapshot.
 
-The loop engines (:mod:`.dinic`, :mod:`.push_relabel`) spend almost all of
-their time iterating Python adjacency lists arc by arc; above a few
-thousand vertices that per-arc interpreter cost dominates the whole
-passive solve (ROADMAP item 1).  This module rebuilds the two production
-backends on top of :class:`CSRFlowSnapshot`, a frozen CSR view of
-:class:`~repro.flow.graph.FlowNetwork`:
+A loop engine spends almost all of its time iterating Python adjacency
+lists arc by arc; above a few thousand vertices that per-arc interpreter
+cost dominates the whole passive solve.  This module builds the two
+production backends on top of :class:`CSRFlowSnapshot`, a frozen CSR view
+of :class:`~repro.flow.graph.FlowNetwork`:
 
 * :func:`dinic_array_max_flow` — Dinic with a *vectorized frontier BFS*
   (one ``np.flatnonzero`` admissibility pass over the frontier's CSR slice
   per level) and a scaled-down Python DFS that walks only the level-graph
   *survivors* (arcs admissible at BFS time), not the full adjacency.  The
-  survivor DFS replays the loop engine's traversal exactly — same levels,
-  same per-node candidate order, same pointer/retreat semantics — and the
-  per-push writeback applies the identical ``+b`` / ``-b`` sequences with
-  ``np.ufunc.at`` (unbuffered, in index order), so values *and* final
-  flows are bit-identical to :func:`~repro.flow.dinic.dinic_max_flow`.
+  survivor DFS replays the reference engine's traversal exactly — same
+  levels, same per-node candidate order, same pointer/retreat semantics —
+  and the per-push writeback applies the identical ``+b`` / ``-b``
+  sequences with ``np.ufunc.at`` (unbuffered, in index order), so values
+  *and* final flows are bit-identical to the loop reference
+  :func:`~repro.flow.dinic.dinic_max_flow`.
 
-* :func:`push_relabel_array_max_flow` — FIFO push-relabel with the gap
-  heuristic of the loop engine plus the *global-relabeling* heuristic: a
+* :func:`push_relabel_array_max_flow` — Goldberg–Tarjan FIFO push-relabel
+  with the gap heuristic plus the *global-relabeling* heuristic: a
   periodic backward BFS from the sink, run as a vectorized distance sweep
   over the CSR arrays, replaces height labels with exact residual
   distances.  Heights are updated monotonically (``max`` of old label and
@@ -27,21 +27,18 @@ backends on top of :class:`CSRFlowSnapshot`, a frozen CSR view of
   relabel chains collapse.
 
 Both solvers share the epsilon-boundary contract of
-:data:`~repro.flow.graph.RESIDUAL_EPS` with the loop engines and write
+:data:`~repro.flow.graph.RESIDUAL_EPS` with the reference engine and write
 their results back into the mutable network, so
 :func:`~repro.flow.mincut.min_cut_from_residual` reads the residual graph
-exactly as it would after a loop-engine run.
-
-``solve_passive`` auto-selects the array engines above
-:data:`FLOW_ARRAY_CUTOFF` network vertices (mirroring
-``repro.poset.bitset.BITSET_CUTOFF``); see ``docs/algorithms.md`` for the
-measured crossover.
+of the maximum flow.  They run at every network size; see
+``docs/algorithms.md`` for the small-network cost.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -52,26 +49,9 @@ __all__ = [
     "CSRFlowSnapshot",
     "dinic_array_max_flow",
     "push_relabel_array_max_flow",
-    "FLOW_ARRAY_CUTOFF",
-    "ARRAY_UPGRADES",
-    "array_backend_for",
 ]
 
 _EPS = RESIDUAL_EPS
-
-#: Network-vertex count above which ``solve_passive`` upgrades a loop
-#: backend to its array sibling.  Measured on passive-reduction networks
-#: (min_cut span, best of 3): the array engines are neutral at ~176
-#: vertices (0.94x/1.04x for dinic/push-relabel) and win from ~355
-#: (1.4x/2.4x), with the gap growing with size (2.1x/1.9x at ~1860,
-#: 3.8x/5.7x flow-span at ~15k); see BENCH_flow_solvers.json.
-FLOW_ARRAY_CUTOFF = 256
-
-#: Loop backend -> array sibling used by the ``solve_passive`` auto-upgrade.
-ARRAY_UPGRADES: Dict[str, str] = {
-    "dinic": "dinic_array",
-    "push_relabel": "push_relabel_array",
-}
 
 #: Relabels between global-relabeling sweeps in ``push_relabel_array``,
 #: as a fraction of the vertex count.  The vectorized backward BFS makes
@@ -84,11 +64,6 @@ ARRAY_UPGRADES: Dict[str, str] = {
 GLOBAL_RELABEL_INTERVAL_SCALE = 0.03125
 
 
-def array_backend_for(backend: str) -> Optional[str]:
-    """Array sibling of a loop backend, or ``None`` when there is none."""
-    return ARRAY_UPGRADES.get(backend)
-
-
 class CSRFlowSnapshot:
     """Frozen CSR view of a :class:`FlowNetwork`.
 
@@ -97,7 +72,7 @@ class CSRFlowSnapshot:
     ``indptr`` (int64, ``num_nodes + 1``) and ``csr_arcs`` (int64) encode
     the per-vertex adjacency: ``csr_arcs[indptr[u]:indptr[u + 1]]`` are the
     arc ids leaving ``u`` in the network's adjacency order (the order the
-    loop engines traverse).  ``arc_heads`` (int64), ``caps`` and ``flows``
+    engines traverse).  ``arc_heads`` (int64), ``caps`` and ``flows``
     (float64) are indexed by *arc id*, so the ``arc ^ 1`` reverse-arc
     pairing of the storage format is preserved and residual pushes stay
     O(1) (``flows[a] += x; flows[a ^ 1] -= x``).  ``csr_tails`` /
@@ -185,7 +160,7 @@ def _level_bfs(
     """Vectorized BFS level assignment over usable residual arcs.
 
     Levels are exact shortest residual distances from ``source`` — the
-    same values the loop engine's scalar BFS computes, independent of
+    same values the reference engine's scalar BFS computes, independent of
     visit order.
     """
     level = np.full(snap.num_nodes, -1, dtype=np.int64)
@@ -208,7 +183,7 @@ def _level_bfs(
 
 
 def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
-    """Array-native Dinic; bit-identical flows/value to the loop engine.
+    """Array-native Dinic; bit-identical flows/value to the loop reference.
 
     Per phase: one vectorized residual/level pass builds the level graph,
     one ``np.flatnonzero`` admissibility pass compacts the *survivor* arcs
@@ -264,7 +239,7 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
         # a tiny fraction of the survivors on large networks — so scalar
         # ndarray reads beat converting millions of entries to lists.
         # np.float64 arithmetic is IEEE double, identical to the loop
-        # engine's floats, so bit-identity is unaffected.
+        # reference's floats, so bit-identity is unaffected.
         sub_heads = arc_heads[kept_arcs]
         sub_caps = caps[kept_arcs]
         sub_flow = flows[kept_arcs]
@@ -318,7 +293,7 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
         # Replay the phase's pushes on the master arrays in order.
         # ufunc.at is unbuffered and applies repeated indices in sequence,
         # so each arc receives the identical rounding sequence the loop
-        # engine's per-push updates produce.
+        # reference's per-push updates produce.
         arcs_seq = kept_arcs[np.asarray(push_seq, dtype=np.int64)]
         amounts = np.asarray(amount_seq, dtype=np.float64)
         np.add.at(flows, arcs_seq, amounts)
@@ -372,8 +347,8 @@ def push_relabel_array_max_flow(
 ) -> float:
     """FIFO push-relabel with gap heuristic plus global relabeling.
 
-    The discharge loop matches the loop engine; every
-    ``max(GLOBAL_RELABEL_INTERVAL_SCALE * n, 16)`` relabels a
+    Discharges active vertices in FIFO order with current-arc pointers;
+    every ``max(GLOBAL_RELABEL_INTERVAL_SCALE * n, 16)`` relabels a
     vectorized backward BFS from the sink recomputes exact residual
     distances and lifts heights to ``max(height, distance)`` (sink-
     disconnected vertices to at least ``n + 1``).  Exact distances are an
@@ -400,8 +375,6 @@ def push_relabel_array_max_flow(
     flows = network.flows
     adjacency = network.adjacency
 
-    from collections import deque
-
     height = [0] * n
     excess = [0.0] * n
     count_at_height = [0] * (2 * n + 1)
@@ -425,8 +398,12 @@ def push_relabel_array_max_flow(
         u, v = heads[arc ^ 1], heads[arc]
         amount = min(excess[u], caps[arc] - flows[arc])
         if amount <= _EPS:
-            # Shared with the loop engine: sub-epsilon pushes move no
-            # usable flow and would strand invisible excess at v.
+            # A sub-epsilon push moves no usable flow: it would deposit
+            # excess at v without ever activating it (activation requires
+            # amount > _EPS), stranding invisible excess at interior
+            # nodes, and it would inflate the push counter.  Reachable on
+            # warm-started networks whose source arcs carry sub-epsilon
+            # residuals; skip the push entirely.
             return
         network.push(arc, amount)
         num_pushes += 1
@@ -467,7 +444,8 @@ def push_relabel_array_max_flow(
         pointer[u] = 0
         num_relabels += 1
         relabels_since_sweep += 1
-        # Gap heuristic (as in the loop engine).
+        # Gap heuristic: height `old` emptied below n => everything strictly
+        # between old and n is disconnected from the sink; lift it to n + 1.
         if count_at_height[old] == 0 and old < n:
             for v in range(n):
                 if old < height[v] < n and v != source:
@@ -515,6 +493,12 @@ def push_relabel_array_max_flow(
             "flow.push_relabel_array.global_relabels", num_global_relabels
         )
         rec.observe("flow.push_relabel_array.pushes_per_call", num_pushes)
-    # Sink-side measurement, as in the loop engine: stranded sub-epsilon
-    # excess never counts toward the delivered flow value.
-    return -network.flow_value(sink)
+    # Measure the delivered flow at the sink.  The strict push/discharge
+    # guards may strand sub-epsilon excess at interior nodes; the
+    # source-side sum counts that stranded excess as if it had reached
+    # the sink (e.g. reporting ~1e-12 on a network whose sink is
+    # unreachable), while the sink-side sum is exactly the flow the
+    # preflow actually delivered — matching the path-based Dinic.
+    # ``0.0 - x`` rather than ``-x``: a zero inflow negates to -0.0,
+    # which json.dumps would emit as "-0.0".
+    return 0.0 - network.flow_value(sink)

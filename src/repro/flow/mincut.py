@@ -9,13 +9,13 @@ value, which :func:`solve_min_cut` asserts numerically.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Set, Tuple
 
 import numpy as np
 
 from ..obs import recorder
-from .graph import RESIDUAL_EPS, FlowNetwork, has_residual
+from .array import CSRFlowSnapshot, _frontier_positions
+from .graph import RESIDUAL_EPS, FlowNetwork
 
 __all__ = ["MinCut", "min_cut_from_residual", "solve_min_cut"]
 
@@ -57,18 +57,16 @@ class MinCut:
                 f"cut_arcs={len(self.cut_arcs)})")
 
 
-def _min_cut_from_residual_array(network: FlowNetwork, source: int,
-                                 sink: int, flow_value: float) -> MinCut:
-    """Array fast path of :func:`min_cut_from_residual`.
+def min_cut_from_residual(network: FlowNetwork, source: int, sink: int,
+                          flow_value: float) -> MinCut:
+    """Extract a minimum cut from a network holding a maximum flow.
 
     Runs the residual reachability BFS as vectorized frontier sweeps over
     a CSR snapshot and extracts the certificate with one mask over the
-    forward arcs.  Admissibility uses the same exact float comparison as
-    the scalar path and BFS reachability is order-independent, so the
-    result (source side *and* cut-arc list) is identical.
+    forward arcs.  Admissibility uses the shared ``RESIDUAL_EPS``
+    comparison and BFS reachability is order-independent, so the source
+    side is the same for every maximum flow.
     """
-    from .array import CSRFlowSnapshot, _frontier_positions
-
     snap = CSRFlowSnapshot(network)
     residual = snap.caps - snap.flows
     usable = residual > RESIDUAL_EPS
@@ -88,6 +86,14 @@ def _min_cut_from_residual_array(network: FlowNetwork, source: int,
         seen[frontier] = True
     if seen[sink]:
         raise AssertionError("sink reachable in residual graph: flow is not maximum")
+    # The Lemma 8 certificate lists only *saturated, positive-capacity*
+    # forward arcs crossing the cut.  Zero-capacity crossing arcs carry no
+    # weight but are not edges of the instance in any meaningful sense —
+    # including them hands downstream consumers (e.g. the Theorem 4
+    # label-flip readout) arcs that exist only as storage artifacts.  The
+    # saturation conjunct is implied by the residual BFS above for any
+    # positive-capacity crossing arc; it is asserted here so the
+    # certificate is self-evidently sound.
     forward = np.arange(0, snap.num_arcs, 2, dtype=np.int64)
     tails = snap.arc_heads[forward + 1]  # reverse arc's head == forward tail
     heads = snap.arc_heads[forward]
@@ -100,42 +106,6 @@ def _min_cut_from_residual_array(network: FlowNetwork, source: int,
     cut_arcs = forward[crossing].tolist()
     source_side = set(np.flatnonzero(seen).tolist())
     return MinCut(flow_value, source_side, cut_arcs)
-
-
-def min_cut_from_residual(network: FlowNetwork, source: int, sink: int,
-                          flow_value: float) -> MinCut:
-    """Extract a minimum cut from a network holding a maximum flow."""
-    from .array import FLOW_ARRAY_CUTOFF
-
-    if network.num_nodes >= FLOW_ARRAY_CUTOFF:
-        return _min_cut_from_residual_array(network, source, sink, flow_value)
-    reachable: Set[int] = {source}
-    queue: deque = deque([source])
-    while queue:
-        u = queue.popleft()
-        for arc in network.adjacency[u]:
-            v = network.heads[arc]
-            if v not in reachable and has_residual(network.residual(arc)):
-                reachable.add(v)
-                queue.append(v)
-    if sink in reachable:
-        raise AssertionError("sink reachable in residual graph: flow is not maximum")
-    # The Lemma 8 certificate lists only *saturated, positive-capacity*
-    # forward arcs crossing the cut.  Zero-capacity crossing arcs carry no
-    # weight but are not edges of the instance in any meaningful sense —
-    # including them hands downstream consumers (e.g. the Theorem 4
-    # label-flip readout) arcs that exist only as storage artifacts.  The
-    # saturation conjunct is implied by the residual BFS above for any
-    # positive-capacity crossing arc; it is asserted here so the
-    # certificate is self-evidently sound.
-    cut_arcs = [
-        arc_id
-        for arc_id, arc in network.forward_arcs()
-        if arc.tail in reachable and arc.head not in reachable
-        and arc.capacity > 0.0
-        and not has_residual(arc.capacity - arc.flow)
-    ]
-    return MinCut(flow_value, reachable, cut_arcs)
 
 
 def solve_min_cut(network: FlowNetwork, source: int, sink: int,

@@ -3,10 +3,13 @@
 Differential testing in the query-engine-fuzzer style: run the same
 instance through every interchangeable implementation and treat *any*
 divergence as a finding.  For the passive problem the configuration grid
-is all four max-flow backends × Hasse reduction on/off (8 exact solvers
-that must agree to the last certificate), plus brute force for small
-``n``.  For the active problem, ``workers=1`` versus ``workers=2`` must be
-bit-for-bit identical and the Theorem 2/3 accounting must audit clean.
+is both max-flow backends × Hasse reduction on/off (4 exact solvers that
+must agree to the last certificate), plus brute force for small ``n``.
+For max-flow alone, every backend is checked against the loop-Dinic
+reference, and the production Dinic must reproduce its per-arc flows
+bit for bit.  For the active problem, ``workers=1`` versus ``workers=2``
+must be bit-for-bit identical and the Theorem 2/3 accounting must audit
+clean.
 Every result is additionally cross-checked against the machine-checkable
 certificates in :mod:`repro.core.validation` and the flow-feasibility
 check of :class:`~repro.flow.FlowNetwork`.
@@ -26,7 +29,7 @@ import numpy as np
 from ..core.passive import brute_force_passive, solve_passive
 from ..core.points import PointSet
 from ..core.validation import audit_active_result, audit_passive_result
-from ..flow import FLOW_BACKENDS, FlowNetwork, solve_max_flow
+from ..flow import FLOW_BACKENDS, FlowNetwork, dinic_max_flow
 from ..obs import recorder
 
 __all__ = [
@@ -45,6 +48,9 @@ VALUE_RTOL = 1e-6
 #: Default ceiling for including the exponential brute-force oracle.
 BRUTE_FORCE_MAX_N = 12
 
+#: Label of the loop-Dinic reference in flow findings (not a backend).
+FLOW_REFERENCE = "loop_dinic"
+
 
 @dataclass(frozen=True)
 class PassiveConfig:
@@ -59,7 +65,7 @@ class PassiveConfig:
         return f"{self.backend}{'+hasse' if self.hasse else ''}"
 
 
-#: The full grid: every flow backend with and without Hasse reduction.
+#: The full grid: both flow backends with and without Hasse reduction.
 ALL_PASSIVE_CONFIGS: Tuple[PassiveConfig, ...] = tuple(
     PassiveConfig(backend, hasse)
     for backend in sorted(FLOW_BACKENDS)
@@ -237,44 +243,58 @@ def check_poset_structure(points: PointSet) -> List[Disagreement]:
 
 def run_flow_differential(network: FlowNetwork, source: int,
                           sink: int) -> List[Disagreement]:
-    """All max-flow backends on one network: equal values, feasible flows."""
+    """Every backend against loop Dinic on one network.
+
+    Each engine — the reference included — must produce a feasible flow
+    whose reported value is its net source flow.  Every backend's value
+    must match the reference's, and the production ``"dinic"`` engine must
+    reproduce the reference's per-arc flows exactly.
+    """
     rec = recorder()
     findings: List[Disagreement] = []
     values: Dict[str, float] = {}
-    for backend in sorted(FLOW_BACKENDS):
+    flows: Dict[str, List[float]] = {}
+    engines = [(FLOW_REFERENCE, dinic_max_flow)]
+    engines += [(name, FLOW_BACKENDS[name]) for name in sorted(FLOW_BACKENDS)]
+    for label, solver in engines:
         network.reset_flow()
         if rec.enabled:
             rec.incr("fuzz.flow_solves")
         try:
-            value = solve_max_flow(network, source, sink, backend=backend)
+            value = solver(network, source, sink)
         except Exception as exc:  # noqa: BLE001
             findings.append(Disagreement(
-                kind="flow", config=backend,
+                kind="flow", config=label,
                 detail=f"raised {type(exc).__name__}: {exc}",
             ))
             continue
-        values[backend] = float(value)
+        values[label] = float(value)
+        flows[label] = list(network.flows)
         if not network.check_flow_conservation(source, sink):
             findings.append(Disagreement(
-                kind="flow", config=backend,
+                kind="flow", config=label,
                 detail="produced an infeasible flow (conservation/capacity)",
             ))
         recomputed = network.flow_value(source)
         if _relative_gap(recomputed, value) > VALUE_RTOL:
             findings.append(Disagreement(
-                kind="flow", config=backend,
+                kind="flow", config=label,
                 detail=f"reported value {value!r} != net source flow "
                        f"{recomputed!r}",
             ))
-    if values:
-        items = sorted(values.items())
-        ref_backend, ref_value = items[0]
-        for backend, value in items[1:]:
+    if FLOW_REFERENCE in values:
+        ref_value = values[FLOW_REFERENCE]
+        for label, value in values.items():
             if _relative_gap(value, ref_value) > VALUE_RTOL:
                 findings.append(Disagreement(
-                    kind="flow", config=f"{ref_backend} vs {backend}",
+                    kind="flow", config=f"{FLOW_REFERENCE} vs {label}",
                     detail=f"max-flow {ref_value!r} != {value!r}",
                 ))
+        if "dinic" in flows and flows["dinic"] != flows[FLOW_REFERENCE]:
+            findings.append(Disagreement(
+                kind="flow", config=f"{FLOW_REFERENCE} vs dinic",
+                detail="per-arc flows are not bit-identical",
+            ))
     network.reset_flow()
     if rec.enabled and findings:
         rec.incr("fuzz.disagreements", len(findings))

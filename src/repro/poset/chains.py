@@ -93,8 +93,9 @@ def _record_decomposition(decomp: ChainDecomposition) -> ChainDecomposition:
     return decomp
 
 
-def minimum_chain_decomposition(points: PointSet, method: str = "auto",
-                                engine: str = "auto") -> ChainDecomposition:
+def minimum_chain_decomposition(
+    points: PointSet, method: str = "auto"
+) -> ChainDecomposition:
     """Decompose ``P`` into exactly ``w`` chains (Lemma 6).
 
     ``method``:
@@ -105,10 +106,6 @@ def minimum_chain_decomposition(points: PointSet, method: str = "auto",
     * ``"matching"`` — force the Lemma 6 Hopcroft–Karp reduction
       (``O(d n^2 + n^{2.5})`` time, ``O(n^2)`` space);
     * ``"patience"`` — force the 2-D algorithm (requires ``d <= 2``).
-
-    ``engine`` selects the matching substrate (see
-    :func:`matching_chain_decomposition`); the packed-bitset engine returns
-    the *same decomposition*, not merely the same chain count.
 
     All methods return a minimum decomposition; they may differ in which
     one.  Tests cross-check the chain *counts* against each other and
@@ -121,7 +118,7 @@ def minimum_chain_decomposition(points: PointSet, method: str = "auto",
         with rec.span("patience"):
             return patience_chain_decomposition(points)
     with rec.span("matching"):
-        return matching_chain_decomposition(points, engine=engine)
+        return matching_chain_decomposition(points)
 
 
 def patience_chain_decomposition(points: PointSet) -> ChainDecomposition:
@@ -171,8 +168,7 @@ def patience_chain_decomposition(points: PointSet) -> ChainDecomposition:
         ChainDecomposition(chain_at, n, method="patience"))
 
 
-def matching_chain_decomposition(points: PointSet,
-                                 engine: str = "auto") -> ChainDecomposition:
+def matching_chain_decomposition(points: PointSet) -> ChainDecomposition:
     """The Lemma 6 reduction: minimum path cover via Hopcroft–Karp.
 
     Split every point ``v`` into a left copy ``v_out`` and a right copy
@@ -181,24 +177,20 @@ def matching_chain_decomposition(points: PointSet,
     paths: follow matched successors.  Transitivity of dominance makes
     every such path a chain, and Dilworth guarantees ``n - |M| = w``.
 
-    ``engine``: ``"auto"`` (packed-bitset Hopcroft–Karp at or above
+    Packed-bitset Hopcroft–Karp serves inputs at or above
     :data:`repro.poset.bitset.BITSET_CUTOFF` points unless the dense order
-    matrix is already cached, the list-based engine below), ``"bitset"``,
-    or ``"loop"``.  Both engines produce the *identical* matching — the
-    bitset DFS replays the reference traversal — so the decomposition does
-    not depend on the engine; parity tests assert it chain-for-chain.
+    matrix is already cached; the list-based engine below serves the
+    rest.  Both engines produce the *identical* matching — the bitset DFS
+    replays the reference traversal — so the decomposition does not
+    depend on the engine; parity tests assert it chain-for-chain.
     """
-    if engine not in ("auto", "bitset", "loop"):
-        raise ValueError(f"unknown engine {engine!r}")
     n = points.n
     if n == 0:
         return ChainDecomposition([], 0, method="matching")
     rec = recorder()
-    if engine == "auto":
-        from .dominance import _use_bitset
+    from .dominance import _use_bitset
 
-        engine = "bitset" if _use_bitset(points) else "loop"
-    if engine == "bitset":
+    if _use_bitset(points):
         from .bitset import hopcroft_karp_bitset, packed_order
 
         packed = packed_order(points)

@@ -44,7 +44,7 @@ def is_antichain(points: PointSet, indices: List[int]) -> bool:
     return True
 
 
-def maximum_antichain(points: PointSet, engine: str = "auto") -> List[int]:
+def maximum_antichain(points: PointSet) -> List[int]:
     """An anti-chain of maximum size ``w``, as an explicit list of indices.
 
     Uses the König construction: in the split bipartite graph of the minimum
@@ -53,22 +53,18 @@ def maximum_antichain(points: PointSet, engine: str = "auto") -> List[int]:
     vertices, and return the points neither of whose copies lies in ``C``.
     Those points are pairwise incomparable and number ``n - |M| = w``.
 
-    ``engine`` selects the substrate (``"auto"`` / ``"bitset"`` /
-    ``"loop"``, as in :func:`~repro.poset.chains.matching_chain_decomposition`).
-    The bitset path runs the alternating König BFS as packed frontier
-    expansions; visited sets are pure reachability, so both engines return
-    the identical anti-chain.
+    The substrate is auto-selected as in
+    :func:`~repro.poset.chains.matching_chain_decomposition`.  The bitset
+    path runs the alternating König BFS as packed frontier expansions;
+    visited sets are pure reachability, so both engines return the
+    identical anti-chain.
     """
-    if engine not in ("auto", "bitset", "loop"):
-        raise ValueError(f"unknown engine {engine!r}")
     n = points.n
     if n == 0:
         return []
-    if engine == "auto":
-        from .dominance import _use_bitset
+    from .dominance import _use_bitset
 
-        engine = "bitset" if _use_bitset(points) else "loop"
-    if engine == "bitset":
+    if _use_bitset(points):
         antichain, matching_size = _bitset_antichain(points)
     else:
         antichain, matching_size = _loop_antichain(points)

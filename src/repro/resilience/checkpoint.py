@@ -54,6 +54,23 @@ def journal_path(checkpoint: PathLike) -> Path:
     return checkpoint.with_name(checkpoint.name + ".journal")
 
 
+def _truncate_torn_tail(path: Path) -> None:
+    """Cut a partial final line (a crash mid-append) back to the last newline.
+
+    Appending onto a torn line would merge the next entry into it, leaving
+    a corrupt line mid-file that :func:`read_journal` rejects.
+    """
+    if not path.exists():
+        return
+    with open(path, "rb+") as handle:
+        data = handle.read()
+        if not data or data.endswith(b"\n"):
+            return
+        handle.truncate(data.rfind(b"\n") + 1)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 class JournaledOracle(OracleWrapper):
     """Appends every newly charged reveal to a crash-safe journal.
 
@@ -69,6 +86,7 @@ class JournaledOracle(OracleWrapper):
         super().__init__(inner)
         self._path = Path(path)
         self.appends = 0
+        _truncate_torn_tail(self._path)
         fresh = not self._path.exists() or self._path.stat().st_size == 0
         self._handle = open(self._path, "a", encoding="utf-8")
         if fresh and meta is not None:

@@ -2,10 +2,30 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro import PointSet
+from repro.flow import (
+    dinic_array_max_flow,
+    dinic_max_flow,
+    push_relabel_array_max_flow,
+    solve_max_flow,
+)
+
+#: Every max-flow engine under test.  ``dinic`` is the loop reference
+#: (repro.flow.dinic, used only by tests and the fuzzer); ``dinic_array``
+#: and ``push_relabel_array`` call the two production engines directly;
+#: ``push_relabel`` reaches the push-relabel engine by its FLOW_BACKENDS
+#: name through the public :func:`repro.flow.solve_max_flow` dispatcher.
+FLOW_ENGINES = {
+    "dinic": dinic_max_flow,
+    "dinic_array": dinic_array_max_flow,
+    "push_relabel": partial(solve_max_flow, backend="push_relabel"),
+    "push_relabel_array": push_relabel_array_max_flow,
+}
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ where stray padding bits would first show up.
 
 from __future__ import annotations
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -61,6 +62,11 @@ def _fresh(points: PointSet) -> PointSet:
 def _force_bitset():
     """Context manager lowering the auto-selection cutoff to 1 point."""
     return mock.patch.object(bitset_mod, "BITSET_CUTOFF", 1)
+
+
+def _force_loop():
+    """Context manager raising the auto-selection cutoff out of reach."""
+    return mock.patch.object(bitset_mod, "BITSET_CUTOFF", sys.maxsize)
 
 
 class TestPackedOrderStructure:
@@ -152,19 +158,14 @@ class TestMatchingParity:
     @settings(max_examples=40, deadline=None)
     @given(ps=point_sets(max_n=20))
     def test_chains_and_antichain_engine_parity(self, ps):
-        loop_chains = matching_chain_decomposition(_fresh(ps), engine="loop")
-        loop_antichain = maximum_antichain(_fresh(ps), engine="loop")
-        bit_chains = matching_chain_decomposition(_fresh(ps), engine="bitset")
-        bit_antichain = maximum_antichain(_fresh(ps), engine="bitset")
+        with _force_loop():
+            loop_chains = matching_chain_decomposition(_fresh(ps))
+            loop_antichain = maximum_antichain(_fresh(ps))
+        with _force_bitset():
+            bit_chains = matching_chain_decomposition(_fresh(ps))
+            bit_antichain = maximum_antichain(_fresh(ps))
         assert bit_chains.chains == loop_chains.chains
         assert bit_antichain == loop_antichain
-
-    def test_unknown_engine_rejected(self):
-        ps = random_labeled_points(np.random.default_rng(1), 5, 2)
-        with pytest.raises(ValueError):
-            matching_chain_decomposition(ps, engine="simd")
-        with pytest.raises(ValueError):
-            maximum_antichain(ps, engine="simd")
 
     @pytest.mark.parametrize("n", [257, 258, 264])
     def test_chain_regression_near_byte_boundary(self, n):
@@ -173,10 +174,11 @@ class TestMatchingParity:
         (a phantom 259th point in every frontier)."""
         ps = random_labeled_points(np.random.default_rng(n), n, 3)
         auto = matching_chain_decomposition(ps)  # n >= cutoff: bitset
-        loop = matching_chain_decomposition(_fresh(ps), engine="loop")
+        with _force_loop():
+            loop = matching_chain_decomposition(_fresh(ps))
+            loop_antichain = maximum_antichain(_fresh(ps))
         assert auto.chains == loop.chains
-        assert maximum_antichain(ps) == maximum_antichain(
-            _fresh(ps), engine="loop")
+        assert maximum_antichain(ps) == loop_antichain
 
 
 class TestFlowConstructionParity:

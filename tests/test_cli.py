@@ -152,7 +152,7 @@ class TestMetricsFlags:
         assert main(["passive", str(data_file), "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "passive/min_cut" in out
-        assert "flow.dinic.calls" in out
+        assert "flow.dinic_array.calls" in out
 
     def test_metrics_out_writes_json(self, data_file, tmp_path, capsys):
         import json

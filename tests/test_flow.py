@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +13,17 @@ from repro.flow import (
     FLOW_BACKENDS,
     RESIDUAL_EPS,
     FlowNetwork,
+    dinic_array_max_flow,
     dinic_max_flow,
     has_residual,
     min_cut_from_residual,
-    push_relabel_max_flow,
+    push_relabel_array_max_flow,
     solve_max_flow,
     solve_min_cut,
 )
 from repro.obs import metrics_session
+
+from .conftest import FLOW_ENGINES
 
 
 def _diamond() -> FlowNetwork:
@@ -87,46 +92,47 @@ class TestFlowNetwork:
         assert all(a.tail == net.tail(arc_id) for arc_id, a in net.forward_arcs())
 
 
-@pytest.mark.parametrize("backend", sorted(FLOW_BACKENDS))
+@pytest.mark.parametrize("engine", sorted(FLOW_ENGINES))
 class TestBackends:
-    def test_diamond(self, backend):
+    def test_diamond(self, engine):
         net = _diamond()
-        assert solve_max_flow(net, 0, 3, backend=backend) == pytest.approx(2.0)
+        assert FLOW_ENGINES[engine](net, 0, 3) == pytest.approx(2.0)
 
-    def test_single_edge(self, backend):
+    def test_single_edge(self, engine):
         net = FlowNetwork(2)
         net.add_edge(0, 1, 7.5)
-        assert solve_max_flow(net, 0, 1, backend=backend) == pytest.approx(7.5)
+        assert FLOW_ENGINES[engine](net, 0, 1) == pytest.approx(7.5)
 
-    def test_disconnected(self, backend):
+    def test_disconnected(self, engine):
         net = FlowNetwork(3)
         net.add_edge(0, 1, 4.0)
-        assert solve_max_flow(net, 0, 2, backend=backend) == 0.0
+        value = FLOW_ENGINES[engine](net, 0, 2)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
-    def test_parallel_edges_accumulate(self, backend):
+    def test_parallel_edges_accumulate(self, engine):
         net = FlowNetwork(2)
         net.add_edge(0, 1, 2.0)
         net.add_edge(0, 1, 3.5)
-        assert solve_max_flow(net, 0, 1, backend=backend) == pytest.approx(5.5)
+        assert FLOW_ENGINES[engine](net, 0, 1) == pytest.approx(5.5)
 
-    def test_bottleneck_path(self, backend):
+    def test_bottleneck_path(self, engine):
         net = FlowNetwork(4)
         net.add_edge(0, 1, 10.0)
         net.add_edge(1, 2, 0.5)
         net.add_edge(2, 3, 10.0)
-        assert solve_max_flow(net, 0, 3, backend=backend) == pytest.approx(0.5)
+        assert FLOW_ENGINES[engine](net, 0, 3) == pytest.approx(0.5)
 
-    def test_source_equals_sink_rejected(self, backend):
+    def test_source_equals_sink_rejected(self, engine):
         net = FlowNetwork(2)
         with pytest.raises(ValueError):
-            solve_max_flow(net, 0, 0, backend=backend)
+            FLOW_ENGINES[engine](net, 0, 0)
 
-    def test_flow_is_feasible(self, backend):
+    def test_flow_is_feasible(self, engine):
         net = random_flow_network(40, 0.2, seed=3)
-        solve_max_flow(net, 0, 39, backend=backend)
+        FLOW_ENGINES[engine](net, 0, 39)
         assert net.check_flow_conservation(0, 39)
 
-    def test_clrs_figure_example(self, backend):
+    def test_clrs_figure_example(self, engine):
         """The CLRS flow-network example: known max flow 23."""
         net = FlowNetwork(6)
         s, v1, v2, v3, v4, t = range(6)
@@ -139,7 +145,7 @@ class TestBackends:
         net.add_edge(v3, t, 20)
         net.add_edge(v4, v3, 7)
         net.add_edge(v4, t, 4)
-        assert solve_max_flow(net, s, t, backend=backend) == pytest.approx(23.0)
+        assert FLOW_ENGINES[engine](net, s, t) == pytest.approx(23.0)
 
 
 class TestMinCut:
@@ -169,6 +175,11 @@ class TestMinCut:
         with pytest.raises(ValueError):
             solve_max_flow(_diamond(), 0, 3, backend="bogus")
 
+    def test_backends_are_the_production_engines(self):
+        """One production engine per algorithm; loop Dinic is no backend."""
+        assert FLOW_BACKENDS == {"dinic": dinic_array_max_flow,
+                                 "push_relabel": push_relabel_array_max_flow}
+
 
 class TestEpsilonBoundary:
     """Regressions for the shared ``RESIDUAL_EPS`` admissibility contract."""
@@ -179,7 +190,7 @@ class TestEpsilonBoundary:
         assert has_residual(2 * RESIDUAL_EPS)
 
     def test_sub_epsilon_push_skipped_on_warm_start(self):
-        """push_relabel must not perform sub-epsilon pushes.
+        """push-relabel must not perform sub-epsilon pushes.
 
         A warm-started network can leave a source arc with capacity above
         the tolerance but *residual* below it.  Pre-fix, the push closure
@@ -197,11 +208,11 @@ class TestEpsilonBoundary:
         net.push(a, 1.0 - tiny)
         net.push(b, 1.0 - tiny)
         with metrics_session() as reg:
-            value = push_relabel_max_flow(net, 0, 2)
+            value = push_relabel_array_max_flow(net, 0, 2)
         assert value == 1.0 - tiny
         # No usable augmenting path exists, so not a single push happens
         # (pre-fix: one sub-epsilon push, counter == 1).
-        assert reg.counters["flow.push_relabel.pushes"].value == 0
+        assert reg.counters["flow.push_relabel_array.pushes"].value == 0
         # Conservation holds *exactly*, not merely within the default
         # 1e-9 slack that hid the stranded excess.
         assert net.check_flow_conservation(0, 2, tol=0.0)
@@ -212,26 +223,29 @@ class TestEpsilonBoundary:
         With the sink unreachable the max flow is exactly 0.  Pre-fix the
         value was read source-side, so excess parked at an interior node
         by the strict discharge guard (here ~1e-12 of it) was reported as
-        delivered flow.
+        delivered flow.  The zero must also be +0.0: negating an empty
+        sink inflow gives -0.0, which json.dumps emits as ``-0.0``.
         """
         net = FlowNetwork(3)
         net.add_edge(0, 1, 2 * RESIDUAL_EPS)
         net.add_edge(1, 0, 1.0000000000000002e-12)  # nextafter(eps, 1)
-        value = push_relabel_max_flow(net, 0, 2)
-        assert value == 0.0
+        value = push_relabel_array_max_flow(net, 0, 2)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_backends_agree_at_exact_epsilon_capacity(self):
         """A capacity of exactly ``RESIDUAL_EPS`` is unusable for everyone.
 
-        Pre-fix, capacity-scaling's exactness pass admitted residuals
-        ``>= delta`` with ``delta == 0``, so it alone pushed the 1e-12 and
-        returned a nonzero value while every other backend returned 0.0.
+        Historically a capacity-scaling backend's exactness pass admitted
+        residuals ``>= delta`` with ``delta == 0``, so it alone pushed the
+        1e-12 and returned a nonzero value while every other backend
+        returned 0.0.
         """
-        for backend in sorted(FLOW_BACKENDS):
+        for engine, solver in sorted(FLOW_ENGINES.items()):
             net = FlowNetwork(2)
             net.add_edge(0, 1, RESIDUAL_EPS)
-            value = solve_max_flow(net, 0, 1, backend=backend)
-            assert value == 0.0, f"{backend} admitted an epsilon-capacity arc"
+            value = solver(net, 0, 1)
+            assert value == 0.0, f"{engine} admitted an epsilon-capacity arc"
+            assert math.copysign(1.0, value) == 1.0, engine
 
 
 class TestCutCertificate:
@@ -271,12 +285,14 @@ class TestCutCertificate:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(4, 30), st.floats(0.05, 0.5), st.integers(0, 100_000))
 def test_backends_agree_with_each_other(size, density, seed):
-    """Property (Lemma 7): both from-scratch backends compute equal values."""
+    """Property (Lemma 7): every engine matches the loop-Dinic reference."""
     values = {}
-    for backend in FLOW_BACKENDS:
+    for engine, solver in FLOW_ENGINES.items():
         net = random_flow_network(size, density, seed)
-        values[backend] = solve_max_flow(net, 0, size - 1, backend=backend)
-    assert values["dinic"] == pytest.approx(values["push_relabel"], rel=1e-9, abs=1e-9)
+        values[engine] = solver(net, 0, size - 1)
+    for engine, value in values.items():
+        assert value == pytest.approx(values["dinic"], rel=1e-9,
+                                      abs=1e-9), engine
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,12 +1,16 @@
 """Tests for the array-native flow engines (repro.flow.array).
 
 Covers the CSR snapshot contract, bit-identity of ``dinic_array`` with
-the loop engine, the six-backend solver-equivalence suite (random and
-epsilon-boundary instances plus the replayable corpus), and the
-``solve_passive`` auto-upgrade above ``FLOW_ARRAY_CUTOFF``.
+the loop-Dinic reference, the solver-equivalence suite of both production
+engines against that reference (random and epsilon-boundary instances
+plus the replayable corpus), and the CSR min-cut extraction against a
+scalar reference BFS.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from typing import Set
 
 import numpy as np
 import pytest
@@ -15,20 +19,21 @@ from hypothesis import given, settings
 from repro.core.passive import solve_passive
 from repro.experiments.flow_backends import random_flow_network
 from repro.flow import (
-    ARRAY_UPGRADES,
     FLOW_BACKENDS,
     RESIDUAL_EPS,
     CSRFlowSnapshot,
     FlowNetwork,
-    array_backend_for,
+    MinCut,
     dinic_array_max_flow,
     dinic_max_flow,
+    has_residual,
+    min_cut_from_residual,
     push_relabel_array_max_flow,
     solve_max_flow,
-    solve_min_cut,
 )
 from repro.fuzz.corpus import iter_corpus, load_reproducer
 from repro.obs import metrics_session
+from tests.conftest import FLOW_ENGINES
 from tests.strategies import boundary_flow_networks, flow_networks
 
 CORPUS_DIR = "tests/corpus"
@@ -40,6 +45,30 @@ def _clone(network: FlowNetwork) -> FlowNetwork:
     for _arc_id, arc in network.forward_arcs():
         other.add_edge(arc.tail, arc.head, arc.capacity)
     return other
+
+
+def _scalar_min_cut(network: FlowNetwork, source: int, sink: int,
+                    flow_value: float) -> MinCut:
+    """Reference cut extraction: scalar residual BFS over adjacency lists."""
+    reachable: Set[int] = {source}
+    queue: deque = deque([source])
+    while queue:
+        u = queue.popleft()
+        for arc in network.adjacency[u]:
+            v = network.heads[arc]
+            if v not in reachable and has_residual(network.residual(arc)):
+                reachable.add(v)
+                queue.append(v)
+    if sink in reachable:
+        raise AssertionError("sink reachable in residual graph: flow is not maximum")
+    cut_arcs = [
+        arc_id
+        for arc_id, arc in network.forward_arcs()
+        if arc.tail in reachable and arc.head not in reachable
+        and arc.capacity > 0.0
+        and not has_residual(arc.capacity - arc.flow)
+    ]
+    return MinCut(flow_value, reachable, cut_arcs)
 
 
 class TestCSRFlowSnapshot:
@@ -139,7 +168,11 @@ class TestPushRelabelArray:
         assert counters["flow.array.snapshots"].value == 1
 
     def test_warm_start_sub_epsilon_residual_skipped(self):
-        """Same regression as the loop engine (shared push guard)."""
+        """The sub-epsilon push guard also holds behind the backend name.
+
+        Same warm start as the engine-level regression in test_flow, run
+        through ``solve_max_flow(backend="push_relabel")``.
+        """
         tiny = RESIDUAL_EPS / 2
         net = FlowNetwork(3)
         a = net.add_edge(0, 1, 1.0)
@@ -147,88 +180,87 @@ class TestPushRelabelArray:
         net.push(a, 1.0 - tiny)
         net.push(b, 1.0 - tiny)
         with metrics_session() as reg:
-            value = push_relabel_array_max_flow(net, 0, 2)
+            value = solve_max_flow(net, 0, 2, backend="push_relabel")
         assert value == 1.0 - tiny
         assert reg.counters["flow.push_relabel_array.pushes"].value == 0
         assert net.check_flow_conservation(0, 2, tol=0.0)
 
-
 class TestSolverEquivalence:
-    """All six registered backends agree on value, feasibility and cuts."""
+    """Both production engines agree with the loop-Dinic reference on
+    value, feasibility and cuts."""
 
     @settings(max_examples=40, deadline=None)
     @given(flow_networks())
     def test_all_backends_equivalent(self, case):
         network, source, sink = case
         values = {}
-        for backend in sorted(FLOW_BACKENDS):
+        for engine, solver in sorted(FLOW_ENGINES.items()):
             net = _clone(network)
-            values[backend] = solve_max_flow(net, source, sink,
-                                             backend=backend)
+            values[engine] = solver(net, source, sink)
             assert net.check_flow_conservation(source, sink)
         reference = values["dinic"]
-        for backend, value in values.items():
+        for engine, value in values.items():
             assert value == pytest.approx(reference, rel=1e-9, abs=1e-9), \
-                backend
+                engine
 
-    # Augmenting-path backends move per-path bottlenecks, so their values
+    # Augmenting-path engines move per-path bottlenecks, so their values
     # are sums of identical > RESIDUAL_EPS augmentations and must agree
-    # below the tolerance itself.  The preflow backends aggregate excess
-    # per node and may legitimately deliver up to ~RESIDUAL_EPS more per
-    # saturating arc than a bottleneck-at-a-time search admits, so their
-    # slack scales with the instance.
-    PATH_BACKENDS = ("capacity_scaling", "dinic", "dinic_array",
-                     "edmonds_karp")
+    # below the tolerance itself.  Push-relabel aggregates excess per node
+    # and may legitimately deliver up to ~RESIDUAL_EPS more per saturating
+    # arc than a bottleneck-at-a-time search admits, so its slack scales
+    # with the instance.
+    PATH_ENGINES = ("dinic", "dinic_array")
 
     @settings(max_examples=40, deadline=None)
     @given(boundary_flow_networks())
     def test_boundary_capacities_differential(self, case):
-        """Epsilon-boundary differential (satellite of the scaling fix).
+        """Epsilon-boundary differential.
 
-        The path-backend tolerance is *below* ``RESIDUAL_EPS``: the
+        The path-engine tolerance is *below* ``RESIDUAL_EPS``: the
         historical bug was a disagreement of exactly 1e-12, invisible to
         the usual 1e-9 slack.
         """
         network, source, sink = case
         values = {}
-        for backend in sorted(FLOW_BACKENDS):
+        for engine, solver in sorted(FLOW_ENGINES.items()):
             net = _clone(network)
-            values[backend] = solve_max_flow(net, source, sink,
-                                             backend=backend)
+            values[engine] = solver(net, source, sink)
             assert net.check_flow_conservation(source, sink)
         reference = values["dinic"]
-        for backend in self.PATH_BACKENDS:
-            assert values[backend] == pytest.approx(
-                reference, rel=1e-9, abs=RESIDUAL_EPS / 2), backend
+        for engine in self.PATH_ENGINES:
+            assert values[engine] == pytest.approx(
+                reference, rel=1e-9, abs=RESIDUAL_EPS / 2), engine
         loose = (network.num_edges + 2) * RESIDUAL_EPS
-        for backend, value in values.items():
+        for engine, value in values.items():
             assert value == pytest.approx(reference, rel=1e-9,
-                                          abs=loose), backend
+                                          abs=loose), engine
 
     @settings(max_examples=25, deadline=None)
     @given(flow_networks())
     def test_cut_certificates_equivalent(self, case):
         network, source, sink = case
-        weights = {}
-        for backend in sorted(FLOW_BACKENDS):
+        cuts = {}
+        for engine, solver in sorted(FLOW_ENGINES.items()):
             net = _clone(network)
-            cut = solve_min_cut(net, source, sink, backend=backend,
-                                check=False)
-            weights[backend] = cut.weight(net)
+            value = solver(net, source, sink)
+            cut = min_cut_from_residual(net, source, sink, value)
+            cuts[engine] = cut
             assert cut.weight(net) == pytest.approx(cut.value,
                                                     rel=1e-9, abs=1e-9)
             for arc_id in cut.cut_arcs:
                 assert net.caps[arc_id] > 0.0
-        reference = weights["dinic"]
-        for backend, weight in weights.items():
-            assert weight == pytest.approx(reference, rel=1e-9,
-                                           abs=1e-9), backend
+        reference = cuts["dinic"]
+        for engine, cut in cuts.items():
+            # The residual-reachable source side is the same for every
+            # maximum flow, so the certificates coincide arc for arc.
+            assert cut.source_side == reference.source_side, engine
+            assert cut.cut_arcs == reference.cut_arcs, engine
 
     def test_corpus_replay_machine_precision(self):
-        """Every corpus entry solves identically across all six backends.
+        """Every corpus entry solves identically under both backends.
 
-        The array engines must match to machine precision: ``dinic_array``
-        exactly, ``push_relabel_array`` within float tolerance.
+        Values match within float tolerance and the assignments are
+        identical.
         """
         paths = list(iter_corpus(CORPUS_DIR))
         assert paths, "replay corpus is empty"
@@ -249,81 +281,30 @@ class TestSolverEquivalence:
                 continue
             solved_one = True
             reference = results["dinic"]
-            assert results["dinic_array"].optimal_error == \
-                reference.optimal_error, path.name
             for backend, result in results.items():
                 assert result.optimal_error == pytest.approx(
                     reference.optimal_error, rel=1e-9, abs=1e-12), \
+                    (path.name, backend)
+                assert np.array_equal(result.assignment,
+                                      reference.assignment), \
                     (path.name, backend)
         assert solved_one, "every corpus entry was rejected"
 
 
 class TestArrayMinCutExtraction:
-    """The CSR fast path of min_cut_from_residual matches the scalar path."""
+    """The CSR min_cut_from_residual matches the scalar reference BFS."""
 
-    def test_identical_to_scalar_path(self, monkeypatch):
-        from repro.flow.mincut import (
-            _min_cut_from_residual_array,
-            min_cut_from_residual,
-        )
-
+    def test_identical_to_scalar_path(self):
         for seed in range(10):
             net = random_flow_network(25, 0.25, seed=seed)
             value = dinic_max_flow(net, 0, 24)
-            scalar = min_cut_from_residual(net, 0, 24, value)
-            fast = _min_cut_from_residual_array(net, 0, 24, value)
+            scalar = _scalar_min_cut(net, 0, 24, value)
+            fast = min_cut_from_residual(net, 0, 24, value)
             assert fast.source_side == scalar.source_side
             assert fast.cut_arcs == scalar.cut_arcs
             assert fast.value == scalar.value
 
     def test_rejects_non_max_flow(self):
-        from repro.flow.mincut import _min_cut_from_residual_array
-
         net = random_flow_network(10, 0.5, seed=3)  # zero flow
         with pytest.raises(AssertionError):
-            _min_cut_from_residual_array(net, 0, 9, 0.0)
-
-
-class TestAutoUpgrade:
-    def test_array_backend_for_mapping(self):
-        assert array_backend_for("dinic") == "dinic_array"
-        assert array_backend_for("push_relabel") == "push_relabel_array"
-        assert array_backend_for("edmonds_karp") is None
-        assert array_backend_for("dinic_array") is None
-        assert set(ARRAY_UPGRADES.values()) <= set(FLOW_BACKENDS)
-
-    def _points(self):
-        rng = np.random.default_rng(11)
-        from repro import PointSet
-
-        coords = rng.random((40, 2))
-        labels = (coords.sum(axis=1) + rng.normal(0, 0.3, 40) > 1.0)
-        return PointSet(coords, labels.astype(int).tolist())
-
-    def test_upgrade_above_cutoff(self, monkeypatch):
-        points = self._points()
-        baseline = solve_passive(points, backend="dinic")
-        assert baseline.backend == "dinic"
-        monkeypatch.setattr("repro.core.passive.FLOW_ARRAY_CUTOFF", 2)
-        with metrics_session() as reg:
-            upgraded = solve_passive(points, backend="dinic")
-        assert upgraded.backend == "dinic_array"
-        assert reg.counters["passive.array_backend_upgrades"].value == 1
-        # Bit-identical engine: identical error, flow value and labels.
-        assert upgraded.optimal_error == baseline.optimal_error
-        assert upgraded.flow_value == baseline.flow_value
-        assert (upgraded.assignment == baseline.assignment).all()
-
-    def test_no_upgrade_for_non_loop_backends(self, monkeypatch):
-        points = self._points()
-        monkeypatch.setattr("repro.core.passive.FLOW_ARRAY_CUTOFF", 2)
-        result = solve_passive(points, backend="edmonds_karp")
-        assert result.backend == "edmonds_karp"
-
-    def test_explicit_array_backend_accepted(self):
-        points = self._points()
-        direct = solve_passive(points, backend="push_relabel_array")
-        assert direct.backend == "push_relabel_array"
-        reference = solve_passive(points, backend="dinic")
-        assert direct.optimal_error == pytest.approx(
-            reference.optimal_error, rel=1e-9, abs=1e-12)
+            min_cut_from_residual(net, 0, 9, 0.0)

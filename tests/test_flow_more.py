@@ -1,46 +1,48 @@
-"""Additional max-flow coverage: scaling backend, degenerate networks,
-structural stress cases for the gap heuristic and long paths."""
+"""Additional max-flow coverage: degenerate networks, structural stress
+cases for the gap heuristic and long paths."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.experiments.flow_backends import random_flow_network
-from repro.flow import (
-    FLOW_BACKENDS,
-    FlowNetwork,
-    capacity_scaling_max_flow,
-    solve_max_flow,
-    solve_min_cut,
-)
+from repro.flow import FlowNetwork, solve_min_cut
+
+from .conftest import FLOW_ENGINES
 
 
-class TestCapacityScaling:
-    def test_zero_capacity_network(self):
+@pytest.mark.parametrize("engine", sorted(FLOW_ENGINES))
+class TestDegenerateNetworks:
+    """Tiny and degenerate networks: the engines run at every size."""
+
+    def test_zero_capacity_network(self, engine):
         net = FlowNetwork(3)
         net.add_edge(0, 1, 0.0)
         net.add_edge(1, 2, 0.0)
-        assert capacity_scaling_max_flow(net, 0, 2) == 0.0
+        value = FLOW_ENGINES[engine](net, 0, 2)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
-    def test_no_edges(self):
+    def test_no_edges(self, engine):
         net = FlowNetwork(2)
-        assert capacity_scaling_max_flow(net, 0, 1) == 0.0
+        value = FLOW_ENGINES[engine](net, 0, 1)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
-    def test_extreme_capacity_ratio(self):
+    def test_extreme_capacity_ratio(self, engine):
         """One tiny and one huge parallel path: both fully used."""
         net = FlowNetwork(4)
         net.add_edge(0, 1, 1e9)
         net.add_edge(1, 3, 1e9)
         net.add_edge(0, 2, 1e-6)
         net.add_edge(2, 3, 1e-6)
-        assert capacity_scaling_max_flow(net, 0, 3) == \
-            pytest.approx(1e9 + 1e-6)
+        assert FLOW_ENGINES[engine](net, 0, 3) == pytest.approx(1e9 + 1e-6)
 
-    def test_rejects_same_source_sink(self):
+    def test_rejects_same_source_sink(self, engine):
         net = FlowNetwork(2)
         with pytest.raises(ValueError):
-            capacity_scaling_max_flow(net, 0, 0)
+            FLOW_ENGINES[engine](net, 0, 0)
 
 
 class TestStructuralStress:
@@ -50,14 +52,14 @@ class TestStructuralStress:
             net.add_edge(i, i + 1, float(i % 3 + 1))
         return net
 
-    @pytest.mark.parametrize("backend", sorted(FLOW_BACKENDS))
-    def test_long_path(self, backend):
+    @pytest.mark.parametrize("engine", sorted(FLOW_ENGINES))
+    def test_long_path(self, engine):
         """Hundreds of vertices in series: exercises relabeling depth."""
         net = self._long_path(300)
-        assert solve_max_flow(net, 0, 300, backend=backend) == 1.0
+        assert FLOW_ENGINES[engine](net, 0, 300) == 1.0
 
-    @pytest.mark.parametrize("backend", sorted(FLOW_BACKENDS))
-    def test_wide_bipartite(self, backend):
+    @pytest.mark.parametrize("engine", sorted(FLOW_ENGINES))
+    def test_wide_bipartite(self, engine):
         """The passive-reduction shape: source -> L -> R -> sink."""
         gen = np.random.default_rng(0)
         left, right = 40, 40
@@ -72,12 +74,12 @@ class TestStructuralStress:
                 if gen.random() < 0.15:
                     net.add_edge(2 + i, 2 + left + j, 1e6)
         values = {}
-        for other in FLOW_BACKENDS:
+        for other, solver in FLOW_ENGINES.items():
             fresh = FlowNetwork(net.num_nodes)
             for _arc, arc in net.forward_arcs():
                 fresh.add_edge(arc.tail, arc.head, arc.capacity)
-            values[other] = solve_max_flow(fresh, source, sink, backend=other)
-        assert values[backend] == pytest.approx(values["dinic"])
+            values[other] = solver(fresh, source, sink)
+        assert values[engine] == pytest.approx(values["dinic"])
 
     def test_gap_heuristic_network(self):
         """A network whose middle layer disconnects mid-run (gap trigger)."""
@@ -92,12 +94,11 @@ class TestStructuralStress:
         net.add_edge(4, 6, 5.0)
         net.add_edge(5, 7, 5.0)
         net.add_edge(6, 7, 5.0)
-        for backend in FLOW_BACKENDS:
+        for engine, solver in FLOW_ENGINES.items():
             fresh = FlowNetwork(8)
             for _arc, arc in net.forward_arcs():
                 fresh.add_edge(arc.tail, arc.head, arc.capacity)
-            assert solve_max_flow(fresh, 0, 7, backend=backend) == \
-                pytest.approx(1.5), backend
+            assert solver(fresh, 0, 7) == pytest.approx(1.5), engine
 
     def test_min_cut_on_bridge_network(self):
         net = FlowNetwork(4)
@@ -110,13 +111,13 @@ class TestStructuralStress:
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_all_four_backends_agree(seed):
-    """Agreement across four independent implementations."""
+def test_all_engines_agree(seed):
+    """Both production engines agree with the loop-Dinic reference."""
     size = 35
     values = {}
-    for backend in FLOW_BACKENDS:
+    for engine, solver in FLOW_ENGINES.items():
         net = random_flow_network(size, 0.25, seed=seed)
-        values[backend] = solve_max_flow(net, 0, size - 1, backend=backend)
+        values[engine] = solver(net, 0, size - 1)
     reference = values["dinic"]
-    for backend, value in values.items():
-        assert value == pytest.approx(reference, rel=1e-9, abs=1e-9), backend
+    for engine, value in values.items():
+        assert value == pytest.approx(reference, rel=1e-9, abs=1e-9), engine

@@ -98,6 +98,17 @@ class TestFlowDifferential:
         network, source, sink = case
         assert run_flow_differential(network, source, sink) == []
 
+    def test_flags_dinic_flows_that_differ_from_reference(self, monkeypatch):
+        """A production Dinic with the right value but different per-arc
+        flows than loop Dinic is a finding."""
+        from repro.experiments.flow_backends import random_flow_network
+        from repro.flow import FLOW_BACKENDS, push_relabel_array_max_flow
+
+        monkeypatch.setitem(FLOW_BACKENDS, "dinic", push_relabel_array_max_flow)
+        findings = run_flow_differential(random_flow_network(30, 0.3, 0), 0, 29)
+        assert [f.config for f in findings] == ["loop_dinic vs dinic"]
+        assert "bit-identical" in findings[0].detail
+
 
 class TestStructureCheck:
     def test_clean_reduction_passes(self, tiny_2d):

@@ -140,8 +140,8 @@ class TestConsistencyAcrossSolvers:
             "dinic": solve_passive(points, backend="dinic").optimal_error,
             "push_relabel": solve_passive(points,
                                           backend="push_relabel").optimal_error,
-            "edmonds_karp": solve_passive(points,
-                                          backend="edmonds_karp").optimal_error,
+            "hasse": solve_passive(points,
+                                   use_hasse_reduction=True).optimal_error,
             "blockwise": solve_passive(points, block_size=16).optimal_error,
             "no_reduction": solve_passive(
                 points, use_contending_reduction=False).optimal_error,

@@ -373,7 +373,7 @@ class TestPipelineIntegration:
             result = solve_passive(points)
         assert reg.gauge_value("passive.num_contending") == result.num_contending
         assert reg.gauge_value("passive.optimal_error") == result.optimal_error
-        assert reg.counter_value("flow.dinic.calls") == 1
+        assert reg.counter_value("flow.dinic_array.calls") == 1
 
     def test_disabled_path_records_nothing(self):
         probe = MetricsRegistry("probe")

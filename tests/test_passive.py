@@ -19,6 +19,9 @@ from repro.core.passive import contending_mask
 from repro.datasets.synthetic import planted_monotone
 from repro.flow import FLOW_BACKENDS
 
+from .conftest import FLOW_ENGINES
+from .strategies import point_sets
+
 
 class TestContendingMask:
     def test_monotone_labeling_has_no_contenders(self, monotone_2d):
@@ -144,6 +147,19 @@ def test_solver_matches_brute_force(n, dim, seed):
     assert weighted_error(ps, result.assignment) == pytest.approx(result.optimal_error)
 
 
+@settings(max_examples=40, deadline=None)
+@given(point_sets())
+def test_backends_give_identical_assignment(points):
+    """Dinic and push-relabel yield the same labels, not just the same
+    error: the residual-reachable source side, which the assignment is
+    read from, is the same for every maximum flow."""
+    dinic = solve_passive(points, backend="dinic")
+    push = solve_passive(points, backend="push_relabel")
+    assert np.array_equal(push.assignment, dinic.assignment)
+    assert push.optimal_error == pytest.approx(dinic.optimal_error,
+                                               rel=1e-9, abs=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 100_000))
 def test_both_backends_match_brute_force(n, seed):
@@ -253,8 +269,15 @@ class TestWeightScaleGuard:
     assertion.  The guard turns that into a uniform, actionable ValueError.
     """
 
-    @pytest.mark.parametrize("backend", sorted(FLOW_BACKENDS))
-    def test_ill_conditioned_weights_rejected_uniformly(self, backend):
+    @pytest.mark.parametrize("backend",
+                             sorted(FLOW_BACKENDS.keys() | FLOW_ENGINES.keys()))
+    def test_ill_conditioned_weights_rejected_uniformly(self, backend,
+                                                        monkeypatch):
+        # The production backends, plus each test engine registered under
+        # its own name for the duration: the guard fires whichever engine
+        # the cut would run on.
+        if backend not in FLOW_BACKENDS:
+            monkeypatch.setitem(FLOW_BACKENDS, backend, FLOW_ENGINES[backend])
         ps = PointSet([(0.1,), (0.8,)], [1, 0], [1e-4, 1e11])
         with pytest.raises(ValueError, match="rescale the weights"):
             solve_passive(ps, backend=backend)

@@ -315,6 +315,28 @@ class TestJournal:
         _meta, revealed = read_journal(path)
         assert revealed == {1: 0}
 
+    def test_resume_after_torn_write_truncates_partial_line(self, tmp_path):
+        """Reopening after a crash mid-append must not append onto the
+        partial line: the merged line would sit mid-file, read_journal
+        would reject the journal, and the first resumed probe would be
+        lost."""
+        truth = _truth()
+        path = tmp_path / "resume.journal"
+        with JournaledOracle(LabelOracle(truth), path,
+                             meta={"n": truth.n}) as journaled:
+            journaled.probe(0)
+            journaled.probe(1)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"i": 2, "l"')  # crash mid-append
+        with JournaledOracle(LabelOracle(truth), path,
+                             meta={"n": truth.n}) as resumed:
+            resumed.probe(3)
+            resumed.probe(4)
+        meta, revealed = read_journal(path)
+        assert meta == {"n": truth.n}
+        assert revealed == {i: int(truth.labels[i]) for i in (0, 1, 3, 4)}
+        assert path.read_text(encoding="utf-8").endswith("\n")
+
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "corrupt.journal"
         path.write_text('not json\n{"i": 1, "l": 0}\n', encoding="utf-8")
