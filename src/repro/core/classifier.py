@@ -126,14 +126,12 @@ class UpsetClassifier(MonotoneClassifier):
     """
 
     def __init__(self, anchors: Iterable[Sequence[float]], dim: Optional[int] = None) -> None:
-        rows = [tuple(a) for a in anchors]
-        if rows:
-            matrix = as_float_matrix(rows)
-        else:
+        matrix = as_float_matrix(anchors)
+        if matrix.shape[0] == 0:
             if dim is None:
                 raise ValueError("dim is required when constructing with no anchors")
             matrix = np.empty((0, dim), dtype=float)
-        self.anchors = _prune_dominated_anchors(matrix)
+        self.anchors = _minimal_anchors(matrix)
         self.anchors.setflags(write=False)
 
     @classmethod
@@ -152,13 +150,13 @@ class UpsetClassifier(MonotoneClassifier):
         return cls(ones, dim=points.dim)
 
     def classify_matrix(self, coords: np.ndarray) -> np.ndarray:
-        if self.anchors.shape[0] == 0:
-            return np.zeros(coords.shape[0], dtype=np.int8)
         if coords.shape[1] != self.anchors.shape[1]:
             raise ValueError(
                 f"dimension mismatch: points have d={coords.shape[1]}, "
                 f"anchors have d={self.anchors.shape[1]}"
             )
+        if self.anchors.shape[0] == 0:
+            return np.zeros(coords.shape[0], dtype=np.int8)
         dominated = np.all(coords[:, None, :] >= self.anchors[None, :, :], axis=2)
         return np.any(dominated, axis=1).astype(np.int8)
 
@@ -213,23 +211,31 @@ class UnionClassifier(_CompositeClassifier):
         return out
 
 
-def _prune_dominated_anchors(matrix: np.ndarray) -> np.ndarray:
-    """Keep only minimal anchors (drop any anchor that dominates another).
+#: Rows per block of :func:`_minimal_anchors`.
+ANCHOR_BLOCK = 256
 
-    If anchor ``a`` weakly dominates anchor ``b`` then the upset of ``b``
-    contains the upset of ``a``, so ``a`` is redundant.  Duplicate rows are
-    collapsed to a single representative.
+
+def _minimal_anchors(matrix: np.ndarray) -> np.ndarray:
+    """The minimal rows of ``matrix``, deduplicated, in lexicographic order.
+
+    An anchor that weakly dominates another is redundant (its upset is
+    contained).  ``np.unique`` sorts rows lexicographically, a linear
+    extension of dominance, so a row is kept iff it dominates no earlier
+    row; by transitivity it suffices to test the anchors kept so far and
+    the earlier rows of its own block.  ``O(m k d)`` time for ``k``
+    anchors, ``O(block max(k, block))`` memory.
     """
-    m = matrix.shape[0]
-    if m <= 1:
+    if matrix.shape[0] <= 1:
         return matrix.copy()
     unique = np.unique(matrix, axis=0)
-    m = unique.shape[0]
-    weak = np.all(unique[:, None, :] >= unique[None, :, :], axis=2)
-    np.fill_diagonal(weak, False)
-    # Row i is redundant if it weakly dominates some other (distinct) row.
-    redundant = np.any(weak, axis=1)
-    return unique[~redundant].copy()
+    kept = unique[:0]
+    for start in range(0, unique.shape[0], ANCHOR_BLOCK):
+        block = unique[start:start + ANCHOR_BLOCK]
+        redundant = np.all(block[:, None, :] >= kept[None, :, :], axis=2).any(axis=1)
+        within = np.all(block[:, None, :] >= block[None, :, :], axis=2)
+        redundant |= (within & np.tri(len(block), k=-1, dtype=bool)).any(axis=1)
+        kept = np.concatenate([kept, block[~redundant]])
+    return kept
 
 
 def is_monotone_assignment(points: PointSet, predictions: Sequence[int]) -> bool:

@@ -35,6 +35,10 @@ import numpy as np
 
 from ..flow import FlowNetwork, solve_min_cut
 from ..obs import recorder
+from ..poset.dominance2d import (
+    contending_mask_low_dim,
+    is_monotone_assignment_low_dim,
+)
 from .classifier import (
     MonotoneClassifier,
     UpsetClassifier,
@@ -242,10 +246,7 @@ def solve_passive(points: PointSet, backend: str = "dinic",
         with rec.span("contending"):
             if use_contending_reduction:
                 if points.dim <= 2:
-                    # O(n log n) sweepline fast path (weak dominance
-                    # preserved).
-                    from ..poset.dominance2d import contending_mask_low_dim
-
+                    # O(n log n) prefix-extremum fast path.
                     mask = contending_mask_low_dim(points)
                 elif blockwise:
                     # Packed-bitset accumulator: same blockwise streaming,
@@ -267,7 +268,8 @@ def solve_passive(points: PointSet, backend: str = "dinic",
 
         if len(active) == 0:
             # Labeling already monotone: zero error, keep every label.
-            classifier = UpsetClassifier.from_positive_points(points, assignment)
+            with rec.span("classifier_build"):
+                classifier = UpsetClassifier.from_positive_points(points, assignment)
             return PassiveResult(classifier, assignment, 0.0, 0, 0.0, backend)
 
         with rec.span("build_network"):
@@ -339,7 +341,10 @@ def solve_passive(points: PointSet, backend: str = "dinic",
                 if int(vid[q]) in cut.source_side:
                     assignment[q] = 0
 
-            if blockwise:
+            if points.dim <= 2:
+                assignment_monotone = is_monotone_assignment_low_dim(
+                    points, assignment)
+            elif blockwise:
                 assignment_monotone = blocked_is_monotone_assignment(
                     points, assignment, rows_per_block)
             else:
@@ -362,7 +367,8 @@ def solve_passive(points: PointSet, backend: str = "dinic",
             rec.gauge("passive.flow_value", float(cut.value))
             rec.gauge("passive.optimal_error", float(optimal_error))
 
-        classifier = UpsetClassifier.from_positive_points(points, assignment)
+        with rec.span("classifier_build"):
+            classifier = UpsetClassifier.from_positive_points(points, assignment)
         return PassiveResult(
             classifier=classifier,
             assignment=assignment,

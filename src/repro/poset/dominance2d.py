@@ -1,22 +1,22 @@
-"""O(n log n) dominance primitives for ``d <= 2`` (sweepline + Fenwick).
+"""O(n log n) dominance primitives for ``d <= 2`` (prefix extrema + Fenwick).
 
 The generic pipeline charges ``O(d n^2)`` for pairwise dominance facts.
-In one and two dimensions the same facts fall out of a sweepline:
+In one and two dimensions the same facts fall out of one sort by x:
 
 * :func:`contending_mask_low_dim` — the Section 5.1 contending mask;
+* :func:`is_monotone_assignment_low_dim` — the Lemma 16 check;
 * :func:`count_violations_low_dim` — the number of (label-0 ⪰ label-1)
   conflicting pairs, whose zero-ness is exactly ``k* = 0``;
 * :func:`is_monotone_labeling_low_dim` — monotonicity of the labeling.
 
-``solve_passive`` uses the mask fast path automatically for ``d <= 2``,
-which (together with the patience decomposition) makes the entire 2-D
-pipeline scale to hundreds of thousands of points, the min-cut instance
-size permitting.
+``solve_passive`` uses the mask and the check for ``d <= 2``, which
+(with the patience decomposition) lets the 2-D pipeline scale to
+hundreds of thousands of points, the min-cut instance size permitting.
 
 Weak dominance (``q ⪯ p`` includes equal coordinates) is preserved
-throughout: sweeping ascending in ``x`` with whole equal-``x`` groups
-inserted *before* they are queried, and Fenwick ranks compressed over
-``y`` with inclusive prefix sums.
+throughout: prefix extrema read group-inclusively via ``searchsorted``,
+and the pair count inserts each equal-x group into a Fenwick tree over
+y-ranks *before* querying it.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .fenwick import FenwickTree
 __all__ = [
     "contending_mask_low_dim",
     "count_violations_low_dim",
+    "is_monotone_assignment_low_dim",
     "is_monotone_labeling_low_dim",
 ]
 
@@ -45,69 +46,51 @@ def _as_xy(points: PointSet) -> Tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"fast path requires d <= 2; got d = {points.dim}")
 
 
-def _y_ranks(y: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Dense 0-based ranks of y values and the number of distinct values."""
-    unique, ranks = np.unique(y, return_inverse=True)
-    return ranks.astype(int), len(unique)
+def _weakly_below(x: np.ndarray, y: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """Per point: whether some ``marked`` point lies weakly below-left of it.
+
+    Sorted by x, the points with ``x' <= x`` (the equal-x group included)
+    end at ``searchsorted(side="right")``; their lowest marked y is a
+    running minimum, and a marked count keeps the ``+inf`` filler out.
+    """
+    order = np.argsort(x)
+    sorted_x = x[order]
+    is_marked = marked[order]
+    seen = np.cumsum(is_marked)
+    lowest = np.minimum.accumulate(np.where(is_marked, y[order], np.inf))
+    end = np.searchsorted(sorted_x, x, side="right") - 1
+    return (seen[end] > 0) & (lowest[end] <= y)
 
 
 def contending_mask_low_dim(points: PointSet) -> np.ndarray:
     """The Section 5.1 contending mask in ``O(n log n)`` for ``d <= 2``.
 
     A label-0 point contends iff some label-1 point lies weakly below it
-    (both coordinates ``<=``); a label-1 point contends iff some label-0
-    point lies weakly above it.  Two sweeps over x (ascending for the
-    label-0 side, descending for the label-1 side) with a Fenwick tree
-    over y-ranks answer both quadrant-emptiness queries.
+    (both coordinates ``<=``): a prefix-minimum of label-1 y over x.  A
+    label-1 point contends iff some label-0 point lies weakly above it,
+    which is the same test with both axes negated (a suffix-maximum of
+    label-0 y over x).
     """
     points.require_full_labels()
-    n = points.n
-    mask = np.zeros(n, dtype=bool)
-    if n == 0:
-        return mask
     x, y = _as_xy(points)
-    ranks, num_ranks = _y_ranks(y)
-    labels = points.labels
+    zeros = points.labels == 0
+    ones = points.labels == 1
+    zero_above_one = zeros & _weakly_below(x, y, ones)
+    one_below_zero = ones & _weakly_below(-x, -y, zeros)
+    return zero_above_one | one_below_zero
 
-    # --- Sweep 1 (ascending x): label-0 contends iff a label-1 exists with
-    # x' <= x and y' <= y.  Equal-x groups insert before querying so that
-    # same-x (and identical) points are visible to each other.
-    order = np.lexsort((ranks, x))
-    tree = FenwickTree(num_ranks)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and x[order[j]] == x[order[i]]:
-            j += 1
-        group = order[i:j]
-        for idx in group:
-            if labels[idx] == 1:
-                tree.add(ranks[idx])
-        for idx in group:
-            if labels[idx] == 0 and tree.prefix_sum(ranks[idx]) > 0:
-                mask[idx] = True
-        i = j
 
-    # --- Sweep 2 (descending x): label-1 contends iff a label-0 exists
-    # with x' >= x and y' >= y.  Same structure on reversed axes.
-    tree = FenwickTree(num_ranks)
-    i = n
-    while i > 0:
-        j = i
-        while j > 0 and x[order[j - 1]] == x[order[i - 1]]:
-            j -= 1
-        group = order[j:i]
-        for idx in group:
-            if labels[idx] == 0:
-                tree.add(ranks[idx])
-        for idx in group:
-            if labels[idx] == 1:
-                above = tree.range_sum(ranks[idx], num_ranks - 1)
-                if above > 0:
-                    mask[idx] = True
-        i = j
+def is_monotone_assignment_low_dim(points: PointSet, predictions: np.ndarray) -> bool:
+    """Whether an assignment is monotone, in ``O(n log n)`` for ``d <= 2``.
 
-    return mask
+    Violated iff some 0-assigned point has a 1-assigned point weakly
+    below it — the label-0 half of :func:`contending_mask_low_dim`.
+    """
+    pred = np.asarray(predictions, dtype=np.int8)
+    if pred.shape != (points.n,):
+        raise ValueError(f"expected {points.n} predictions, got {pred.shape}")
+    x, y = _as_xy(points)
+    return not bool(np.any(_weakly_below(x, y, pred == 1)[pred == 0]))
 
 
 def count_violations_low_dim(points: PointSet) -> int:
@@ -122,7 +105,8 @@ def count_violations_low_dim(points: PointSet) -> int:
     if n == 0:
         return 0
     x, y = _as_xy(points)
-    ranks, num_ranks = _y_ranks(y)
+    unique_y, ranks = np.unique(y, return_inverse=True)
+    num_ranks = len(unique_y)
     labels = points.labels
     order = np.lexsort((ranks, x))
 
@@ -146,4 +130,5 @@ def count_violations_low_dim(points: PointSet) -> int:
 
 def is_monotone_labeling_low_dim(points: PointSet) -> bool:
     """Whether the labeling is monotone (``k* = 0``), in ``O(n log n)``."""
-    return count_violations_low_dim(points) == 0
+    points.require_full_labels()
+    return is_monotone_assignment_low_dim(points, points.labels)

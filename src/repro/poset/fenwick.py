@@ -46,9 +46,3 @@ class FenwickTree:
     def total(self) -> int:
         """Sum over all positions."""
         return self.prefix_sum(self.size - 1) if self.size else 0
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        """Sum of positions ``lo .. hi`` inclusive."""
-        if hi < lo:
-            return 0
-        return self.prefix_sum(hi) - (self.prefix_sum(lo - 1) if lo > 0 else 0)

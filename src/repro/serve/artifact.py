@@ -42,6 +42,7 @@ from .._util import PathLike, atomic_write_text
 from ..core.classifier import ConstantClassifier
 from ..core.points import PointSet
 from ..obs import recorder
+from ..poset import minimum_chain_decomposition
 from ..serialization import (
     AnyClassifier,
     classifier_from_dict,
@@ -375,9 +376,11 @@ def fit_artifact(
     else:
         raise ValueError(f"unknown fit mode {mode!r}; expected passive or active")
     if include_chains:
-        from ..poset import minimum_chain_decomposition
-
-        decomp = minimum_chain_decomposition(points)
+        if mode == "active" and decomposition in ("exact", "auto"):
+            # Same coordinates, same default method: the run's own chains.
+            decomp = active_result.decomposition
+        else:
+            decomp = minimum_chain_decomposition(points)
         chains = [[int(i) for i in chain] for chain in decomp.chains]
         fit_meta["width"] = int(decomp.num_chains)
     return ModelArtifact(

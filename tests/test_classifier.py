@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro import (
     is_monotone_assignment,
     monotone_extension,
 )
+from repro.core import classifier as classifier_module
 
 
 class TestConstantClassifier:
@@ -110,6 +113,18 @@ class TestUpsetClassifier:
         with pytest.raises(ValueError):
             h.classify((1.0, 1.0, 1.0))
 
+    def test_zero_anchors_dimension_mismatch_raises(self):
+        h = UpsetClassifier([], dim=2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            h.classify_matrix(np.zeros((4, 3)))
+
+    def test_ndarray_and_iterable_anchors_agree(self):
+        rows = np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
+        from_array = UpsetClassifier(rows)
+        from_tuples = UpsetClassifier(tuple(r) for r in rows.tolist())
+        assert from_array.anchors.tobytes() == from_tuples.anchors.tobytes()
+        assert not np.shares_memory(from_array.anchors, rows)
+
     def test_from_positive_points(self, tiny_2d):
         h = UpsetClassifier.from_positive_points(tiny_2d, [0, 0, 0, 1])
         assert h.classify((2.0, 2.0)) == 1
@@ -173,3 +188,57 @@ def test_extension_always_agrees_with_monotone_assignment(data):
     assert is_monotone_assignment(ps, assignment)
     h = monotone_extension(ps, assignment)
     assert list(h.classify_set(ps)) == assignment
+
+
+def _reference_minimal_anchors(matrix: np.ndarray) -> np.ndarray:
+    """The dense m x m x d broadcast prune, kept as the reference."""
+    if matrix.shape[0] <= 1:
+        return matrix.copy()
+    unique = np.unique(matrix, axis=0)
+    weak = np.all(unique[:, None, :] >= unique[None, :, :], axis=2)
+    np.fill_diagonal(weak, False)
+    return unique[~np.any(weak, axis=1)].copy()
+
+
+def _assert_same_anchors(matrix: np.ndarray) -> None:
+    got = UpsetClassifier(matrix, dim=matrix.shape[1]).anchors
+    want = _reference_minimal_anchors(matrix)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # same rows, order and zero signs
+
+
+#: Tie-heavy coordinates, signed zeros included.
+_GRID = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_minimal_anchors_match_broadcast_reference(data):
+    """Property: the blocked pass keeps exactly the broadcast's anchors."""
+    dim = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.tuples(*[_GRID] * dim), max_size=40))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=10)) if rows else []
+    matrix = np.asarray(rows, dtype=float).reshape(len(rows), dim)
+    block = data.draw(st.integers(1, 6))
+    with mock.patch.object(classifier_module, "ANCHOR_BLOCK", block):
+        _assert_same_anchors(matrix)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_minimal_anchors_at_block_boundary(offset, dim):
+    """m = block - 1, block, block + 1 distinct rows, half of them minimal."""
+    m = classifier_module.ANCHOR_BLOCK + offset
+    k = (m + 1) // 2
+    pad = [np.zeros(k)] * (dim - 2)
+    # An antichain A_i = (2i, -2i), and B_i = A_i + (1, 0) right after A_i
+    # in lexicographic order, so some B_i opens a block whose only
+    # witness of redundancy is the last row of the previous block.
+    antichain = np.column_stack([2.0 * np.arange(k), -2.0 * np.arange(k)] + pad)
+    above = antichain[: m - k] + np.eye(dim)[0]
+    gen = np.random.default_rng(m * 10 + dim)
+    matrix = np.vstack([antichain, above, above[::3]])  # with duplicates
+    matrix = matrix[gen.permutation(len(matrix))]
+    assert len(np.unique(matrix, axis=0)) == m
+    _assert_same_anchors(matrix)
+    assert UpsetClassifier(matrix).num_anchors == k

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PointSet, solve_passive
+from repro import PointSet, is_monotone_assignment, solve_passive
 from repro.core.passive import contending_mask
 from repro.poset.dominance2d import (
     contending_mask_low_dim,
     count_violations_low_dim,
+    is_monotone_assignment_low_dim,
     is_monotone_labeling_low_dim,
 )
 from repro.poset.fenwick import FenwickTree
@@ -28,14 +29,6 @@ class TestFenwickTree:
         assert tree.prefix_sum(3) == 3
         assert tree.prefix_sum(7) == 4
         assert tree.total() == 4
-
-    def test_range_sum(self):
-        tree = FenwickTree(5)
-        for i in range(5):
-            tree.add(i, i)
-        assert tree.range_sum(1, 3) == 6
-        assert tree.range_sum(3, 1) == 0
-        assert tree.range_sum(0, 4) == 10
 
     def test_bounds(self):
         tree = FenwickTree(3)
@@ -143,3 +136,31 @@ def test_lowdim_mask_always_matches_matrix(n, dim, seed):
     """Property: sweepline mask == matrix mask on tie-heavy random inputs."""
     ps = _random_labeled(seed, n, dim, grid=4)
     assert (contending_mask_low_dim(ps) == contending_mask(ps)).all()
+
+
+@st.composite
+def _tie_heavy_low_dim(draw) -> PointSet:
+    """1-D or 2-D points on a tiny grid (signed zeros and infinities
+    included), with equal-x groups and duplicate rows of opposite labels."""
+    dim = draw(st.integers(1, 2))
+    value = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf])
+    rows = draw(st.lists(st.tuples(*[value] * dim), min_size=1, max_size=24))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(rows),
+                           max_size=len(rows)))
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
+        rows.append(rows[i])
+        labels.append(1 - labels[i])
+    return PointSet(np.asarray(rows).reshape(len(rows), dim), labels,
+                    validate=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tie_heavy_low_dim(), st.data())
+def test_prefix_extremum_sweeps_match_dense(ps, data):
+    """Property: mask and monotonicity check equal the dense versions."""
+    assert (contending_mask_low_dim(ps) == contending_mask(ps)).all()
+    assert is_monotone_labeling_low_dim(ps) == ps.is_monotone_labeling()
+    assignment = np.asarray(data.draw(st.lists(
+        st.integers(0, 1), min_size=ps.n, max_size=ps.n)), dtype=np.int8)
+    assert (is_monotone_assignment_low_dim(ps, assignment)
+            == is_monotone_assignment(ps, assignment))

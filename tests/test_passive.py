@@ -15,9 +15,10 @@ from repro import (
     solve_passive_1d,
     weighted_error,
 )
+from repro.core import passive as passive_module
 from repro.core.passive import contending_mask
 from repro.datasets.synthetic import planted_monotone
-from repro.flow import FLOW_BACKENDS
+from repro.flow import FLOW_BACKENDS, MinCut
 
 from .conftest import FLOW_ENGINES
 from .strategies import point_sets
@@ -120,6 +121,17 @@ class TestSolvePassive:
     def test_requires_labels(self, tiny_2d):
         with pytest.raises(ValueError):
             solve_passive(tiny_2d.with_hidden_labels())
+
+    @pytest.mark.parametrize("block_size", [None, 1])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_non_monotone_cut_trips_lemma16(self, monkeypatch, dim, block_size):
+        """The d <= 2 verify still catches a cut that keeps both labels."""
+        # Label-1 point 0 lies below label-0 point 1 (vertices 2 and 3).
+        ps = PointSet([(0.0,) * dim, (1.0,) * dim], [1, 0])
+        monkeypatch.setattr(passive_module, "solve_min_cut",
+                            lambda *args, **kwargs: MinCut(0.0, {0, 3}, []))
+        with pytest.raises(AssertionError, match="Lemma 16"):
+            solve_passive(ps, block_size=block_size)
 
 
 class TestBruteForce:

@@ -7,7 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.classifier import ConstantClassifier, ThresholdClassifier
+from repro.core.classifier import (
+    ConstantClassifier,
+    ThresholdClassifier,
+    UpsetClassifier,
+)
 from repro.core.points import PointSet
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.serve import (
@@ -132,6 +136,19 @@ class TestArtifact:
         assert art.fit["probes"] > 0
         assert art.fit["num_chains"] >= 1
         assert art.fallback is not None
+
+    @pytest.mark.parametrize("dim, method", [(2, "patience"), (3, "matching")])
+    def test_fit_active_reused_chains_same_digest(self, tmp_path, rng, dim, method):
+        # The default fit reuses the run's chains; forcing the method the
+        # default resolves to makes fit_artifact decompose a second time.
+        coords = rng.random((60, dim))
+        points = PointSet(coords, (coords.sum(axis=1) > dim / 2).astype(int))
+        reused = fit_artifact(points, "active", epsilon=0.5, seed=3)
+        recomputed = fit_artifact(points, "active", epsilon=0.5, seed=3,
+                                  decomposition=method)
+        assert reused.chains == recomputed.chains
+        assert (save_artifact(reused, tmp_path / "a.json")
+                == save_artifact(recomputed, tmp_path / "b.json"))
 
     def test_fit_unknown_mode(self, labeled_points):
         with pytest.raises(ValueError, match="unknown fit mode"):
@@ -264,6 +281,16 @@ class TestServeEngine:
         assert bad.status == "failed"
         good = engine.classify_batch(rng.random((4, 2)))
         assert good.ok  # the server survived the bad request
+
+    def test_malformed_query_to_all_zero_model_fails(self, tmp_path, rng):
+        art = ModelArtifact(classifier=UpsetClassifier([], dim=2),
+                            fit={"mode": "manual", "dim": 2})
+        path = tmp_path / "zero.json"
+        save_artifact(art, path)
+        engine = ServeEngine(path)
+        assert engine.classify_batch(rng.random((4, 7))).status == "failed"
+        good = engine.classify_batch(rng.random((4, 2)))
+        assert good.ok and not good.labels.any()
 
     def test_journal_and_warm_restart(self, deployed, tmp_path, rng):
         journal = tmp_path / "serve.journal"

@@ -75,11 +75,6 @@ class FenwickMachine(RuleBasedStateMachine):
     def check_prefix(self, index):
         assert self.tree.prefix_sum(index) == sum(self.reference[: index + 1])
 
-    @rule(lo=st.integers(0, SIZE - 1), hi=st.integers(0, SIZE - 1))
-    def check_range(self, lo, hi):
-        expected = sum(self.reference[lo: hi + 1]) if lo <= hi else 0
-        assert self.tree.range_sum(lo, hi) == expected
-
     @invariant()
     def total_matches(self):
         assert self.tree.total() == sum(self.reference)
