@@ -82,8 +82,7 @@ def _matching_instance(n: int):
         PointSet(points.coords.copy(), points.labels.copy(),
                  points.weights.copy()))
     adjacency = [np.flatnonzero(order[:, u]).tolist() for u in range(n)]
-    packed = packed_order(points)
-    return adjacency, packed
+    return adjacency, packed_order(points).above
 
 
 @pytest.mark.parametrize("n", MATCHING_SIZES)
@@ -97,8 +96,8 @@ def test_kernel_matching_loop(benchmark, n):
 @pytest.mark.parametrize("n", MATCHING_SIZES)
 def test_kernel_matching_bitset(benchmark, n):
     """Bitset-frontier Hopcroft–Karp over the packed adjacency."""
-    _, packed = _matching_instance(n)
-    result = benchmark(lambda: hopcroft_karp_bitset(packed.above, n))
+    _, above = _matching_instance(n)
+    result = benchmark(lambda: hopcroft_karp_bitset(above, n))
     benchmark.extra_info["matching_size"] = result.size
 
 

@@ -36,6 +36,7 @@ of the maximum flow.  They run at every network size; see
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from itertools import chain
 from typing import List
@@ -234,15 +235,15 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
         sub_bounds = np.searchsorted(
             snap.csr_tails[keep], np.arange(n + 1, dtype=np.int64)
         ).tolist()
-        # Survivor mirrors stay ndarrays: the DFS touches only the arcs on
-        # attempted paths plus one pointer pass per saturated/pruned arc —
-        # a tiny fraction of the survivors on large networks — so scalar
-        # ndarray reads beat converting millions of entries to lists.
-        # np.float64 arithmetic is IEEE double, identical to the loop
-        # reference's floats, so bit-identity is unaffected.
-        sub_heads = arc_heads[kept_arcs]
-        sub_caps = caps[kept_arcs]
-        sub_flow = flows[kept_arcs]
+        # Survivor mirrors are stdlib arrays: their items read and write as
+        # plain Python ints/floats, without the ndarray scalar boxing the
+        # DFS would pay on every arc touch, at 8 bytes per entry (Python
+        # lists would cost ~4x the memory on large networks).  The doubles
+        # are IEEE, identical to the loop reference's floats, so per-arc
+        # flows stay bit-identical.
+        sub_heads = array("q", arc_heads[kept_arcs].tobytes())
+        sub_caps = array("d", caps[kept_arcs].tobytes())
+        sub_flow = array("d", flows[kept_arcs].tobytes())
         ptr: List[int] = sub_bounds[:n]
         lv: List[int] = level.tolist()
 

@@ -83,7 +83,8 @@ class Disagreement:
         ``"value_mismatch"`` (configurations report different optima),
         ``"certificate"`` (an optimality/accounting audit failed),
         ``"error"`` (a configuration raised where others succeeded),
-        ``"structure"`` (the Hasse reduction is not minimal/complete), or
+        ``"structure"`` (the Hasse reduction is not minimal/complete, or
+        the Lemma 6 matching or chains are off), or
         ``"flow"`` (max-flow backends diverge or produced infeasible flow).
     config:
         Label of the configuration(s) involved.
@@ -188,7 +189,7 @@ def run_passive_differential(
 
 
 def check_poset_structure(points: PointSet) -> List[Disagreement]:
-    """Verify the Hasse reduction is exactly the covering relation.
+    """Verify the Hasse reduction and the Lemma 6 matching.
 
     Three invariants of :func:`repro.poset.sparse.transitive_reduction`
     over the shared order matrix:
@@ -198,6 +199,8 @@ def check_poset_structure(points: PointSet) -> List[Disagreement]:
     * it is *minimal* — no kept edge has a third point strictly between
       its endpoints (the invariant the historical uint8 mod-256 overflow
       violated: spurious covering pairs at 256-multiple depths).
+
+    And two of the chain decomposition (see :func:`_check_matching`).
     """
     from ..poset.sparse import transitive_reduction
 
@@ -206,6 +209,7 @@ def check_poset_structure(points: PointSet) -> List[Disagreement]:
     if n == 0:
         return findings
     order = points.order_matrix()
+    findings.extend(_check_matching(points, order))
     red = transitive_reduction(order)
 
     if bool(np.any(red & ~order)):
@@ -237,6 +241,49 @@ def check_poset_structure(points: PointSet) -> List[Disagreement]:
             kind="structure", config="transitive_reduction",
             detail=(f"{int(np.count_nonzero(spurious))} non-covering edge(s) "
                     f"kept, e.g. ({i}, {j})"),
+        ))
+    return findings
+
+
+def _check_matching(points: PointSet, order: np.ndarray) -> List[Disagreement]:
+    """Check the Lemma 6 matching against its reference and Dilworth.
+
+    * bitset Hopcroft–Karp over the packed ``above`` rows must equal loop
+      Hopcroft–Karp on the order adjacency vertex for vertex (the chains
+      are read off ``left_match``, so equal sizes are not enough);
+    * the matching chain decomposition must be valid, with as many chains
+      as the König maximum antichain has points.
+    """
+    from ..poset import (
+        hopcroft_karp,
+        hopcroft_karp_bitset,
+        is_valid_chain_decomposition,
+        matching_chain_decomposition,
+        maximum_antichain,
+        packed_order,
+    )
+
+    findings: List[Disagreement] = []
+    n = points.n
+    adjacency = [np.flatnonzero(order[:, u]).tolist() for u in range(n)]
+    reference = hopcroft_karp(adjacency, n).left_match
+    bitset = hopcroft_karp_bitset(packed_order(points).above, n).left_match
+    if bitset != reference:
+        u = next(u for u in range(n) if bitset[u] != reference[u])
+        findings.append(Disagreement(
+            kind="structure", config="hopcroft_karp_bitset",
+            detail=(f"left vertex {u} matched to {bitset[u]}, loop "
+                    f"Hopcroft-Karp matches it to {reference[u]}"),
+        ))
+    chains = matching_chain_decomposition(points)
+    antichain = maximum_antichain(points)
+    if not (is_valid_chain_decomposition(points, chains)
+            and not order[np.ix_(antichain, antichain)].any()
+            and chains.num_chains == len(antichain)):
+        findings.append(Disagreement(
+            kind="structure", config="matching_chain_decomposition",
+            detail=(f"{chains.num_chains} chain(s) against a König "
+                    f"antichain of {len(antichain)} point(s)"),
         ))
     return findings
 

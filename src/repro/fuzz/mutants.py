@@ -105,11 +105,44 @@ def _capacity_plus_one() -> Iterator[None]:
         passive._effective_infinity = original  # type: ignore[assignment]
 
 
+@contextmanager
+def _matching_last_free() -> Iterator[None]:
+    """Make Hopcroft–Karp's first phase take each left's *last* free right.
+
+    The matching stays maximum — later phases augment from any start — so
+    sizes, chain counts and widths all still check out; only the
+    vertex-for-vertex replay of the reference engine breaks, which the
+    structure check must flag.
+    """
+    from ..poset import bitset
+
+    original = bitset._greedy_first_phase
+
+    def last_free(adjacency, free, lefts, rights):  # type: ignore[no-untyped-def]
+        size = 0
+        for u, row in enumerate(adjacency):
+            hits = np.flatnonzero(np.unpackbits(row & free, count=len(rights)))
+            if len(hits):
+                v = int(hits[-1])
+                free[v >> 3] &= 0xFF ^ (0x80 >> (v & 7))
+                lefts[u] = v
+                rights[v] = u
+                size += 1
+        return size
+
+    bitset._greedy_first_phase = last_free  # type: ignore[assignment]
+    try:
+        yield
+    finally:
+        bitset._greedy_first_phase = original  # type: ignore[assignment]
+
+
 #: Named mutants: context managers that break one solver invariant each.
 MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "hasse_uint8_overflow": _hasse_uint8_overflow,
     "hasse_index_tie_break": _hasse_index_tie_break,
     "capacity_plus_one": _capacity_plus_one,
+    "matching_last_free": _matching_last_free,
 }
 
 

@@ -7,10 +7,10 @@ This module packs that matrix into ``uint8`` bitset rows (``np.packbits``)
 and re-expresses the hot loops as bitwise kernels:
 
 * :class:`PackedOrder` — both orientations of the tie-broken strict order
-  packed 8 points per byte, built **blockwise** through the PR 3 sparse
-  iterators (:func:`repro.poset.sparse.order_matrix_blocks`) so scratch
-  memory beyond the packed output stays ``O(block * n)`` booleans and the
-  dense ``(n, n)`` caches are never forced;
+  packed 8 points per byte, each built on first use **blockwise** from the
+  coordinates (:func:`repro.poset.sparse.coordinate_order_blocks`) so
+  scratch memory beyond the packed output stays ``O(block * n)`` booleans
+  and the dense ``(n, n)`` caches are never forced;
 * consumers (:func:`minimal_points_bitset`, :func:`maximal_points_bitset`,
   :func:`dominance_pair_count_bitset`, :func:`packed_adjacency`,
   :func:`contending_mask_bitset`) that answer the common order queries with
@@ -18,9 +18,11 @@ and re-expresses the hot loops as bitwise kernels:
 * :func:`hopcroft_karp_bitset` — Hopcroft–Karp whose BFS layering is a
   *bitset frontier expansion*: one ``np.bitwise_or.reduce`` over the packed
   adjacency rows of the frontier per layer, instead of a Python loop over
-  every edge.  Its output (not just the matching size) is identical to the
-  reference :func:`repro.poset.matching.hopcroft_karp`, which the parity
-  tests assert vertex-for-vertex.
+  every edge, and whose DFS scans only the neighbors the reference would
+  accept, read off incrementally maintained bitsets.  Its output (not
+  just the matching size) is identical to the reference
+  :func:`repro.poset.matching.hopcroft_karp`, which the parity tests
+  assert vertex-for-vertex.
 
 Popcounts use the hardware ``np.bitwise_count`` ufunc when available
 (numpy >= 2.0) and fall back to a 256-entry lookup table otherwise.
@@ -34,7 +36,7 @@ memory model and the path-selection policy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from ..core.pairwise import DEFAULT_BLOCK_SIZE, pairwise_weak_dominance
 from ..core.points import PointSet
 from ..obs import recorder
 from .matching import MatchingResult
-from .sparse import order_matrix_blocks
+from .sparse import coordinate_order_blocks
 
 __all__ = [
     "PackedOrder",
@@ -62,8 +64,6 @@ __all__ = [
 #: switch to the packed engine.  Parity is asserted by tests at every size.
 BITSET_CUTOFF = 256
 
-_INF = float("inf")
-
 if hasattr(np, "bitwise_count"):
 
     def _popcount_bytes(packed: np.ndarray) -> np.ndarray:
@@ -80,6 +80,12 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
     def _popcount_bytes(packed: np.ndarray) -> np.ndarray:
         """Per-byte popcount via a 256-entry lookup table."""
         return _POPCOUNT_LUT[packed]
+
+
+#: Set-bit offsets of every byte value in ``np.packbits`` order (offset
+#: ``k`` is the bit ``0x80 >> k``), ascending.
+_BYTE_BITS = tuple(tuple(k for k in range(8) if byte & (0x80 >> k))
+                   for byte in range(256))
 
 
 def popcount(packed: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
@@ -109,48 +115,69 @@ class PackedOrder:
         iff ``i`` is above ``j`` (``j`` lies below ``i``) — the packed
         rows of ``PointSet.order_matrix()``.
     above:
-        The packed transpose: bit ``i`` of row ``j`` is set iff ``i`` is
+        The packed columns: bit ``i`` of row ``j`` is set iff ``i`` is
         above ``j``.  Row ``j`` is exactly the Lemma 6 bipartite adjacency
-        of left vertex ``j``.  Built lazily on first access (a strided
-        transpose-pack costs as much as packing ``below`` itself, and the
-        minimal/maximal/height consumers never need it); once built, both
-        orientations together hold 2 bits per ordered pair — still 4x
-        smaller than one boolean matrix.
+        of left vertex ``j``.
+
+    Each orientation is packed on first access, straight from the
+    coordinates in one streamed blockwise pass
+    (:func:`repro.poset.sparse.coordinate_order_blocks`), so a consumer
+    pays only for the orientation it reads: the minimal/maximal/height
+    consumers never build ``above`` and the matching never builds
+    ``below``.  Both together hold 2 bits per ordered pair — still 4x
+    smaller than one boolean matrix.
 
     Rows are write-protected; the final byte of every row carries zero
     padding bits when ``n`` is not a multiple of 8.
     """
 
-    __slots__ = ("n", "below", "_above")
+    __slots__ = ("n", "_block_size", "_coords", "_below", "_above")
 
-    def __init__(self, n: int, below: np.ndarray,
-                 above: Optional[np.ndarray] = None) -> None:
-        self.n = n
-        self.below = below
-        below.setflags(write=False)
-        self._above = above
-        if above is not None:
-            above.setflags(write=False)
+    def __init__(self, coords: np.ndarray,
+                 block_size: int = DEFAULT_BLOCK_SIZE) -> None:
+        self.n = coords.shape[0]
+        self._block_size = block_size
+        self._coords = coords
+        self._below: Optional[np.ndarray] = None
+        self._above: Optional[np.ndarray] = None
+
+    @property
+    def below(self) -> np.ndarray:
+        below = self._below
+        return below if below is not None else self._pack(transposed=False)
 
     @property
     def above(self) -> np.ndarray:
         above = self._above
-        if above is None:
-            above = _transpose_packed(self.below, self.n)
-            above.setflags(write=False)
-            self._above = above
-            rec = recorder()
-            if rec.enabled:
-                rec.incr("poset.bitset_transposes")
-        return above
+        return above if above is not None else self._pack(transposed=True)
+
+    def _pack(self, transposed: bool) -> np.ndarray:
+        """Row-pack each streamed ``(block, n)`` panel as it is produced,
+        so scratch beyond the packed output stays one boolean panel."""
+        n = self.n
+        packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+        rec = recorder()
+        with rec.span("bitset_pack"):
+            for start, stop, block in coordinate_order_blocks(
+                    self._coords, self._block_size, transposed):
+                packed[start:stop] = np.packbits(block, axis=1)
+                if rec.enabled:
+                    rec.incr("poset.bitset_pack_blocks")
+        packed.setflags(write=False)
+        if transposed:
+            self._above = packed
+        else:
+            self._below = packed
+        if rec.enabled:
+            rec.incr("poset.bitset_packs")
+            rec.gauge("poset.bitset_bytes", self.num_bytes)
+        return packed
 
     @property
     def num_bytes(self) -> int:
-        """Total bytes currently materialized (``above`` counts once built)."""
-        total = self.below.nbytes
-        if self._above is not None:
-            total += self._above.nbytes
-        return total
+        """Total bytes of the orientations built so far."""
+        return sum(m.nbytes for m in (self._below, self._above)
+                   if m is not None)
 
     def below_indices(self, i: int) -> np.ndarray:
         """Ascending indices of the points below ``i`` (``i`` above them)."""
@@ -161,68 +188,34 @@ class PackedOrder:
         return _unpack_indices(self.above[j], self.n)
 
     def pair_count(self) -> int:
-        """Number of ordered pairs (edges of the dominance DAG)."""
-        return int(popcount(self.below))
+        """Number of ordered pairs (edges of the dominance DAG).
+
+        Popcounts whichever orientation is already built, so reporting the
+        count never forces the other one.
+        """
+        built = self._above if self._above is not None else self.below
+        return int(popcount(built))
 
     def __repr__(self) -> str:
         return f"PackedOrder(n={self.n}, num_bytes={self.num_bytes})"
 
 
-def _transpose_packed(packed: np.ndarray, n: int,
-                      block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """Packed transpose of a packed ``(n, ceil(n/8))`` bit matrix.
-
-    Row blocks are unpacked, transposed, and re-packed into the matching
-    byte columns — ``O(block * n)`` boolean scratch.  Block starts stay on
-    multiples of 8 so transposed panels land on byte boundaries.
-    """
-    n_bytes = packed.shape[1]
-    out = np.zeros((n, n_bytes), dtype=np.uint8)
-    block_size = max(8, (block_size // 8) * 8)
-    for start in range(0, n, block_size):
-        stop = min(n, start + block_size)
-        block = np.unpackbits(packed[start:stop], axis=1, count=n)
-        out[:, start // 8 : start // 8 + (stop - start + 7) // 8] = (
-            np.packbits(block.T, axis=1)
-        )
-    return out
-
-
 def packed_order(points: PointSet, block_size: int = DEFAULT_BLOCK_SIZE) -> PackedOrder:
-    """Build (or fetch the cached) :class:`PackedOrder` of a point set.
+    """Fetch (or create) the cached :class:`PackedOrder` of a point set.
 
-    Construction streams :func:`repro.poset.sparse.order_matrix_blocks` and
-    row-packs each ``(block, n)`` boolean panel immediately into ``below``,
-    so peak scratch beyond the packed output is one boolean panel,
-    ``O(block * n)`` bytes; the ``above`` orientation is derived lazily on
-    first access (matching consumers) rather than transpose-packed here
-    (dominance consumers never touch it).
-
+    Creation packs nothing: each orientation is packed when first read.
     The result is cached on the ``PointSet`` (like the dense order-matrix
     cache, which this path deliberately does **not** populate): repeat
     calls are free and counted by ``poset.bitset_cache_hits``.
     """
     cached = points._packed_order
-    rec = recorder()
-    if cached is not None:
+    if cached is None:
+        cached = points._packed_order = PackedOrder(points.coords, block_size)
+    else:
+        rec = recorder()
         if rec.enabled:
             rec.incr("poset.bitset_cache_hits")
-        return cached
-    n = points.n
-    n_bytes = (n + 7) // 8
-    block_size = max(8, (block_size // 8) * 8)
-    below = np.zeros((n, n_bytes), dtype=np.uint8)
-    with rec.span("bitset_pack"):
-        for start, stop, block in order_matrix_blocks(points, block_size):
-            below[start:stop] = np.packbits(block, axis=1)
-            if rec.enabled:
-                rec.incr("poset.bitset_pack_blocks")
-    packed = PackedOrder(n, below)
-    if rec.enabled:
-        rec.incr("poset.bitset_packs")
-        rec.gauge("poset.bitset_bytes", packed.num_bytes)
-    points._packed_order = packed
-    return packed
+    return cached
 
 
 def minimal_points_bitset(points: PointSet,
@@ -244,7 +237,7 @@ def maximal_points_bitset(points: PointSet,
 
     Computed as one OR-reduction over the packed rows (a point is maximal
     iff nobody is above it, i.e. its bit is clear in every row), so the
-    lazy ``above`` transpose is never forced.
+    ``above`` orientation is never built.
     """
     packed = packed_order(points, block_size)
     has_above = np.unpackbits(
@@ -264,7 +257,7 @@ def packed_adjacency(points: PointSet,
     """Adjacency lists of the dominance DAG (``adj[j]`` = points above ``j``).
 
     Same contract as :func:`repro.poset.dominance.dominance_adjacency`,
-    unpacked row-by-row from the packed transpose.
+    unpacked row-by-row from the packed ``above`` rows.
     """
     packed = packed_order(points, block_size)
     return [packed.above_indices(j).tolist() for j in range(points.n)]
@@ -307,6 +300,33 @@ def contending_mask_bitset(points: PointSet,
     return mask
 
 
+def _set_bits(packed: np.ndarray) -> List[int]:
+    """Ascending indices of the set bits of a packed row, read off its
+    nonzero bytes through :data:`_BYTE_BITS` (no full-row unpack)."""
+    nonzero = packed.nonzero()[0]
+    return [8 * b + k
+            for b, byte in zip(nonzero.tolist(), packed[nonzero].tolist())
+            for k in _BYTE_BITS[byte]]
+
+
+def _greedy_first_phase(adjacency_packed: np.ndarray, free: np.ndarray,
+                        left_match: List[int], right_match: List[int]) -> int:
+    """Phase 1 of Hopcroft–Karp: match each left, in order, to its first
+    free right; clears the taken bits of ``free``; returns the count."""
+    size = 0
+    for u, row in enumerate(adjacency_packed):
+        hits = row & free
+        nonzero = hits.nonzero()[0]
+        if len(nonzero):
+            byte = int(nonzero[0])
+            k = _BYTE_BITS[int(hits[byte])][0]
+            free[byte] &= 0xFF ^ (0x80 >> k)
+            left_match[u] = 8 * byte + k
+            right_match[8 * byte + k] = u
+            size += 1
+    return size
+
+
 def hopcroft_karp_bitset(adjacency_packed: np.ndarray,
                          n_right: int) -> MatchingResult:
     """Hopcroft–Karp over a packed-bitset adjacency matrix.
@@ -316,87 +336,55 @@ def hopcroft_karp_bitset(adjacency_packed: np.ndarray,
     adjacency_packed:
         ``(n_left, ceil(n_right/8))`` ``uint8`` array; bit ``v`` of row
         ``u`` set iff the bipartite edge ``u -> v`` exists (for the
-        Lemma 6 reduction this is :attr:`PackedOrder.above`).
+        Lemma 6 reduction this is :attr:`PackedOrder.above`).  Padding
+        bits past ``n_right`` are ignored.
     n_right:
         Number of right-side vertices.
 
-    The BFS layering is fully vectorized: each layer ORs the packed
-    adjacency rows of the current left frontier into one reachable-rights
-    bitset (``np.bitwise_or.reduce``), subtracts the already-seen rights,
-    and maps the fresh ones through ``right_match`` to the next left
-    frontier — ``O(n^2 / 8)`` bytes of bitwise work per phase instead of a
-    Python loop over every edge.  The augmenting DFS keeps the reference
-    engine's exact traversal (ascending neighbor order, dead-end
-    ``dist = inf`` removal), unpacking each visited row once on demand, so
-    ``left_match``/``right_match`` equal
-    :func:`repro.poset.matching.hopcroft_karp` vertex-for-vertex — not
-    just in matching size — which downstream chain decompositions rely on
-    and the parity tests assert.
+    Output — not just the matching size — equals the reference
+    :func:`repro.poset.matching.hopcroft_karp` vertex-for-vertex, which
+    downstream chain decompositions rely on and the parity tests assert:
+
+    * the BFS layering ORs the packed rows of each left frontier into one
+      reachable-rights bitset (``O(n^2 / 8)`` bytes of work per phase);
+    * phase 1 starts with every left free at layer 0 and no right owned,
+      so the reference DFS takes each left's first free neighbor — run
+      here as a first-free greedy over the packed ``free`` bitset;
+    * later phases replay the reference DFS with each visit's scan list
+      cut to ``adj[u] & (free | owned[dist[u] + 1])``, where ``owned[k]``
+      packs the rights whose owner sits on layer ``k``.  Every path flip
+      and dead end updates those bits, so the list is exactly the
+      neighbors the reference would accept, in ascending order.
     """
     n_left = adjacency_packed.shape[0]
-    expected_bytes = (n_right + 7) // 8
-    if adjacency_packed.shape[1] != expected_bytes:
+    n_bytes = (n_right + 7) // 8
+    if adjacency_packed.shape[1] != n_bytes:
         raise ValueError(
             f"packed adjacency has {adjacency_packed.shape[1]} byte columns; "
-            f"expected {expected_bytes} for n_right = {n_right}"
+            f"expected {n_bytes} for n_right = {n_right}"
         )
-    # The DFS runs on plain Python lists (per-edge numpy scalar indexing
-    # would cost ~10x the list lookups of the reference engine); the BFS
-    # runs on numpy mirrors, kept in sync at the few points the DFS
-    # mutates state (path flips, phase roots).
     left_match: List[int] = [-1] * n_left
     right_match: List[int] = [-1] * n_right
-    right_match_np = np.full(n_right, -1, dtype=np.int64)
-    dist_np = np.zeros(n_left, dtype=np.float64)
-    dist: List[float] = []
-    left_free_np = np.ones(n_left, dtype=bool)
-    right_free = np.ones(n_right, dtype=bool)
+    free = np.packbits(np.ones(n_right, dtype=bool))  # zero padding bits
+    padding = np.zeros(n_bytes, dtype=np.uint8)
+    if n_right % 8:
+        padding[-1] = 0xFF >> (n_right % 8)
+    dist: List[int] = []
+    owned: List[np.ndarray] = []
     rec = recorder()
-
-    # Lazily unpacked neighbor rows for the DFS; only rows the DFS
-    # actually visits are materialized, and each at most once.  Small rows
-    # are cached as Python lists (scanned directly, reference-style);
-    # large rows stay packed-order arrays and get a vectorized prefilter
-    # per visit — below ~64 neighbors the fixed numpy overhead exceeds
-    # the scan it saves.
-    _PREFILTER_MIN_DEGREE = 64
-    row_cache: Dict[int, object] = {}
-
-    def candidates(u: int, dist_u: float) -> List[int]:
-        """Neighbors of ``u`` worth scanning at visit time.
-
-        For high-degree rows this is a vectorized prefilter of the
-        reference scan: an edge ``u -> v`` is kept iff ``v`` is free or
-        its owner sits on the next BFS layer.  Edges dropped are exactly
-        those the reference DFS would scan and skip — the condition can
-        never *become* true later within the same ``augment_from`` call
-        (matches only flip when the call returns, and ``dist`` only moves
-        to inf) — so iterating the pruned list with the runtime checks
-        below reproduces the reference traversal edge-for-edge.
-        """
-        row = row_cache.get(u)
-        if row is None:
-            unpacked = _unpack_indices(adjacency_packed[u], n_right)
-            row = (unpacked.tolist()
-                   if len(unpacked) < _PREFILTER_MIN_DEGREE else unpacked)
-            row_cache[u] = row
-        if type(row) is list:
-            return row
-        owners = right_match_np[row]
-        keep = owners == -1
-        matched = ~keep
-        keep[matched] = dist_np[owners[matched]] == dist_u + 1.0
-        return row[keep].tolist()
+    layers = 0
 
     def bfs() -> bool:
-        """Layered bitset frontier expansion; returns whether an
-        augmenting path exists and fills ``dist_np`` for reachable lefts."""
-        dist_np[:] = np.where(left_free_np, 0.0, _INF)
-        frontier = left_free_np.copy()
-        seen = np.zeros(expected_bytes, dtype=np.uint8)
+        """Layered frontier expansion; fills ``dist`` (``-1`` when
+        unreachable) and ``owned``, returns whether a free right is
+        reachable."""
+        nonlocal dist, owned, layers
+        right_owner = np.asarray(right_match, dtype=np.int64)
+        frontier = np.asarray(left_match) == -1
+        dist_np = np.where(frontier, 0, -1)
+        owned = [np.zeros(n_bytes, dtype=np.uint8)]  # free lefts own nothing
+        seen = padding.copy()
         found = False
-        layer = 0.0
-        layers = 0
         while frontier.any():
             reach = np.bitwise_or.reduce(adjacency_packed[frontier], axis=0)
             fresh = reach & ~seen
@@ -404,54 +392,56 @@ def hopcroft_karp_bitset(adjacency_packed: np.ndarray,
                 break
             seen |= fresh
             layers += 1
-            rights = _unpack_indices(fresh, n_right)
-            if right_free[rights].any():
-                found = True
-            owners = right_match_np[rights]
-            owners = owners[owners != -1]
-            owners = owners[dist_np[owners] == _INF]
-            layer += 1.0
-            dist_np[owners] = layer
+            found = found or bool((fresh & free).any())
+            fresh &= ~free
+            owners = right_owner[_unpack_indices(fresh, n_right)]
+            dist_np[owners] = len(owned)
+            owned.append(fresh)
             frontier = np.zeros(n_left, dtype=bool)
             frontier[owners] = True
-        if rec.enabled:
-            rec.incr("poset.bitset_matching_layers", layers)
+        owned.append(np.zeros(n_bytes, dtype=np.uint8))
+        dist = dist_np.tolist()
         return found
+
+    def candidates(u: int) -> List[int]:
+        return _set_bits(adjacency_packed[u] & (free | owned[dist[u] + 1]))
 
     def augment_from(root: int) -> bool:
         """Iterative DFS for one augmenting path, mirroring the reference
         engine step-for-step (see ``repro.poset.matching``)."""
-        stack = [[root, 0, candidates(root, dist[root])]]
+        stack = [[root, 0, candidates(root)]]
         path = []
         while stack:
             frame = stack[-1]
             u, ptr, row = frame
-            dist_next = dist[u] + 1
-            advanced = False
-            while ptr < len(row):
+            if ptr < len(row):
                 v = row[ptr]
-                ptr += 1
-                frame[1] = ptr
+                frame[1] = ptr + 1
                 w = right_match[v]
+                path.append((u, v))
                 if w == -1:
-                    path.append((u, v))
                     for pu, pv in path:
+                        byte, bit = pv >> 3, 0x80 >> (pv & 7)
+                        old = right_match[pv]
+                        if old == -1:
+                            free[byte] &= 0xFF ^ bit
+                        else:
+                            owned[dist[old]][byte] &= 0xFF ^ bit
+                        owned[dist[pu]][byte] |= bit
                         left_match[pu] = pv
                         right_match[pv] = pu
-                        right_match_np[pv] = pu
-                        right_free[pv] = False
                     return True
-                if dist[w] == dist_next:
-                    path.append((u, v))
-                    stack.append([w, 0, candidates(w, dist[w])])
-                    advanced = True
-                    break
-            if not advanced:
-                dist[u] = _INF
-                dist_np[u] = _INF
-                stack.pop()
-                if stack:
-                    path.pop()
+                # Exact masks: w sits on layer dist[u] + 1, so descend.
+                stack.append([w, 0, candidates(w)])
+                continue
+            # Dead end: drop u (and the right it owns) from the layering.
+            v = left_match[u]
+            if v != -1:
+                owned[dist[u]][v >> 3] &= 0xFF ^ (0x80 >> (v & 7))
+            dist[u] = -1
+            stack.pop()
+            if stack:
+                path.pop()
         return False
 
     size = 0
@@ -459,14 +449,18 @@ def hopcroft_karp_bitset(adjacency_packed: np.ndarray,
     with rec.span("bitset_matching"):
         while bfs():
             phases += 1
-            dist = dist_np.tolist()
-            for u in range(n_left):
-                if left_match[u] == -1 and augment_from(u):
+            if phases == 1:
+                size += _greedy_first_phase(adjacency_packed, free,
+                                            left_match, right_match)
+                continue
+            for root in [u for u in range(n_left) if left_match[u] == -1]:
+                if augment_from(root):
                     size += 1
-                    left_free_np[u] = False
     if rec.enabled:
+        rec.incr("poset.bitset_matching_layers", layers)
         rec.incr("poset.matching.phases", phases)
         rec.incr("poset.matching.augmentations", size)
-        rec.incr("poset.matching.edges", int(popcount(adjacency_packed)))
+        rec.incr("poset.matching.edges",
+                 int(popcount(adjacency_packed & ~padding)))
         rec.incr("poset.bitset_matchings")
     return MatchingResult(size, left_match, right_match)

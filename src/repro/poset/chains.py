@@ -194,11 +194,13 @@ def matching_chain_decomposition(points: PointSet) -> ChainDecomposition:
         from .bitset import hopcroft_karp_bitset, packed_order
 
         packed = packed_order(points)
+        # Row u of the packed columns is exactly the Lemma 6 adjacency of
+        # left copy u: every v above u.  Read it before counting pairs so
+        # the count comes from it and the row orientation is never built.
+        above = packed.above
         if rec.enabled:
             rec.incr("poset.dominance_pairs", packed.pair_count())
-        # Row u of the packed transpose is exactly the Lemma 6 adjacency
-        # of left copy u: every v above u.
-        matching = hopcroft_karp_bitset(packed.above, n)
+        matching = hopcroft_karp_bitset(above, n)
     else:
         order = _order_matrix(points)  # order[i, j]: i above j
         if rec.enabled:

@@ -65,7 +65,7 @@ def dominance_digraph(points: PointSet) -> np.ndarray:
 def dominance_adjacency(points: PointSet) -> List[List[int]]:
     """Adjacency lists of the DAG: ``adj[j]`` lists every ``i`` above ``j``.
 
-    Served from the packed transpose rows of the bitset engine for large
+    Served from the packed ``above`` rows of the bitset engine for large
     inputs; from the dense cached matrix otherwise (identical lists).
     """
     if _use_bitset(points):

@@ -9,7 +9,8 @@ prohibitive beyond.  This module is the scalable counterpart:
   (tie-broken) order and weak-dominance matrices in row blocks, accumulating
   one dimension at a time so peak scratch memory is ``O(block_size * n)``
   booleans — never the ``(n, n, d)`` (or even ``(block, n, d)``) broadcast
-  intermediate;
+  intermediate; :func:`coordinate_order_blocks` is the cache-free order
+  computation behind them, in either orientation;
 * :func:`minimal_points_sparse` / :func:`maximal_points_sparse` /
   :func:`dominance_pair_count` are block-streaming consumers of those
   iterators, giving the common poset statistics under the same memory bound;
@@ -38,6 +39,7 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "weak_dominance_blocks",
     "order_matrix_blocks",
+    "coordinate_order_blocks",
     "minimal_points_sparse",
     "maximal_points_sparse",
     "dominance_pair_count",
@@ -92,19 +94,39 @@ def order_matrix_blocks(points: PointSet,
             stop = min(n, start + block_size)
             yield start, stop, cached_order[start:stop]
         return
-    coords = points.coords
+    yield from coordinate_order_blocks(points.coords, block_size)
+
+
+def coordinate_order_blocks(coords: np.ndarray,
+                            block_size: int = DEFAULT_BLOCK_SIZE,
+                            transposed: bool = False
+                            ) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Row blocks of the tie-broken order (or its transpose) from coordinates.
+
+    With ``transposed=False`` row ``i`` marks every ``j`` that ``i`` is
+    above (the rows of :meth:`PointSet.order_matrix`); with
+    ``transposed=True`` row ``j`` marks every ``i`` above ``j`` (its
+    columns).  The transposed panel is the same weak-dominance test on
+    negated coordinates — ``-c_j >= -c_i`` iff ``c_i >= c_j`` — with the
+    index tie-break mirrored, so either orientation costs one pass of
+    ``O(block_size * n)`` scratch and neither is derived from the other.
+    """
+    n = coords.shape[0]
+    if n == 0:
+        return
     idx = np.arange(n)
     # Coordinate-equal ties come from one global duplicate grouping (two
     # points tie iff they share a group id) instead of a reverse-dominance
     # panel per block — that panel would double the pairwise work.
     _, group = np.unique(coords, axis=0, return_inverse=True)
+    signed = -coords if transposed else coords
     for start in range(0, n, block_size):
         stop = min(n, start + block_size)
-        rows = coords[start:stop]
-        weak = pairwise_weak_dominance(rows, coords)
+        weak = pairwise_weak_dominance(signed[start:stop], signed)
         equal = group[start:stop, None] == group[None, :]
+        rows = idx[start:stop, None]
         order = weak & ~equal
-        order |= equal & (idx[start:stop, None] > idx[None, :])
+        order |= equal & ((rows < idx) if transposed else (rows > idx))
         yield start, stop, order
 
 

@@ -18,9 +18,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.poset.bitset as bitset_mod
-from repro import PointSet
+from repro import PointSet, obs
 from repro.core.pairwise import (
     blocked_contending_mask,
     blocked_dominance_pair_arrays,
@@ -99,6 +100,42 @@ class TestPackedOrderStructure:
         assert popcount(packed) == 11
         assert popcount(packed, axis=1).tolist() == [1] * 11
 
+    @pytest.mark.parametrize("n", [257, 258, 264])
+    def test_above_is_order_transpose_with_ties(self, n):
+        """The directly built ``above`` equals ``order_matrix().T`` where
+        the tie-break decides: duplicate vectors and signed zeros."""
+        gen = np.random.default_rng(n)
+        coords = gen.integers(-1, 2, size=(n, 3)).astype(float)
+        coords[gen.random((n, 3)) < 0.3] *= -1.0  # 0.0 -> -0.0 on some axes
+        coords[n // 2:n // 2 + 20] = coords[:20]
+        # Equal vectors whose zeros differ in sign.
+        coords[-20:] = np.where(coords[:20] == 0, -coords[:20], coords[:20])
+        ps = PointSet(coords, np.zeros(n, dtype=int))
+        assert np.signbit(coords[coords == 0]).any()
+        packed = packed_order(ps, block_size=24)
+        above = np.unpackbits(packed.above, axis=1, count=n).astype(bool)
+        assert np.array_equal(above, _order_matrix(_fresh(ps)).T)
+
+    def test_pair_count_from_either_orientation(self):
+        ps = random_labeled_points(np.random.default_rng(5), 300, 3)
+        from_above = packed_order(_fresh(ps))
+        from_below = packed_order(_fresh(ps))
+        assert from_above.num_bytes == 0  # nothing packed until first read
+        from_above.above
+        from_below.below
+        expected = int(_order_matrix(_fresh(ps)).sum())
+        assert from_above.pair_count() == from_below.pair_count() == expected
+        # Counting never forces the missing orientation.
+        assert from_above._below is None and from_below._above is None
+
+    def test_chain_decomposition_leaves_below_unbuilt(self):
+        ps = random_labeled_points(np.random.default_rng(6), 300, 3)
+        with obs.metrics_session() as reg:
+            matching_chain_decomposition(ps)  # n >= cutoff: bitset path
+        assert ps._packed_order._above is not None
+        assert ps._packed_order._below is None
+        assert reg.counter_value("poset.bitset_packs") == 1
+
 
 class TestConsumerParity:
     @settings(max_examples=60, deadline=None)
@@ -141,7 +178,43 @@ class TestConsumerParity:
             assert np.array_equal(heights(cold), dense_heights)
 
 
+@st.composite
+def packed_bipartite(draw):
+    """A random bipartite graph as (adjacency lists, packed rows, n_right).
+
+    Sides differ in size, ``n_right`` is rarely a multiple of 8, some rows
+    are empty, and the packed rows may carry stray bits in the padding of
+    their last byte, which the engine must ignore.
+    """
+    n_left = draw(st.integers(0, 20))
+    n_right = draw(st.integers(0, 21))
+    dense = np.array(draw(st.lists(
+        st.lists(st.booleans(), min_size=n_right, max_size=n_right),
+        min_size=n_left, max_size=n_left)), dtype=bool).reshape(n_left, n_right)
+    packed = np.packbits(dense, axis=1)
+    if n_right % 8 and n_left:
+        stray = draw(st.lists(st.integers(0, 255), min_size=n_left,
+                              max_size=n_left))
+        packed[:, -1] |= np.array(stray, dtype=np.uint8) & (0xFF >> n_right % 8)
+    adjacency = [np.flatnonzero(row).tolist() for row in dense]
+    return adjacency, packed, n_right
+
+
 class TestMatchingParity:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=packed_bipartite())
+    def test_bipartite_vertex_for_vertex(self, graph):
+        adjacency, packed, n_right = graph
+        reference = hopcroft_karp(adjacency, n_right)
+        result = hopcroft_karp_bitset(packed, n_right)
+        assert result.size == reference.size
+        assert result.left_match == reference.left_match
+        assert result.right_match == reference.right_match
+
+    def test_rejects_wrong_byte_width(self):
+        with pytest.raises(ValueError, match="byte columns"):
+            hopcroft_karp_bitset(np.zeros((3, 2), dtype=np.uint8), 17)
+
     @settings(max_examples=60, deadline=None)
     @given(ps=point_sets(max_n=24))
     def test_matching_vertex_for_vertex(self, ps):

@@ -127,18 +127,33 @@ class TestStructureCheck:
         assert findings and findings[0].kind == "structure"
         assert "non-covering" in findings[0].detail
 
+    def test_catches_matching_last_free(self, rng):
+        # A maximum matching that differs from the reference's: sizes,
+        # chain counts and widths all still agree, so only the
+        # vertex-for-vertex comparison can flag it.
+        points = PointSet(rng.random((40, 2)), rng.integers(0, 2, size=40))
+        assert check_poset_structure(points) == []
+        with apply_mutant("matching_last_free"):
+            findings = check_poset_structure(points)
+        assert [f.config for f in findings] == ["hopcroft_karp_bitset"]
+        assert "loop Hopcroft-Karp" in findings[0].detail
+
     def test_mutants_restore_on_exit(self):
         from repro.core import passive
-        from repro.poset import sparse
+        from repro.poset import bitset, sparse
 
         original_red = sparse.transitive_reduction
         original_inf = passive._effective_infinity
+        original_greedy = bitset._greedy_first_phase
         with apply_mutant("hasse_uint8_overflow"):
             assert sparse.transitive_reduction is not original_red
         with apply_mutant("capacity_plus_one"):
             assert passive._effective_infinity is not original_inf
+        with apply_mutant("matching_last_free"):
+            assert bitset._greedy_first_phase is not original_greedy
         assert sparse.transitive_reduction is original_red
         assert passive._effective_infinity is original_inf
+        assert bitset._greedy_first_phase is original_greedy
 
     def test_unknown_mutant_rejected(self):
         with pytest.raises(ValueError, match="unknown mutant"):
