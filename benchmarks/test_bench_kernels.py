@@ -21,15 +21,14 @@ import pytest
 from repro import PointSet
 from repro.datasets.synthetic import width_controlled
 from repro.flow import FlowNetwork
-from repro.poset.bitset import (
-    dominance_pair_count_bitset,
+from repro.poset import (
+    dominance_pair_count,
+    hopcroft_karp,
     hopcroft_karp_bitset,
-    maximal_points_bitset,
-    minimal_points_bitset,
+    maximal_points,
+    minimal_points,
     packed_order,
 )
-from repro.poset.dominance import _order_matrix
-from repro.poset.matching import hopcroft_karp
 
 DOMINANCE_SIZES = [1024, 4096]
 MATCHING_SIZES = [2048, 4096]
@@ -52,7 +51,7 @@ def test_kernel_dominance_loop(benchmark, n):
         # weak-dominance matrix after round one and skips the pairwise work.
         points._order = None
         points._weak_dom = None
-        order = _order_matrix(points)
+        order = points.order_matrix()
         mins = np.flatnonzero(~order.any(axis=1))
         maxs = np.flatnonzero(~order.any(axis=0))
         return len(mins), len(maxs), int(order.sum())
@@ -68,9 +67,9 @@ def test_kernel_dominance_bitset(benchmark, n):
 
     def job():
         points._packed_order = None  # re-pack: construction is the kernel
-        mins = minimal_points_bitset(points)
-        maxs = maximal_points_bitset(points)
-        return len(mins), len(maxs), dominance_pair_count_bitset(points)
+        mins = minimal_points(points)
+        maxs = maximal_points(points)
+        return len(mins), len(maxs), dominance_pair_count(points)
 
     num_min, num_max, pairs = benchmark(job)
     benchmark.extra_info["order_pairs"] = pairs
@@ -78,9 +77,8 @@ def test_kernel_dominance_bitset(benchmark, n):
 
 def _matching_instance(n: int):
     points = width_controlled(n, 24, rng=0)
-    order = _order_matrix(
-        PointSet(points.coords.copy(), points.labels.copy(),
-                 points.weights.copy()))
+    order = PointSet(points.coords.copy(), points.labels.copy(),
+                     points.weights.copy()).order_matrix()
     adjacency = [np.flatnonzero(order[:, u]).tolist() for u in range(n)]
     return adjacency, packed_order(points).above
 

@@ -19,11 +19,7 @@ import numpy as np
 from repro import LabelOracle, PointSet, active_classify, solve_passive
 from repro.datasets.synthetic import planted_monotone, width_controlled
 from repro.parallel import GridConfig, run_grid
-from repro.poset.sparse import (
-    dominance_pair_count,
-    maximal_points_sparse,
-    minimal_points_sparse,
-)
+from repro.poset import dominance_pair_count, maximal_points, minimal_points
 
 
 def test_smoke_passive_flow(benchmark):
@@ -63,32 +59,23 @@ def test_smoke_active_parallel_path(benchmark):
     benchmark.extra_info["probes"] = result.probing_cost
 
 
-def test_smoke_passive_hasse(benchmark):
-    """Passive optimum through the Hasse-reduced network (chain-structured)."""
-    points = width_controlled(800, 4, noise=0.1, rng=0)
-
-    def job():
-        return solve_passive(points, use_hasse_reduction=True)
-
-    result = benchmark(job)
-    benchmark.extra_info["optimal_error"] = result.optimal_error
-
-
 def test_smoke_poset_sparse_large(benchmark):
-    """Sparse poset engine at n = 4096, d = 3: the memory-bounded hot path.
+    """Poset order queries at n = 4096, d = 3: the memory-bounded hot path.
 
-    Blockwise minimal/maximal extraction plus the order-pair count — one
-    full O(d n^2) dominance sweep in O(block * n) memory.  Guards the
-    per-dimension accumulation kernels against an accidental return to
-    (rows, n, d) broadcast intermediates (a memory *and* time cliff).
+    Minimal/maximal extraction plus the order-pair count over the packed
+    order, which is built in one blockwise O(d n^2) dominance sweep in
+    O(block * n) scratch memory.  Guards the per-dimension accumulation
+    kernels against an accidental return to (rows, n, d) broadcast
+    intermediates (a memory *and* time cliff).
     """
     gen = np.random.default_rng(0)
     points = PointSet(gen.uniform(size=(4096, 3)), [0] * 4096)
 
     def job():
-        mins = minimal_points_sparse(points, block_size=512)
-        maxs = maximal_points_sparse(points, block_size=512)
-        pairs = dominance_pair_count(points, block_size=512)
+        points._packed_order = None  # re-pack: construction is the kernel
+        mins = minimal_points(points)
+        maxs = maximal_points(points)
+        pairs = dominance_pair_count(points)
         return len(mins), len(maxs), pairs
 
     num_min, num_max, pairs = benchmark(job)

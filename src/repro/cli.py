@@ -95,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     active.add_argument("input", help="fully-labeled point-set file (ground truth)")
     active.add_argument("--epsilon", type=float, default=0.5)
     active.add_argument("--seed", type=int, default=0)
-    active.add_argument("--decomposition",
-                        choices=["exact", "matching", "patience", "greedy"],
+    active.add_argument("--decomposition", choices=["exact", "greedy"],
                         default="exact")
     active.add_argument("--workers", type=int, default=1,
                         help="processes for chain-level parallel sampling "
@@ -137,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="approximation parameter (active mode)")
     fit.add_argument("--seed", type=int, default=0,
                      help="sampling seed (active mode)")
-    fit.add_argument("--decomposition",
-                     choices=["exact", "matching", "patience", "greedy"],
+    fit.add_argument("--decomposition", choices=["exact", "greedy"],
                      default="exact", help="chain decomposition (active mode)")
     fit.add_argument("--no-chains", action="store_true",
                      help="omit the chain decomposition from the artifact")

@@ -124,10 +124,9 @@ def active_classify(points: PointSet, oracle: LabelOracle, epsilon: float,
     delta:
         Failure probability; defaults to ``1/n^2``.
     decomposition:
-        ``"exact"`` (default) picks the best exact method for the
+        ``"exact"`` (default) picks the exact method for the
         dimensionality (patience for ``d <= 2``, the Lemma 6 matching
-        reduction otherwise); ``"matching"`` / ``"patience"`` force a
-        specific exact method; ``"greedy"`` uses the fast heuristic that
+        reduction otherwise); ``"greedy"`` uses the fast heuristic that
         may exceed ``w`` chains (ablation A2).
     plan:
         Sampling plan controlling per-level sample sizes.
@@ -163,14 +162,12 @@ def active_classify(points: PointSet, oracle: LabelOracle, epsilon: float,
         with rec.span("chain_decompose"):
             if decomposition in ("exact", "auto"):
                 decomp = minimum_chain_decomposition(points)
-            elif decomposition in ("matching", "patience"):
-                decomp = minimum_chain_decomposition(points, method=decomposition)
             elif decomposition == "greedy":
                 decomp = greedy_chain_decomposition(points)
             else:
                 raise ValueError(
-                    "decomposition must be one of 'exact', 'matching', "
-                    f"'patience', 'greedy'; got {decomposition!r}"
+                    "decomposition must be 'exact' or 'greedy'; "
+                    f"got {decomposition!r}"
                 )
 
         w = decomp.num_chains

@@ -1,4 +1,4 @@
-"""Blockwise pairwise dominance computations for large inputs.
+"""Blockwise pairwise dominance computations for the Theorem 4 pipeline.
 
 The Theorem 4 pipeline needs three ``O(d n^2)``-time pairwise facts:
 
@@ -7,15 +7,16 @@ The Theorem 4 pipeline needs three ``O(d n^2)``-time pairwise facts:
 * whether a final assignment is monotone (Lemma 16's certificate).
 
 The cached ``PointSet.weak_dominance_matrix`` materializes all ``n^2``
-booleans at once — fine up to ``n`` around 15k, prohibitive beyond.  The
-functions here compute the same facts in row blocks of configurable size,
-keeping memory at ``O(n * block_size)`` while preserving the time bound.
-``solve_passive`` switches to them automatically above a size threshold.
+booleans at once.  The functions here compute the same facts in row
+blocks of configurable size, keeping memory at ``O(n * block_size)``
+while preserving the time bound.  ``solve_passive`` uses them at every
+size for ``d >= 3`` (and the edge stream for every ``d``); the dense
+matrix survives as the test reference.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "pairwise_weak_dominance",
     "blocked_contending_mask",
-    "blocked_dominance_pairs",
     "blocked_dominance_pair_arrays",
     "blocked_is_monotone_assignment",
 ]
@@ -86,43 +86,18 @@ def blocked_contending_mask(points: PointSet,
     return mask
 
 
-def blocked_dominance_pairs(points: PointSet, sources: np.ndarray,
-                            targets: np.ndarray,
-                            block_size: int = DEFAULT_BLOCK_SIZE
-                            ) -> Iterator[Tuple[int, List[int]]]:
-    """Yield ``(source index, [target indices it weakly dominates])``.
-
-    Iterates blockwise over ``sources`` x ``targets`` (both arrays of point
-    indices), yielding one entry per source that dominates at least one
-    target.  This is the edge stream for the type-3 edges of the Theorem 4
-    flow network.
-    """
-    sources = np.asarray(sources, dtype=int)
-    targets = np.asarray(targets, dtype=int)
-    if len(sources) == 0 or len(targets) == 0:
-        return
-    target_coords = points.coords[targets]
-    for start, stop in _blocks(len(sources), block_size):
-        rows = points.coords[sources[start:stop]]
-        dom = pairwise_weak_dominance(rows, target_coords)
-        for local, src in enumerate(sources[start:stop]):
-            hits = np.flatnonzero(dom[local])
-            if len(hits):
-                yield int(src), targets[hits].tolist()
-
-
 def blocked_dominance_pair_arrays(points: PointSet, sources: np.ndarray,
                                   targets: np.ndarray,
                                   block_size: int = DEFAULT_BLOCK_SIZE
                                   ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Yield ``(source_ids, target_ids)`` dominance-pair arrays per block.
 
-    The bulk counterpart of :func:`blocked_dominance_pairs`: instead of one
-    Python ``(source, [targets])`` entry per dominating source, each block
-    yields two aligned integer arrays listing every dominating pair in
-    row-major order (sources ascending as given, targets ascending within a
-    source) — exactly the order the per-pair generator walks, ready for
-    :meth:`repro.flow.graph.FlowNetwork.add_edges`.
+    Each pair has a source (a point index from ``sources``) weakly
+    dominating a target (from ``targets``): the type-3 edges of the
+    Theorem 4 flow network.  Each block of sources yields two aligned
+    integer arrays listing its dominating pairs in row-major order
+    (sources in the given order, targets in the given order within a
+    source), ready for :meth:`repro.flow.graph.FlowNetwork.add_edges`.
     """
     sources = np.asarray(sources, dtype=int)
     targets = np.asarray(targets, dtype=int)

@@ -14,12 +14,10 @@ classifier of minimum weighted error.  Section 5 solves it exactly:
    edges flip their label-0 point to 1; cut sink edges flip their label-1
    point to 0 (Lemmas 16, 17).
 
-Total cost ``O(d n^2) + T_maxflow(n)``.
-
-``solve_passive(use_hasse_reduction=True)`` swaps step 2's closure edges
-for the covering pairs of the dominance order (transitive reduction), with
-every point as a pass-through vertex — same optimum, far fewer infinite
-edges for the max-flow backend to chew through (see ``docs/poset.md``).
+Total cost ``O(d n^2) + T_maxflow(n)``.  Steps 1 and 2 and the Lemma 16
+check stream the pairwise facts in row blocks (:mod:`.pairwise`), or use
+the ``O(n log n)`` sweeps of :mod:`repro.poset.dominance2d` for ``d <= 2``,
+so no ``n x n`` matrix is ever materialized.
 
 This module also carries :func:`brute_force_passive`, the exponential test
 oracle the paper sketches in Section 1.2.
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
@@ -39,14 +36,10 @@ from ..poset.dominance2d import (
     contending_mask_low_dim,
     is_monotone_assignment_low_dim,
 )
-from .classifier import (
-    MonotoneClassifier,
-    UpsetClassifier,
-    is_monotone_assignment,
-)
+from .classifier import MonotoneClassifier, UpsetClassifier
 from .errors import prediction_weighted_error
 from .pairwise import (
-    DEFAULT_BLOCK_SIZE,
+    blocked_contending_mask,
     blocked_dominance_pair_arrays,
     blocked_is_monotone_assignment,
 )
@@ -57,13 +50,7 @@ __all__ = [
     "solve_passive",
     "contending_mask",
     "brute_force_passive",
-    "LARGE_INPUT_THRESHOLD",
 ]
-
-#: Above this size, solve_passive switches from the cached O(n^2)-memory
-#: dominance matrix to blockwise pairwise computation (same time bound,
-#: O(n * block) memory).
-LARGE_INPUT_THRESHOLD = 8_192
 
 
 def _effective_infinity(total_weight: float, min_weight: float) -> float:
@@ -152,6 +139,10 @@ def contending_mask(points: PointSet) -> np.ndarray:
     label-1 point contends if some label-0 point weakly dominates it.  We
     use weak dominance so duplicate coordinate vectors with opposing labels
     contend with each other (a classifier cannot separate them).
+
+    Reads the dense cached weak-dominance matrix: the ``O(n^2)``-memory
+    reference that :func:`solve_passive`'s streamed masks are tested
+    against.
     """
     points.require_full_labels()
     n = points.n
@@ -171,32 +162,8 @@ def contending_mask(points: PointSet) -> np.ndarray:
     return mask
 
 
-def _hasse_reduced_order(points: PointSet) -> np.ndarray:
-    """Label-aware tie-broken order for the Hasse-reduced cut network.
-
-    Strict dominance plus a tie-break on identical coordinate vectors that
-    ranks every label-0 point *above* every label-1 point (index order
-    within a label).  The label-aware direction matters: the reduced
-    network encodes only one direction of a symmetric weak-dominance pair,
-    and the direction that forbids the zero-flip assignment of an
-    oppositely-labeled duplicate pair is 0-above-1.  (Between same-label
-    duplicates either direction is harmless: any constraint between points
-    with identical coordinates only removes assignments no coordinate
-    classifier could realize.)
-    """
-    weak = points.weak_dominance_matrix()
-    equal = weak & weak.T
-    n = points.n
-    rank = np.where(points.labels == 0, np.arange(n) + n, np.arange(n))
-    order = weak & ~equal
-    order |= equal & (rank[:, None] > rank[None, :])
-    return order
-
-
 def solve_passive(points: PointSet, backend: str = "dinic",
-                  use_contending_reduction: bool = True,
-                  block_size: Optional[int] = None,
-                  use_hasse_reduction: bool = False) -> PassiveResult:
+                  use_contending_reduction: bool = True) -> PassiveResult:
     """Solve Problem 2 exactly (Theorem 4).
 
     Parameters
@@ -212,21 +179,6 @@ def solve_passive(points: PointSet, backend: str = "dinic",
         When False, the min-cut instance is built over *all* points instead
         of just ``P^con`` (still correct, since non-contending points have
         no infinite edges forcing them; used by the A1 ablation).
-    block_size:
-        Force blockwise pairwise computation with this row-block size.
-        Defaults to the cached dominance matrix for small inputs and to
-        blockwise mode above :data:`LARGE_INPUT_THRESHOLD` points.
-    use_hasse_reduction:
-        Build the network's infinite edges from the *transitive reduction*
-        (Hasse covering pairs) of the dominance order over all points,
-        with every point as a pass-through vertex, instead of one edge per
-        dominating ``(label-0, label-1)`` pair of the full closure.
-        Reachability along covering edges reproduces the order exactly, so
-        a finite-capacity cut is still exactly a monotone assignment and
-        the optimum is unchanged — but the max-flow backend processes
-        ``|Hasse|`` infinite edges instead of up to ``O(n^2)``.  Requires
-        the dense ``O(n^2)``-bit order matrix (the blockwise pair stream
-        is bypassed); see ``docs/poset.md`` for the correctness argument.
     """
     points.require_full_labels()
     n = points.n
@@ -238,27 +190,18 @@ def solve_passive(points: PointSet, backend: str = "dinic",
         classifier = UpsetClassifier([], dim=max(1, points.dim))
         return PassiveResult(classifier, assignment, 0.0, 0, 0.0, backend)
 
-    blockwise = block_size is not None or n > LARGE_INPUT_THRESHOLD
-    rows_per_block = block_size or DEFAULT_BLOCK_SIZE
+    low_dim = points.dim <= 2
     rec = recorder()
 
     with rec.span("passive") as passive_span:
         with rec.span("contending"):
-            if use_contending_reduction:
-                if points.dim <= 2:
-                    # O(n log n) prefix-extremum fast path.
-                    mask = contending_mask_low_dim(points)
-                elif blockwise:
-                    # Packed-bitset accumulator: same blockwise streaming,
-                    # but the per-block evidence is OR-ed as bitset rows.
-                    from ..poset.bitset import contending_mask_bitset
-
-                    mask = contending_mask_bitset(points, rows_per_block)
-                else:
-                    mask = contending_mask(points)
-                active = np.flatnonzero(mask)
-            else:
+            if not use_contending_reduction:
                 active = np.arange(n)
+            elif low_dim:
+                # O(n log n) prefix-extremum sweep.
+                active = np.flatnonzero(contending_mask_low_dim(points))
+            else:
+                active = np.flatnonzero(blocked_contending_mask(points))
         if rec.enabled:
             rec.gauge("passive.n", n)
             rec.gauge("passive.num_contending", len(active))
@@ -276,18 +219,11 @@ def solve_passive(points: PointSet, backend: str = "dinic",
             zeros_arr = active[labels[active] == 0]
             ones_arr = active[labels[active] == 1]
 
+            # Vertex ids: 0 = source, 1 = sink, then one per active point;
             # vid[point index] -> network vertex id (-1 for inactive).
+            network = FlowNetwork(2 + len(active))
             vid = np.full(n, -1, dtype=np.int64)
-            if use_hasse_reduction:
-                # Vertex ids: 0 = source, 1 = sink, then one per *point* —
-                # non-terminal points serve as pass-through intermediates
-                # of covering paths.
-                network = FlowNetwork(2 + n)
-                vid[active] = 2 + active
-            else:
-                # Vertex ids: 0 = source, 1 = sink, then one per active point.
-                network = FlowNetwork(2 + len(active))
-                vid[active] = 2 + np.arange(len(active))
+            vid[active] = 2 + np.arange(len(active))
             source, sink = 0, 1
 
             # Effective infinity: strictly larger than any finite cut,
@@ -303,24 +239,9 @@ def solve_passive(points: PointSet, backend: str = "dinic",
                               weights[zeros_arr].astype(float))
             network.add_edges(vid[ones_arr], np.full(len(ones_arr), sink),
                               weights[ones_arr].astype(float))
-            if use_hasse_reduction:
-                from ..poset.sparse import transitive_reduction
-
-                covering = transitive_reduction(_hasse_reduced_order(points))
-                uppers, lowers = np.nonzero(covering)
-                network.add_edges(2 + uppers, 2 + lowers, infinite_cap)
-                if rec.enabled:
-                    rec.incr("passive.hasse_edges_kept", len(uppers))
-            elif blockwise:
-                for srcs, tgts in blocked_dominance_pair_arrays(
-                        points, zeros_arr, ones_arr, rows_per_block):
-                    network.add_edges(vid[srcs], vid[tgts], infinite_cap)
-            else:
-                weak = points.weak_dominance_matrix()
-                row_pos, col_pos = np.nonzero(
-                    weak[np.ix_(zeros_arr, ones_arr)])
-                network.add_edges(vid[zeros_arr[row_pos]],
-                                  vid[ones_arr[col_pos]], infinite_cap)
+            for srcs, tgts in blocked_dominance_pair_arrays(
+                    points, zeros_arr, ones_arr):
+                network.add_edges(vid[srcs], vid[tgts], infinite_cap)
         if rec.enabled:
             rec.incr("passive.dominance_pairs",
                      network.num_edges - len(active))
@@ -341,14 +262,12 @@ def solve_passive(points: PointSet, backend: str = "dinic",
                 if int(vid[q]) in cut.source_side:
                     assignment[q] = 0
 
-            if points.dim <= 2:
+            if low_dim:
                 assignment_monotone = is_monotone_assignment_low_dim(
                     points, assignment)
-            elif blockwise:
-                assignment_monotone = blocked_is_monotone_assignment(
-                    points, assignment, rows_per_block)
             else:
-                assignment_monotone = is_monotone_assignment(points, assignment)
+                assignment_monotone = blocked_is_monotone_assignment(
+                    points, assignment)
             if not assignment_monotone:
                 raise AssertionError(
                     "min-cut produced a non-monotone assignment (Lemma 16 "

@@ -283,10 +283,10 @@ class PointSet:
         ``i`` strictly dominates ``j``, or the coordinate vectors are
         identical and ``i > j`` (index tie-break), making the relation a
         strict partial order whose digraph is a DAG.  Computed once and
-        cached; every poset helper (adjacency, minimal/maximal points,
-        chains, width, Mirsky heights, Hasse diagrams) reads this shared
-        copy instead of rebuilding it per call.  Cache hits are counted in
-        the ``poset.order_cache_hits`` metric.
+        cached for the Hasse-diagram helpers and the dense test references;
+        the other poset queries read the packed rows of
+        :func:`repro.poset.bitset.packed_order` instead.  Cache hits are
+        counted in the ``poset.order_cache_hits`` metric.
         """
         if self._order is None:
             weak = self.weak_dominance_matrix()

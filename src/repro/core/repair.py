@@ -12,7 +12,7 @@ in classifier terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -51,8 +51,7 @@ class RepairReport:
         return len(self.flipped_indices)
 
 
-def repair_labels(points: PointSet,
-                  block_size: Optional[int] = None) -> RepairReport:
+def repair_labels(points: PointSet) -> RepairReport:
     """Minimum-weight repair of a labeling into a monotone one.
 
     Guarantees (inherited from Theorem 4 and asserted by the solver):
@@ -60,7 +59,7 @@ def repair_labels(points: PointSet,
     from the input by a smaller total weight.
     """
     points.require_full_labels()
-    result = solve_passive(points, block_size=block_size)
+    result = solve_passive(points)
     changed = np.flatnonzero(result.assignment != points.labels)
     flips_0_to_1 = int(np.count_nonzero(
         (points.labels[changed] == 0) if len(changed) else np.array([], bool)))

@@ -1,4 +1,4 @@
-"""Ablations A1-A4: the design choices DESIGN.md calls out.
+"""Ablations A1-A3: the design choices DESIGN.md calls out.
 
 * A1 — the contending-point reduction (Lemma 15): solve the passive
   problem with and without restricting to ``P^con``; same optimum, very
@@ -6,11 +6,7 @@
 * A2 — exact (matching) vs greedy chain decomposition inside the active
   algorithm: extra chains inflate the probing cost roughly proportionally;
 * A3 — the sampling-plan constant: probes vs achieved error ratio as the
-  per-level sample size scales;
-* A4 — the Hasse reduction of the min-cut network: infinite edges from
-  the covering pairs (transitive reduction) vs the full dominance closure;
-  same optimum, counted via ``passive.hasse_edges_kept`` vs
-  ``passive.dominance_pairs`` (see ``docs/poset.md``).
+  per-level sample size scales.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .. import obs
 from ..obs import Timer
 from ..core.active import active_classify
 from ..core.errors import error_count
@@ -28,10 +23,10 @@ from ..core.passive import solve_passive
 from ..datasets.synthetic import planted_monotone, width_controlled
 from ..stats.estimation import SamplingPlan
 
-TITLE = "A1-A4 — ablations: contending, decomposition, constants, Hasse reduction"
+TITLE = "A1-A3 — ablations: contending, decomposition, constants"
 
 __all__ = ["run", "run_contending", "run_decomposition", "run_constants",
-           "run_hasse", "TITLE"]
+           "TITLE"]
 
 
 def run_contending(ns: Sequence[int] = (800, 1_600),
@@ -127,46 +122,9 @@ def run_constants(constants: Sequence[float] = (1.5, 3.0, 6.0, 12.0, 24.0),
     return rows
 
 
-def run_hasse(ns: Sequence[int] = (800, 1_600),
-              width: int = 4, noise: float = 0.1,
-              seed: int = 0) -> List[dict]:
-    """A4: closure vs Hasse-reduced infinite edges in the cut network.
-
-    Chain-structured inputs are where the reduction pays: within a chain
-    the closure holds a quadratic number of cross-label dominance pairs
-    (growing with chain length and noise) while the covering relation
-    keeps one edge per consecutive pair, so the crossover arrives quickly
-    as ``n`` grows.  The optimum must be identical; the edge counts come
-    from the ``passive.dominance_pairs`` / ``passive.hasse_edges_kept``
-    counters.
-    """
-    rows: List[dict] = []
-    for n in ns:
-        points = width_controlled(n, width, noise=noise, rng=seed)
-        with obs.metrics_session() as dense_reg:
-            with Timer() as dense_timer:
-                dense = solve_passive(points)
-        with obs.metrics_session() as hasse_reg:
-            with Timer() as hasse_timer:
-                hasse = solve_passive(points, use_hasse_reduction=True)
-        rows.append({
-            "ablation": "A4:hasse",
-            "n": n,
-            "noise": noise,
-            "closure_edges": dense_reg.counter_value("passive.dominance_pairs"),
-            "hasse_edges": hasse_reg.counter_value("passive.hasse_edges_kept"),
-            "same_optimum": bool(np.isclose(dense.optimal_error,
-                                            hasse.optimal_error)),
-            "time_closure_s": dense_timer.elapsed,
-            "time_hasse_s": hasse_timer.elapsed,
-        })
-    return rows
-
-
 def run(seed: int = 0) -> List[dict]:
-    """All four ablations, concatenated."""
+    """All three ablations, concatenated."""
     rows = run_contending(seed=seed)
     rows.extend(run_decomposition(seed=seed))
     rows.extend(run_constants(seed=seed))
-    rows.extend(run_hasse(seed=seed))
     return rows

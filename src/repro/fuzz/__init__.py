@@ -10,9 +10,9 @@ family).  Four pieces:
   near-float-limit coordinates and weights, plus byte-level mutation of
   serialized datasets;
 * :mod:`.engine` — the differential engine: every passive configuration
-  (both flow backends × Hasse reduction on/off × brute force for small
-  ``n``), every flow backend against the loop-Dinic reference, and the
-  active pipeline at workers 1 and 2 must agree exactly and pass the
+  (both flow backends, plus brute force for small ``n``), every flow
+  backend against the loop-Dinic reference, and the active pipeline at
+  workers 1 and 2 must agree exactly and pass the
   :mod:`repro.core.validation` certificates;
 * :mod:`.shrink` / :mod:`.corpus` — ddmin shrinking of any disagreement
   to a 1-minimal reproducer, archived in a replayable regression corpus

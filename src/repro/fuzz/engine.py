@@ -3,8 +3,8 @@
 Differential testing in the query-engine-fuzzer style: run the same
 instance through every interchangeable implementation and treat *any*
 divergence as a finding.  For the passive problem the configuration grid
-is both max-flow backends × Hasse reduction on/off (4 exact solvers that
-must agree to the last certificate), plus brute force for small ``n``.
+is both max-flow backends (exact solvers that must agree to the last
+certificate), plus brute force for small ``n``.
 For max-flow alone, every backend is checked against the loop-Dinic
 reference, and the production Dinic must reproduce its per-arc flows
 bit for bit.  For the active problem, ``workers=1`` versus ``workers=2``
@@ -57,19 +57,16 @@ class PassiveConfig:
     """One passive solver configuration in the differential grid."""
 
     backend: str
-    hasse: bool
 
     @property
     def label(self) -> str:
         """Human-readable configuration name used in findings."""
-        return f"{self.backend}{'+hasse' if self.hasse else ''}"
+        return self.backend
 
 
-#: The full grid: both flow backends with and without Hasse reduction.
+#: The full grid: every flow backend.
 ALL_PASSIVE_CONFIGS: Tuple[PassiveConfig, ...] = tuple(
-    PassiveConfig(backend, hasse)
-    for backend in sorted(FLOW_BACKENDS)
-    for hasse in (False, True)
+    PassiveConfig(backend) for backend in sorted(FLOW_BACKENDS)
 )
 
 
@@ -83,8 +80,8 @@ class Disagreement:
         ``"value_mismatch"`` (configurations report different optima),
         ``"certificate"`` (an optimality/accounting audit failed),
         ``"error"`` (a configuration raised where others succeeded),
-        ``"structure"`` (the Hasse reduction is not minimal/complete, or
-        the Lemma 6 matching or chains are off), or
+        ``"structure"`` (the transitive reduction is not
+        minimal/complete, or the Lemma 6 matching or chains are off), or
         ``"flow"`` (max-flow backends diverge or produced infeasible flow).
     config:
         Label of the configuration(s) involved.
@@ -133,8 +130,7 @@ def run_passive_differential(
         if rec.enabled:
             rec.incr("fuzz.configs_run")
         try:
-            result = solve_passive(points, backend=config.backend,
-                                   use_hasse_reduction=config.hasse)
+            result = solve_passive(points, backend=config.backend)
         except Exception as exc:  # noqa: BLE001 - every escape is data here
             outcome.errors[config.label] = f"{type(exc).__name__}: {exc}"
             continue

@@ -5,7 +5,7 @@ break: the paper's own lower-bound construction (Theorem 1), duplicate
 coordinate vectors with opposing labels, degenerate posets (one maximal
 chain, one maximal antichain), and weight/coordinate scales at the edge of
 float64 are where dominance tie-breaks, effective-infinity capacities, and
-Hasse reductions earn their keep.  Each family here is a deterministic
+transitive reductions earn their keep.  Each family here is a deterministic
 function of a ``numpy`` Generator and a target size, registered in
 :data:`FAMILIES` so campaigns (:mod:`repro.fuzz.runner`) and the CLI can
 select them by name.
@@ -78,8 +78,8 @@ def duplicate_flood(rng: np.random.Generator, size: int) -> PointSet:
 
     Duplicate coordinates with opposing labels are the sharpest test of the
     label-aware tie-breaks: a classifier is a function of coordinates, so
-    opposing duplicates *must* contend, and the Hasse-reduced network must
-    encode the direction that forbids the free assignment.
+    opposing duplicates *must* contend, and the cut network must keep the
+    infinite edge that forbids the free assignment.
     """
     n = max(2, size)
     num_distinct = max(1, n // 8)

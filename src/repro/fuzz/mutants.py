@@ -52,34 +52,29 @@ def _hasse_uint8_overflow() -> Iterator[None]:
 
 
 @contextmanager
-def _hasse_index_tie_break() -> Iterator[None]:
-    """Drop the label-aware tie-break from the Hasse-reduced order.
+def _duplicate_edges_dropped() -> Iterator[None]:
+    """Make the streamed edge builder skip pairs with identical coordinates.
 
-    Re-introduces the subtle duplicate-coordinate bug the label-aware
-    ranking in ``_hasse_reduced_order`` exists to prevent: with a plain
-    index tie-break, an opposing-label duplicate pair can be encoded in
-    the direction that fails to forbid the zero-flip assignment, so the
-    Hasse-reduced network reports a cheaper (wrong) optimum or an outright
-    non-monotone assignment.
+    Weak dominance holds both ways between equal coordinate vectors, and
+    no classifier can separate them, so an opposing-label duplicate pair
+    needs its infinite edge.  Without it the cut keeps both labels, the
+    assignment is not monotone, and the Lemma 16 check in
+    ``solve_passive`` trips — which the ``duplicates`` family must catch.
     """
     from ..core import passive
 
-    original = passive._hasse_reduced_order
+    original = passive.blocked_dominance_pair_arrays
 
-    def broken(points):  # type: ignore[no-untyped-def]
-        weak = points.weak_dominance_matrix()
-        equal = weak & weak.T
-        order = weak & ~equal
-        if points.n:
-            idx = np.arange(points.n)
-            order |= equal & (idx[:, None] > idx[None, :])
-        return order
+    def strict_pairs(points, *args, **kwargs):  # type: ignore[no-untyped-def]
+        for srcs, tgts in original(points, *args, **kwargs):
+            keep = (points.coords[srcs] != points.coords[tgts]).any(axis=1)
+            yield srcs[keep], tgts[keep]
 
-    passive._hasse_reduced_order = broken  # type: ignore[assignment]
+    passive.blocked_dominance_pair_arrays = strict_pairs  # type: ignore[assignment]
     try:
         yield
     finally:
-        passive._hasse_reduced_order = original  # type: ignore[assignment]
+        passive.blocked_dominance_pair_arrays = original  # type: ignore[assignment]
 
 
 @contextmanager
@@ -140,7 +135,7 @@ def _matching_last_free() -> Iterator[None]:
 #: Named mutants: context managers that break one solver invariant each.
 MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "hasse_uint8_overflow": _hasse_uint8_overflow,
-    "hasse_index_tie_break": _hasse_index_tie_break,
+    "duplicate_edges_dropped": _duplicate_edges_dropped,
     "capacity_plus_one": _capacity_plus_one,
     "matching_last_free": _matching_last_free,
 }

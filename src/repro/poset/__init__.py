@@ -12,21 +12,14 @@ Implements the combinatorial machinery the paper relies on:
   the order-matrix cache on :class:`~repro.core.points.PointSet`
   (see ``docs/poset.md``);
 * the packed-bitset order engine (:mod:`.bitset`): the whole order matrix
-  as ``uint8`` bitset rows, vectorized minimal/maximal/pair-count
-  consumers, and a Hopcroft–Karp whose BFS layering is bitset frontier
-  expansion — the auto-selected substrate above
-  :data:`~repro.poset.bitset.BITSET_CUTOFF` points.
+  as ``uint8`` bitset rows and a Hopcroft–Karp whose BFS layering is
+  bitset frontier expansion — the one substrate of the order queries,
+  chains, antichains and heights at every size.
 """
 
 from .bitset import (
-    BITSET_CUTOFF,
     PackedOrder,
-    contending_mask_bitset,
-    dominance_pair_count_bitset,
     hopcroft_karp_bitset,
-    maximal_points_bitset,
-    minimal_points_bitset,
-    packed_adjacency,
     packed_order,
     popcount,
 )
@@ -38,14 +31,17 @@ from .chains import (
     minimum_chain_decomposition,
     patience_chain_decomposition,
 )
-from .dominance import dominance_digraph, maximal_points, minimal_points, topological_order
+from .dominance import (
+    dominance_digraph,
+    dominance_pair_count,
+    maximal_points,
+    minimal_points,
+    topological_order,
+)
 from .hasse import covers, hasse_edges
 from .matching import hopcroft_karp, maximum_bipartite_matching
 from .mirsky import heights, longest_chain_length, mirsky_antichain_partition
 from .sparse import (
-    dominance_pair_count,
-    maximal_points_sparse,
-    minimal_points_sparse,
     order_matrix_blocks,
     transitive_reduction,
     weak_dominance_blocks,
@@ -67,6 +63,7 @@ __all__ = [
     "topological_order",
     "maximal_points",
     "minimal_points",
+    "dominance_pair_count",
     "hopcroft_karp",
     "maximum_bipartite_matching",
     "dominance_width",
@@ -79,18 +76,9 @@ __all__ = [
     "mirsky_antichain_partition",
     "weak_dominance_blocks",
     "order_matrix_blocks",
-    "minimal_points_sparse",
-    "maximal_points_sparse",
-    "dominance_pair_count",
     "transitive_reduction",
-    "BITSET_CUTOFF",
     "PackedOrder",
     "packed_order",
     "popcount",
-    "minimal_points_bitset",
-    "maximal_points_bitset",
-    "dominance_pair_count_bitset",
-    "packed_adjacency",
-    "contending_mask_bitset",
     "hopcroft_karp_bitset",
 ]

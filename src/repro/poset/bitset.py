@@ -1,8 +1,8 @@
-"""Packed-bitset order engine: the vectorized substrate for the hot paths.
+"""Packed-bitset order engine: the one substrate of the poset queries.
 
 Every load-bearing consumer of the dominance order — minimal/maximal
-extraction, chain decomposition via Hopcroft–Karp, the Theorem 4 flow
-network — reduces to row/column operations on the boolean order matrix.
+extraction, heights, chain decomposition via Hopcroft–Karp, the König
+antichain — reduces to row/column operations on the boolean order matrix.
 This module packs that matrix into ``uint8`` bitset rows (``np.packbits``)
 and re-expresses the hot loops as bitwise kernels:
 
@@ -11,10 +11,9 @@ and re-expresses the hot loops as bitwise kernels:
   coordinates (:func:`repro.poset.sparse.coordinate_order_blocks`) so
   scratch memory beyond the packed output stays ``O(block * n)`` booleans
   and the dense ``(n, n)`` caches are never forced;
-* consumers (:func:`minimal_points_bitset`, :func:`maximal_points_bitset`,
-  :func:`dominance_pair_count_bitset`, :func:`packed_adjacency`,
-  :func:`contending_mask_bitset`) that answer the common order queries with
-  byte-wise ``any``/popcount instead of per-point Python;
+* the order queries of :mod:`repro.poset.dominance` (minimal/maximal
+  points, pair count, adjacency) read it with byte-wise ``any``/popcount
+  instead of per-point Python;
 * :func:`hopcroft_karp_bitset` — Hopcroft–Karp whose BFS layering is a
   *bitset frontier expansion*: one ``np.bitwise_or.reduce`` over the packed
   adjacency rows of the frontier per layer, instead of a Python loop over
@@ -31,7 +30,7 @@ Padding bits: with ``n`` not a multiple of 8 the final byte of every packed
 row carries ``8 - n % 8`` zero padding bits.  All kernels here either
 preserve zeros (AND/OR/popcount) or re-mask after complement; the
 ``n = 258``-style regression tests pin this.  See ``docs/poset.md`` for the
-memory model and the path-selection policy.
+memory model.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.pairwise import DEFAULT_BLOCK_SIZE, pairwise_weak_dominance
+from ..core.pairwise import DEFAULT_BLOCK_SIZE
 from ..core.points import PointSet
 from ..obs import recorder
 from .matching import MatchingResult
@@ -50,19 +49,8 @@ __all__ = [
     "PackedOrder",
     "packed_order",
     "popcount",
-    "minimal_points_bitset",
-    "maximal_points_bitset",
-    "dominance_pair_count_bitset",
-    "packed_adjacency",
-    "contending_mask_bitset",
     "hopcroft_karp_bitset",
-    "BITSET_CUTOFF",
 ]
-
-#: Below this many points the dense boolean paths win (packing overhead
-#: exceeds the loop cost); at or above it the auto-selected poset consumers
-#: switch to the packed engine.  Parity is asserted by tests at every size.
-BITSET_CUTOFF = 256
 
 if hasattr(np, "bitwise_count"):
 
@@ -216,88 +204,6 @@ def packed_order(points: PointSet, block_size: int = DEFAULT_BLOCK_SIZE) -> Pack
         if rec.enabled:
             rec.incr("poset.bitset_cache_hits")
     return cached
-
-
-def minimal_points_bitset(points: PointSet,
-                          block_size: int = DEFAULT_BLOCK_SIZE) -> List[int]:
-    """Indices of minimal points from the packed engine.
-
-    A point is minimal iff its ``below`` row is all-zero bytes — one
-    vectorized ``any`` over the packed rows.  Agrees with
-    :func:`repro.poset.dominance.minimal_points` at every size.
-    """
-    packed = packed_order(points, block_size)
-    has_below = (packed.below != 0).any(axis=1)
-    return np.flatnonzero(~has_below).tolist()
-
-
-def maximal_points_bitset(points: PointSet,
-                          block_size: int = DEFAULT_BLOCK_SIZE) -> List[int]:
-    """Indices of maximal points: all-zero columns of ``below``.
-
-    Computed as one OR-reduction over the packed rows (a point is maximal
-    iff nobody is above it, i.e. its bit is clear in every row), so the
-    ``above`` orientation is never built.
-    """
-    packed = packed_order(points, block_size)
-    has_above = np.unpackbits(
-        np.bitwise_or.reduce(packed.below, axis=0), count=points.n
-    )
-    return np.flatnonzero(has_above == 0).tolist()
-
-
-def dominance_pair_count_bitset(points: PointSet,
-                                block_size: int = DEFAULT_BLOCK_SIZE) -> int:
-    """Ordered-pair count via hardware popcount over the packed rows."""
-    return packed_order(points, block_size).pair_count()
-
-
-def packed_adjacency(points: PointSet,
-                     block_size: int = DEFAULT_BLOCK_SIZE) -> List[List[int]]:
-    """Adjacency lists of the dominance DAG (``adj[j]`` = points above ``j``).
-
-    Same contract as :func:`repro.poset.dominance.dominance_adjacency`,
-    unpacked row-by-row from the packed ``above`` rows.
-    """
-    packed = packed_order(points, block_size)
-    return [packed.above_indices(j).tolist() for j in range(points.n)]
-
-
-def contending_mask_bitset(points: PointSet,
-                           block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """Contending mask (Section 5.1) accumulated through packed panels.
-
-    Streams label-0 row blocks against the label-1 columns, packs each
-    dominance panel, and accumulates the "some label-0 point dominates
-    label-1 ``q``" evidence as a single packed OR row — ``O(block * m1)``
-    boolean scratch and ``m1 / 8`` bytes of accumulator for ``m1`` label-1
-    points.  Bit-identical to
-    :func:`repro.core.passive.contending_mask` and
-    :func:`repro.core.pairwise.blocked_contending_mask`.
-    """
-    points.require_full_labels()
-    n = points.n
-    mask = np.zeros(n, dtype=bool)
-    if n == 0:
-        return mask
-    zero_idx = np.flatnonzero(points.labels == 0)
-    one_idx = np.flatnonzero(points.labels == 1)
-    if len(zero_idx) == 0 or len(one_idx) == 0:
-        return mask
-    one_coords = points.coords[one_idx]
-    m1 = len(one_idx)
-    one_hit = np.zeros((m1 + 7) // 8, dtype=np.uint8)
-    rec = recorder()
-    for start in range(0, len(zero_idx), block_size):
-        stop = min(len(zero_idx), start + block_size)
-        rows = points.coords[zero_idx[start:stop]]
-        panel = np.packbits(pairwise_weak_dominance(rows, one_coords), axis=1)
-        mask[zero_idx[start:stop]] = (panel != 0).any(axis=1)
-        one_hit |= np.bitwise_or.reduce(panel, axis=0)
-        if rec.enabled:
-            rec.incr("poset.bitset_contending_blocks")
-    mask[one_idx] = np.unpackbits(one_hit, count=m1).astype(bool)
-    return mask
 
 
 def _set_bits(packed: np.ndarray) -> List[int]:

@@ -24,8 +24,8 @@ import numpy as np
 
 from ..core.points import PointSet
 from ..obs import recorder
-from .dominance import _order_matrix, topological_order
-from .matching import hopcroft_karp
+from .bitset import hopcroft_karp_bitset, packed_order
+from .dominance import topological_order
 
 __all__ = [
     "ChainDecomposition",
@@ -93,28 +93,20 @@ def _record_decomposition(decomp: ChainDecomposition) -> ChainDecomposition:
     return decomp
 
 
-def minimum_chain_decomposition(
-    points: PointSet, method: str = "auto"
-) -> ChainDecomposition:
+def minimum_chain_decomposition(points: PointSet) -> ChainDecomposition:
     """Decompose ``P`` into exactly ``w`` chains (Lemma 6).
 
-    ``method``:
+    The input's dimension picks the algorithm: for ``d <= 2`` the
+    ``O(n log n)`` :func:`patience_chain_decomposition` (sorting for
+    ``d = 1``, best fit for ``d = 2``), otherwise the Lemma 6 reduction
+    :func:`matching_chain_decomposition` (``O(d n^2 + n^{2.5})`` time).
 
-    * ``"auto"`` (default) — exact specialized algorithms for ``d <= 2``
-      (sorting for ``d = 1``, patience best-fit for ``d = 2``, both
-      ``O(n log n)``), the matching reduction otherwise;
-    * ``"matching"`` — force the Lemma 6 Hopcroft–Karp reduction
-      (``O(d n^2 + n^{2.5})`` time, ``O(n^2)`` space);
-    * ``"patience"`` — force the 2-D algorithm (requires ``d <= 2``).
-
-    All methods return a minimum decomposition; they may differ in which
-    one.  Tests cross-check the chain *counts* against each other and
-    against brute-force width.
+    Both return a minimum decomposition; they may differ in which one.
+    Tests call each directly and cross-check the chain *counts* against
+    each other and against brute-force width.
     """
-    if method not in ("auto", "matching", "patience"):
-        raise ValueError(f"unknown method {method!r}")
     rec = recorder()
-    if method == "patience" or (method == "auto" and points.dim <= 2):
+    if points.dim <= 2:
         with rec.span("patience"):
             return patience_chain_decomposition(points)
     with rec.span("matching"):
@@ -177,37 +169,22 @@ def matching_chain_decomposition(points: PointSet) -> ChainDecomposition:
     paths: follow matched successors.  Transitivity of dominance makes
     every such path a chain, and Dilworth guarantees ``n - |M| = w``.
 
-    Packed-bitset Hopcroft–Karp serves inputs at or above
-    :data:`repro.poset.bitset.BITSET_CUTOFF` points unless the dense order
-    matrix is already cached; the list-based engine below serves the
-    rest.  Both engines produce the *identical* matching — the bitset DFS
-    replays the reference traversal — so the decomposition does not
-    depend on the engine; parity tests assert it chain-for-chain.
+    The matching is the packed-bitset Hopcroft–Karp, whose DFS replays
+    the reference :func:`repro.poset.matching.hopcroft_karp` vertex for
+    vertex; parity tests assert the chains against that reference.
     """
     n = points.n
     if n == 0:
         return ChainDecomposition([], 0, method="matching")
     rec = recorder()
-    from .dominance import _use_bitset
-
-    if _use_bitset(points):
-        from .bitset import hopcroft_karp_bitset, packed_order
-
-        packed = packed_order(points)
-        # Row u of the packed columns is exactly the Lemma 6 adjacency of
-        # left copy u: every v above u.  Read it before counting pairs so
-        # the count comes from it and the row orientation is never built.
-        above = packed.above
-        if rec.enabled:
-            rec.incr("poset.dominance_pairs", packed.pair_count())
-        matching = hopcroft_karp_bitset(above, n)
-    else:
-        order = _order_matrix(points)  # order[i, j]: i above j
-        if rec.enabled:
-            rec.incr("poset.dominance_pairs", int(order.sum()))
-        # Left copy of u connects to right copies of every v above u.
-        adjacency = [np.flatnonzero(order[:, u]).tolist() for u in range(n)]
-        matching = hopcroft_karp(adjacency, n)
+    packed = packed_order(points)
+    # Row u of the packed columns is exactly the Lemma 6 adjacency of
+    # left copy u: every v above u.  Read it before counting pairs so
+    # the count comes from it and the row orientation is never built.
+    above = packed.above
+    if rec.enabled:
+        rec.incr("poset.dominance_pairs", packed.pair_count())
+    matching = hopcroft_karp_bitset(above, n)
 
     successor = matching.left_match  # successor[u] = next point up the chain
     has_predecessor = [False] * n

@@ -15,7 +15,6 @@ from typing import List, Tuple
 import numpy as np
 
 from ..core.points import PointSet
-from .dominance import _order_matrix
 from .sparse import hasse_edges_sparse
 
 __all__ = ["hasse_edges", "covers", "transitive_closure_from_hasse"]
@@ -45,7 +44,7 @@ def covers(points: PointSet, upper: int, lower: int) -> bool:
     for all ``n`` (both are overflow-free, unlike the retired ``uint8``
     matrix product).
     """
-    order = _order_matrix(points)
+    order = points.order_matrix()
     if not order[upper, lower]:
         return False
     between = order[upper] & order[:, lower]

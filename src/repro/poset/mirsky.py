@@ -18,7 +18,8 @@ from typing import List
 import numpy as np
 
 from ..core.points import PointSet
-from .dominance import _order_matrix, topological_order
+from .bitset import packed_order
+from .dominance import topological_order
 
 __all__ = ["heights", "longest_chain_length", "mirsky_antichain_partition"]
 
@@ -27,27 +28,16 @@ def heights(points: PointSet) -> np.ndarray:
     """Height of each point: length of the longest chain ending at it.
 
     Computed by a DP over a topological order of the (tie-broken)
-    dominance DAG; heights start at 1 for minimal points.  For large
-    inputs the below-sets are unpacked from the bitset engine's rows
-    instead of the dense matrix (identical sets, 8x less resident memory).
+    dominance DAG; heights start at 1 for minimal points.  The below-sets
+    are unpacked from the packed ``below`` rows of the bitset engine.
     """
     n = points.n
     result = np.zeros(n, dtype=int)
     if n == 0:
         return result
-    from .dominance import _use_bitset
-
-    if _use_bitset(points):
-        from .bitset import packed_order
-
-        packed = packed_order(points)
-        for idx in topological_order(points):
-            below = packed.below_indices(idx)
-            result[idx] = 1 + (result[below].max() if len(below) else 0)
-        return result
-    order_matrix = _order_matrix(points)  # order[i, j]: i above j
+    packed = packed_order(points)
     for idx in topological_order(points):
-        below = np.flatnonzero(order_matrix[idx])
+        below = packed.below_indices(idx)
         result[idx] = 1 + (result[below].max() if len(below) else 0)
     return result
 

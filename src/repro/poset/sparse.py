@@ -2,18 +2,15 @@
 
 The dense dominance machinery (``PointSet.weak_dominance_matrix`` and the
 cached :meth:`~repro.core.points.PointSet.order_matrix`) materializes all
-``n^2`` booleans at once, which is the right trade below ~15k points and
-prohibitive beyond.  This module is the scalable counterpart:
+``n^2`` booleans at once.  This module is the streamed counterpart:
 
 * :func:`order_matrix_blocks` / :func:`weak_dominance_blocks` stream the
   (tie-broken) order and weak-dominance matrices in row blocks, accumulating
   one dimension at a time so peak scratch memory is ``O(block_size * n)``
   booleans — never the ``(n, n, d)`` (or even ``(block, n, d)``) broadcast
   intermediate; :func:`coordinate_order_blocks` is the cache-free order
-  computation behind them, in either orientation;
-* :func:`minimal_points_sparse` / :func:`maximal_points_sparse` /
-  :func:`dominance_pair_count` are block-streaming consumers of those
-  iterators, giving the common poset statistics under the same memory bound;
+  computation behind them, in either orientation (the packed engine of
+  :mod:`repro.poset.bitset` packs its panels);
 * :func:`transitive_reduction` computes the Hasse (covering) relation of an
   explicit boolean order matrix with packed-bitset row unions — exact
   boolean reachability, immune to the mod-256 wraparound that an integer
@@ -40,9 +37,6 @@ __all__ = [
     "weak_dominance_blocks",
     "order_matrix_blocks",
     "coordinate_order_blocks",
-    "minimal_points_sparse",
-    "maximal_points_sparse",
-    "dominance_pair_count",
     "transitive_reduction",
     "hasse_edges_sparse",
 ]
@@ -128,42 +122,6 @@ def coordinate_order_blocks(coords: np.ndarray,
         order = weak & ~equal
         order |= equal & ((rows < idx) if transposed else (rows > idx))
         yield start, stop, order
-
-
-def minimal_points_sparse(points: PointSet,
-                          block_size: int = DEFAULT_BLOCK_SIZE) -> List[int]:
-    """Indices of minimal points in ``O(block_size * n)`` peak memory.
-
-    Agrees with :func:`repro.poset.dominance.minimal_points`: point ``i`` is
-    minimal iff its order-matrix row is empty (nothing below it).
-    """
-    mins: List[int] = []
-    for start, stop, block in order_matrix_blocks(points, block_size):
-        empty = ~block.any(axis=1)
-        mins.extend((start + np.flatnonzero(empty)).tolist())
-    return mins
-
-
-def maximal_points_sparse(points: PointSet,
-                          block_size: int = DEFAULT_BLOCK_SIZE) -> List[int]:
-    """Indices of maximal points in ``O(block_size * n)`` peak memory.
-
-    Point ``j`` is maximal iff column ``j`` of the order matrix is empty;
-    computed by OR-accumulating the row blocks into one ``(n,)`` mask.
-    """
-    has_above = np.zeros(points.n, dtype=bool)
-    for _start, _stop, block in order_matrix_blocks(points, block_size):
-        has_above |= block.any(axis=0)
-    return np.flatnonzero(~has_above).tolist()
-
-
-def dominance_pair_count(points: PointSet,
-                         block_size: int = DEFAULT_BLOCK_SIZE) -> int:
-    """Number of ordered pairs in the tie-broken order (its edge count)."""
-    total = 0
-    for _start, _stop, block in order_matrix_blocks(points, block_size):
-        total += int(np.count_nonzero(block))
-    return total
 
 
 def transitive_reduction(order: np.ndarray) -> np.ndarray:

@@ -18,9 +18,8 @@ from typing import List, Tuple
 import numpy as np
 
 from ..core.points import PointSet
+from .bitset import _unpack_indices, hopcroft_karp_bitset, packed_order
 from .chains import minimum_chain_decomposition
-from .dominance import _order_matrix
-from .matching import hopcroft_karp
 
 __all__ = ["dominance_width", "maximum_antichain", "brute_force_width", "is_antichain"]
 
@@ -53,58 +52,20 @@ def maximum_antichain(points: PointSet) -> List[int]:
     vertices, and return the points neither of whose copies lies in ``C``.
     Those points are pairwise incomparable and number ``n - |M| = w``.
 
-    The substrate is auto-selected as in
-    :func:`~repro.poset.chains.matching_chain_decomposition`.  The bitset
-    path runs the alternating König BFS as packed frontier expansions;
-    visited sets are pure reachability, so both engines return the
-    identical anti-chain.
+    The matching is the one
+    :func:`~repro.poset.chains.matching_chain_decomposition` reads, and
+    the alternating König BFS runs as packed frontier expansions.
     """
     n = points.n
     if n == 0:
         return []
-    from .dominance import _use_bitset
-
-    if _use_bitset(points):
-        antichain, matching_size = _bitset_antichain(points)
-    else:
-        antichain, matching_size = _loop_antichain(points)
+    antichain, matching_size = _bitset_antichain(points)
     expected = n - matching_size
     if len(antichain) != expected:
         raise AssertionError(
             f"König extraction produced {len(antichain)} points, expected {expected}"
         )
     return antichain
-
-
-def _loop_antichain(points: PointSet) -> Tuple[List[int], int]:
-    """Reference König extraction over dense adjacency lists."""
-    n = points.n
-    order = _order_matrix(points)  # order[i, j]: i above j
-    adjacency = [np.flatnonzero(order[:, u]).tolist() for u in range(n)]
-    matching = hopcroft_karp(adjacency, n)
-    left_match, right_match = matching.left_match, matching.right_match
-
-    # König: alternating BFS from unmatched left vertices.
-    visited_left = [False] * n
-    visited_right = [False] * n
-    stack = [u for u in range(n) if left_match[u] == -1]
-    for u in stack:
-        visited_left[u] = True
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if not visited_right[v]:
-                visited_right[v] = True
-                w = right_match[v]
-                if w != -1 and not visited_left[w]:
-                    visited_left[w] = True
-                    stack.append(w)
-    # Minimum vertex cover = (left not visited) ∪ (right visited).
-    antichain = [
-        v for v in range(n)
-        if visited_left[v] and not visited_right[v]
-    ]
-    return antichain, matching.size
 
 
 def _bitset_antichain(points: PointSet) -> Tuple[List[int], int]:
@@ -114,10 +75,9 @@ def _bitset_antichain(points: PointSet) -> Tuple[List[int], int]:
     layer at a time: OR the packed adjacency rows of the left frontier,
     mask off rights already visited, and map the fresh rights through the
     matching to the next left frontier.  Reachable sets do not depend on
-    traversal order, so the result equals :func:`_loop_antichain` exactly.
+    traversal order, so the result equals a per-edge alternating search
+    over the same matching exactly.
     """
-    from .bitset import _unpack_indices, hopcroft_karp_bitset, packed_order
-
     n = points.n
     packed = packed_order(points)
     matching = hopcroft_karp_bitset(packed.above, n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import partial
+from typing import List
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.flow import (
     push_relabel_array_max_flow,
     solve_max_flow,
 )
+from repro.poset import hopcroft_karp, topological_order
 
 #: Every max-flow engine under test.  ``dinic`` is the loop reference
 #: (repro.flow.dinic, used only by tests and the fuzzer); ``dinic_array``
@@ -70,3 +72,59 @@ def random_labeled_points(gen: np.random.Generator, n: int, dim: int,
     if weighted:
         weights = gen.random(n) + 0.1
     return PointSet(coords, labels, weights)
+
+
+# Poset references: the dense order matrix plus loop Hopcroft-Karp, which
+# the packed-bitset engine behind repro.poset must reproduce exactly.
+
+def order_adjacency(points: PointSet) -> List[List[int]]:
+    """Lemma 6 adjacency from the dense order: ``adj[u]`` = points above ``u``."""
+    order = points.order_matrix()
+    return [np.flatnonzero(order[:, u]).tolist() for u in range(points.n)]
+
+
+def reference_chains(points: PointSet) -> List[List[int]]:
+    """Chains read off loop Hopcroft-Karp over the dense order adjacency."""
+    n = points.n
+    successor = hopcroft_karp(order_adjacency(points), n).left_match
+    has_predecessor = {v for v in successor if v != -1}
+    chains = []
+    for start in range(n):
+        if start in has_predecessor:
+            continue
+        chain = [start]
+        while successor[chain[-1]] != -1:
+            chain.append(successor[chain[-1]])
+        chains.append(chain)
+    return chains
+
+
+def reference_antichain(points: PointSet) -> List[int]:
+    """König antichain by a per-edge alternating search over the loop
+    matching: free lefts reach rights along edges, rights reach their
+    matched lefts; the antichain is visited-left and unvisited-right."""
+    n = points.n
+    adjacency = order_adjacency(points)
+    matching = hopcroft_karp(adjacency, n)
+    visited_left = [v == -1 for v in matching.left_match]
+    visited_right = [False] * n
+    stack = [u for u in range(n) if visited_left[u]]
+    while stack:
+        for v in adjacency[stack.pop()]:
+            if not visited_right[v]:
+                visited_right[v] = True
+                w = matching.right_match[v]
+                if w != -1 and not visited_left[w]:
+                    visited_left[w] = True
+                    stack.append(w)
+    return [v for v in range(n) if visited_left[v] and not visited_right[v]]
+
+
+def reference_heights(points: PointSet) -> np.ndarray:
+    """Longest-chain heights by a DP over the dense order matrix."""
+    order = points.order_matrix()
+    result = np.zeros(points.n, dtype=int)
+    for idx in topological_order(points):
+        below = np.flatnonzero(order[idx])
+        result[idx] = 1 + (result[below].max() if len(below) else 0)
+    return result

@@ -36,9 +36,11 @@ class TestValidation:
 
     def test_rejects_bad_decomposition(self, tiny_2d):
         oracle = LabelOracle(tiny_2d)
-        with pytest.raises(ValueError):
-            active_classify(tiny_2d.with_hidden_labels(), oracle,
-                            epsilon=0.5, decomposition="bogus")
+        # Only "exact" and "greedy" exist; the exact method is not forced.
+        for bad in ("bogus", "matching", "patience"):
+            with pytest.raises(ValueError):
+                active_classify(tiny_2d.with_hidden_labels(), oracle,
+                                epsilon=0.5, decomposition=bad)
 
 
 class TestSmallInputs:

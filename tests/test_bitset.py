@@ -1,35 +1,31 @@
 """Parity tests for the packed-bitset order engine (repro.poset.bitset).
 
 The bitset engine's contract is *bit-identical results*, not merely equal
-sizes: the Lemma 6 chain decomposition, the König antichain, and the
-Theorem 4 network construction all consume the matching / order verbatim,
-so every kernel here is cross-checked against the loop/dense reference —
-vertex-for-vertex, chain-for-chain — on hypothesis-generated sets (with
-the cutoff lowered so small instances exercise the packed path) and on
-deterministic sizes straddling byte boundaries (``n = 257, 258, 264``),
-where stray padding bits would first show up.
+sizes: the Lemma 6 chain decomposition and the König antichain consume
+the matching verbatim, so every kernel here is cross-checked against the
+dense order matrix and loop Hopcroft–Karp — vertex-for-vertex,
+chain-for-chain — on hypothesis-generated sets and on deterministic sizes
+straddling byte boundaries (``n = 257, 258, 264``), where stray padding
+bits would first show up.  The Theorem 4 network builder is checked the
+same way against the dense weak-dominance matrix.
 """
 
 from __future__ import annotations
-
-import sys
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.poset.bitset as bitset_mod
 from repro import PointSet, obs
 from repro.core.pairwise import (
     blocked_contending_mask,
     blocked_dominance_pair_arrays,
-    blocked_dominance_pairs,
 )
-from repro.core.passive import contending_mask, solve_passive
+from repro.core.passive import brute_force_passive, contending_mask, solve_passive
 from repro.flow import FlowNetwork
 from repro.poset import (
+    dominance_pair_count,
     heights,
     hopcroft_karp,
     hopcroft_karp_bitset,
@@ -37,37 +33,27 @@ from repro.poset import (
     maximal_points,
     maximum_antichain,
     minimal_points,
-    packed_adjacency,
     packed_order,
     popcount,
 )
-from repro.poset.bitset import (
-    contending_mask_bitset,
-    dominance_pair_count_bitset,
-    maximal_points_bitset,
-    minimal_points_bitset,
-)
-from repro.poset.dominance import _order_matrix
+from repro.poset.dominance import dominance_adjacency
+from repro.poset.dominance2d import contending_mask_low_dim
 
-from .conftest import random_labeled_points
+from .conftest import (
+    order_adjacency,
+    random_labeled_points,
+    reference_antichain,
+    reference_chains,
+    reference_heights,
+)
 from .strategies import point_sets
 
 
 def _fresh(points: PointSet) -> PointSet:
-    """A copy with cold caches, so engine auto-selection is not short-
-    circuited by the dense order matrix the reference path materialized."""
+    """A copy with cold caches, so the dense reference and the packed
+    engine never share cached state."""
     return PointSet(points.coords.copy(), points.labels.copy(),
                     points.weights.copy())
-
-
-def _force_bitset():
-    """Context manager lowering the auto-selection cutoff to 1 point."""
-    return mock.patch.object(bitset_mod, "BITSET_CUTOFF", 1)
-
-
-def _force_loop():
-    """Context manager raising the auto-selection cutoff out of reach."""
-    return mock.patch.object(bitset_mod, "BITSET_CUTOFF", sys.maxsize)
 
 
 class TestPackedOrderStructure:
@@ -75,7 +61,7 @@ class TestPackedOrderStructure:
     def test_pack_matches_order_matrix(self, n):
         ps = random_labeled_points(np.random.default_rng(n), n, 3)
         packed = packed_order(ps, block_size=64)
-        order = _order_matrix(_fresh(ps))
+        order = _fresh(ps).order_matrix()
         unpacked = np.unpackbits(packed.below, axis=1, count=n).astype(bool)
         assert np.array_equal(unpacked, order)
         unpacked_t = np.unpackbits(packed.above, axis=1, count=n).astype(bool)
@@ -114,7 +100,7 @@ class TestPackedOrderStructure:
         assert np.signbit(coords[coords == 0]).any()
         packed = packed_order(ps, block_size=24)
         above = np.unpackbits(packed.above, axis=1, count=n).astype(bool)
-        assert np.array_equal(above, _order_matrix(_fresh(ps)).T)
+        assert np.array_equal(above, _fresh(ps).order_matrix().T)
 
     def test_pair_count_from_either_orientation(self):
         ps = random_labeled_points(np.random.default_rng(5), 300, 3)
@@ -123,7 +109,7 @@ class TestPackedOrderStructure:
         assert from_above.num_bytes == 0  # nothing packed until first read
         from_above.above
         from_below.below
-        expected = int(_order_matrix(_fresh(ps)).sum())
+        expected = int(_fresh(ps).order_matrix().sum())
         assert from_above.pair_count() == from_below.pair_count() == expected
         # Counting never forces the missing orientation.
         assert from_above._below is None and from_below._above is None
@@ -131,7 +117,7 @@ class TestPackedOrderStructure:
     def test_chain_decomposition_leaves_below_unbuilt(self):
         ps = random_labeled_points(np.random.default_rng(6), 300, 3)
         with obs.metrics_session() as reg:
-            matching_chain_decomposition(ps)  # n >= cutoff: bitset path
+            matching_chain_decomposition(ps)
         assert ps._packed_order._above is not None
         assert ps._packed_order._below is None
         assert reg.counter_value("poset.bitset_packs") == 1
@@ -141,41 +127,39 @@ class TestConsumerParity:
     @settings(max_examples=60, deadline=None)
     @given(ps=point_sets(max_n=24))
     def test_minimal_maximal_count_parity(self, ps):
-        reference_min = minimal_points(_fresh(ps))
-        reference_max = maximal_points(_fresh(ps))
-        reference_pairs = int(_order_matrix(_fresh(ps)).sum())
-        assert minimal_points_bitset(ps) == reference_min
-        assert maximal_points_bitset(ps) == reference_max
-        assert dominance_pair_count_bitset(ps) == reference_pairs
+        order = _fresh(ps).order_matrix()
+        assert minimal_points(ps) == np.flatnonzero(~order.any(axis=1)).tolist()
+        assert maximal_points(ps) == np.flatnonzero(~order.any(axis=0)).tolist()
+        assert dominance_pair_count(ps) == int(order.sum())
 
     @settings(max_examples=40, deadline=None)
     @given(ps=point_sets(max_n=20))
     def test_packed_adjacency_parity(self, ps):
-        order = _order_matrix(_fresh(ps))
-        expected = [np.flatnonzero(order[:, u]).tolist()
-                    for u in range(ps.n)]
-        assert packed_adjacency(ps) == expected
+        assert dominance_adjacency(ps) == order_adjacency(_fresh(ps))
 
     @settings(max_examples=60, deadline=None)
     @given(ps=point_sets(max_n=24))
     def test_contending_mask_parity(self, ps):
+        """Both streamed masks solve_passive uses equal the dense one."""
         dense = contending_mask(_fresh(ps))
-        blocked = blocked_contending_mask(_fresh(ps), block_size=5)
-        packed = contending_mask_bitset(ps, block_size=5)
-        assert np.array_equal(packed, dense)
-        assert np.array_equal(packed, blocked)
+        for block_size in (1, 5, ps.n):
+            assert np.array_equal(
+                blocked_contending_mask(ps, block_size=block_size), dense)
+        if ps.dim <= 2:
+            assert np.array_equal(contending_mask_low_dim(ps), dense)
 
     @settings(max_examples=40, deadline=None)
     @given(ps=point_sets(max_n=20))
     def test_auto_selected_consumers_match_dense(self, ps):
-        """With the cutoff forced to 1, every auto-dispatching consumer
-        must agree with the dense reference on a cold copy."""
-        dense_min = minimal_points(_fresh(ps))
-        dense_heights = heights(_fresh(ps))
-        with _force_bitset():
-            cold = _fresh(ps)
-            assert minimal_points(cold) == dense_min
-            assert np.array_equal(heights(cold), dense_heights)
+        """Every packed consumer agrees with the dense reference, also
+        when the dense order matrix is already cached on the set."""
+        reference_min = np.flatnonzero(
+            ~_fresh(ps).order_matrix().any(axis=1)).tolist()
+        expected_heights = reference_heights(_fresh(ps))
+        for points in (_fresh(ps), ps):
+            points.order_matrix()
+            assert minimal_points(points) == reference_min
+            assert np.array_equal(heights(points), expected_heights)
 
 
 @st.composite
@@ -218,7 +202,7 @@ class TestMatchingParity:
     @settings(max_examples=60, deadline=None)
     @given(ps=point_sets(max_n=24))
     def test_matching_vertex_for_vertex(self, ps):
-        order = _order_matrix(_fresh(ps))
+        order = _fresh(ps).order_matrix()
         n = ps.n
         adjacency = [np.flatnonzero(order[:, u]).tolist() for u in range(n)]
         reference = hopcroft_karp(adjacency, n)
@@ -231,27 +215,18 @@ class TestMatchingParity:
     @settings(max_examples=40, deadline=None)
     @given(ps=point_sets(max_n=20))
     def test_chains_and_antichain_engine_parity(self, ps):
-        with _force_loop():
-            loop_chains = matching_chain_decomposition(_fresh(ps))
-            loop_antichain = maximum_antichain(_fresh(ps))
-        with _force_bitset():
-            bit_chains = matching_chain_decomposition(_fresh(ps))
-            bit_antichain = maximum_antichain(_fresh(ps))
-        assert bit_chains.chains == loop_chains.chains
-        assert bit_antichain == loop_antichain
+        assert (matching_chain_decomposition(_fresh(ps)).chains
+                == reference_chains(_fresh(ps)))
+        assert maximum_antichain(_fresh(ps)) == reference_antichain(_fresh(ps))
 
     @pytest.mark.parametrize("n", [257, 258, 264])
     def test_chain_regression_near_byte_boundary(self, n):
-        """n = 258-style regression: above the cutoff the auto path is the
-        bitset engine and a stray padding bit would corrupt the matching
-        (a phantom 259th point in every frontier)."""
+        """n = 258-style regression: a stray padding bit would corrupt the
+        matching (a phantom 259th point in every frontier)."""
         ps = random_labeled_points(np.random.default_rng(n), n, 3)
-        auto = matching_chain_decomposition(ps)  # n >= cutoff: bitset
-        with _force_loop():
-            loop = matching_chain_decomposition(_fresh(ps))
-            loop_antichain = maximum_antichain(_fresh(ps))
-        assert auto.chains == loop.chains
-        assert maximum_antichain(ps) == loop_antichain
+        chains = matching_chain_decomposition(ps)
+        assert chains.chains == reference_chains(_fresh(ps))
+        assert maximum_antichain(ps) == reference_antichain(_fresh(ps))
 
 
 class TestFlowConstructionParity:
@@ -292,22 +267,31 @@ class TestFlowConstructionParity:
     @settings(max_examples=40, deadline=None)
     @given(ps=point_sets(max_n=16))
     def test_pair_arrays_match_pair_generator(self, ps):
+        """The streamed edge arrays list exactly the dense matrix's
+        dominating (source, target) pairs, in row-major order."""
         src = np.flatnonzero(ps.labels == 0)
         tgt = np.flatnonzero(ps.labels == 1)
-        reference = [(s, t)
-                     for s, ts in blocked_dominance_pairs(ps, src, tgt, 5)
-                     for t in ts]
-        bulk = [(int(s), int(t))
-                for ss, ts in blocked_dominance_pair_arrays(ps, src, tgt, 5)
-                for s, t in zip(ss, ts)]
-        assert bulk == reference
+        weak = _fresh(ps).weak_dominance_matrix()
+        reference = [(int(s), int(t)) for s in src for t in tgt if weak[s, t]]
+        for block_size in (1, 3, len(src) - 1, len(src), len(src) + 1):
+            bulk = [(int(s), int(t))
+                    for ss, ts in blocked_dominance_pair_arrays(
+                        ps, src, tgt, max(1, block_size))
+                    for s, t in zip(ss, ts)]
+            assert bulk == reference
 
     @settings(max_examples=25, deadline=None)
-    @given(ps=point_sets(max_n=14))
+    @given(ps=point_sets(max_n=14, max_dim=2))
     def test_solve_passive_paths_agree(self, ps):
-        dense = solve_passive(_fresh(ps))
-        blockwise = solve_passive(_fresh(ps), block_size=4)
-        hasse = solve_passive(_fresh(ps), use_hasse_reduction=True)
-        assert blockwise.optimal_error == dense.optimal_error
-        assert hasse.optimal_error == dense.optimal_error
-        assert np.array_equal(blockwise.assignment, dense.assignment)
+        """The d <= 2 sweeps and the d >= 3 blockwise path agree exactly:
+        padding a set with constant coordinates keeps its order, so the
+        lifted 3-D copy must reproduce every output bit for bit."""
+        lifted = PointSet(np.hstack([ps.coords, np.zeros((ps.n, 3 - ps.dim))]),
+                          ps.labels, ps.weights)
+        low = solve_passive(ps)
+        high = solve_passive(lifted)
+        assert np.array_equal(high.assignment, low.assignment)
+        assert high.flow_value == low.flow_value
+        assert high.optimal_error == low.optimal_error
+        assert high.num_contending == low.num_contending
+        assert low.optimal_error == pytest.approx(brute_force_passive(ps))

@@ -98,13 +98,18 @@ class TestAutoDispatch:
         assert minimum_chain_decomposition(ps).method == "matching"
 
     def test_explicit_method(self):
+        """The Lemma 6 reduction stays callable directly in 2-D, with the
+        same chain count as the dispatched patience decomposition."""
         ps = _random_points(0, 20, 2)
-        assert minimum_chain_decomposition(ps, method="matching").method == "matching"
+        explicit = matching_chain_decomposition(ps)
+        assert explicit.method == "matching"
+        assert explicit.num_chains == minimum_chain_decomposition(ps).num_chains
 
     def test_unknown_method(self):
+        """No method knob: the dimension alone picks the algorithm."""
         ps = _random_points(0, 5, 2)
-        with pytest.raises(ValueError):
-            minimum_chain_decomposition(ps, method="bogus")
+        with pytest.raises(TypeError):
+            minimum_chain_decomposition(ps, method="matching")
 
 
 class TestGreedyDecomposition:

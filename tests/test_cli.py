@@ -244,17 +244,17 @@ class TestFuzzCommand:
         corpus = tmp_path / "corpus"
         assert main(["fuzz", "--runs", "4", "--seed", "3", "--size", "24",
                      "--family", "duplicates", "--corpus", str(corpus),
-                     "--mutant", "hasse_index_tie_break"]) == 0
+                     "--mutant", "duplicate_edges_dropped"]) == 0
         out = capsys.readouterr().out
         assert "detected" in out
         assert list(corpus.glob("repro-*.json"))
 
     def test_undetected_mutant_exits_1(self, capsys):
-        # One antichain instance cannot trigger the tie-break mutant, so
+        # One antichain instance has no duplicate coordinates to drop, so
         # the self-test must report failure.
         assert main(["fuzz", "--runs", "1", "--seed", "0", "--size", "6",
                      "--family", "antichain",
-                     "--mutant", "hasse_index_tie_break"]) == 1
+                     "--mutant", "duplicate_edges_dropped"]) == 1
         assert "NOT detected" in capsys.readouterr().err
 
     def test_replay_clean_corpus_exits_0(self, capsys):

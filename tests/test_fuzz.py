@@ -138,6 +138,27 @@ class TestStructureCheck:
         assert [f.config for f in findings] == ["hopcroft_karp_bitset"]
         assert "loop Hopcroft-Karp" in findings[0].detail
 
+    def test_catches_corrupted_konig_extraction(self, monkeypatch):
+        """The König check runs the production (bitset) extraction: an
+        antichain of the right size holding a comparable pair is flagged."""
+        from repro.poset import width
+
+        # (1,1), (2,0), (0,2) are pairwise incomparable; (0,0) lies below all.
+        points = PointSet([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (0.0, 2.0)],
+                          [0, 0, 0, 0])
+        assert check_poset_structure(points) == []
+        original = width._bitset_antichain
+
+        def corrupted(pts):
+            antichain, size = original(pts)
+            assert antichain == [1, 2, 3]
+            return [0, 2, 3], size  # same size, but 0 is below 2 and 3
+
+        monkeypatch.setattr(width, "_bitset_antichain", corrupted)
+        findings = check_poset_structure(points)
+        assert [f.config for f in findings] == ["matching_chain_decomposition"]
+        assert "König antichain" in findings[0].detail
+
     def test_mutants_restore_on_exit(self):
         from repro.core import passive
         from repro.poset import bitset, sparse
@@ -145,12 +166,15 @@ class TestStructureCheck:
         original_red = sparse.transitive_reduction
         original_inf = passive._effective_infinity
         original_greedy = bitset._greedy_first_phase
+        original_pairs = passive.blocked_dominance_pair_arrays
         with apply_mutant("hasse_uint8_overflow"):
             assert sparse.transitive_reduction is not original_red
         with apply_mutant("capacity_plus_one"):
             assert passive._effective_infinity is not original_inf
         with apply_mutant("matching_last_free"):
             assert bitset._greedy_first_phase is not original_greedy
+        with apply_mutant("duplicate_edges_dropped"):
+            assert passive.blocked_dominance_pair_arrays is not original_pairs
         assert sparse.transitive_reduction is original_red
         assert passive._effective_infinity is original_inf
         assert bitset._greedy_first_phase is original_greedy
@@ -236,14 +260,14 @@ class TestMutantSelfTest:
         corpus = tmp_path / "corpus"
         report = run_fuzz(runs=4, seed=3, families=["duplicates"], size=24,
                           corpus_dir=str(corpus),
-                          mutant="hasse_index_tie_break")
+                          mutant="duplicate_edges_dropped")
         assert not report.ok, "mutant was not detected"
         assert report.reproducers, "no reproducer archived"
 
         for path in report.reproducers:
             shrunk, meta = load_reproducer(path)
             assert shrunk.n <= 12, f"{path}: shrunk to {shrunk.n} points"
-            assert meta["mutant"] == "hasse_index_tie_break"
+            assert meta["mutant"] == "duplicate_edges_dropped"
             # Round-trip determinism: re-saving the loaded instance lands
             # on the identical file (content digest unchanged).
             again = save_reproducer(corpus, shrunk, family=meta["family"],
@@ -259,10 +283,10 @@ class TestMutantSelfTest:
         corpus = tmp_path / "corpus"
         report = run_fuzz(runs=4, seed=3, families=["duplicates"], size=24,
                           corpus_dir=str(corpus),
-                          mutant="hasse_index_tie_break")
+                          mutant="duplicate_edges_dropped")
         assert report.reproducers
         points, _meta = load_reproducer(report.reproducers[0])
-        with apply_mutant("hasse_index_tie_break"):
+        with apply_mutant("duplicate_edges_dropped"):
             assert run_passive_differential(
                 points, configs=ALL_PASSIVE_CONFIGS), \
                 "shrunk reproducer no longer triggers the mutant"

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PointSet
-from repro.poset.dominance import _order_matrix
 from repro.poset.hasse import covers, hasse_edges, transitive_closure_from_hasse
 
 
@@ -68,7 +67,7 @@ def test_closure_of_hasse_recovers_order(n, dim, seed):
     gen = np.random.default_rng(seed)
     ps = PointSet(gen.integers(0, 4, size=(n, dim)).astype(float), [0] * n)
     closure = transitive_closure_from_hasse(ps)
-    assert (closure == _order_matrix(ps)).all()
+    assert (closure == ps.order_matrix()).all()
 
 
 @settings(max_examples=5, deadline=None)
@@ -82,4 +81,4 @@ def test_closure_of_hasse_recovers_order_past_uint8(n, dim, seed):
     gen = np.random.default_rng(seed)
     ps = PointSet(gen.integers(0, 3, size=(n, dim)).astype(float), [0] * n)
     closure = transitive_closure_from_hasse(ps)
-    assert (closure == _order_matrix(ps)).all()
+    assert (closure == ps.order_matrix()).all()

@@ -7,10 +7,12 @@ production user hits (budget exhaustion, hidden labels, corrupt files).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
     LabelOracle,
+    PointSet,
     ProbeBudgetExceeded,
     active_classify,
     audit_active_result,
@@ -136,13 +138,15 @@ class TestConsistencyAcrossSolvers:
     @pytest.mark.parametrize("seed", range(5))
     def test_passive_agreement_matrix(self, seed):
         points = planted_monotone(120, 2, noise=0.2, rng=seed, weights="random")
+        # A constant third coordinate keeps the order and routes the solve
+        # through the d >= 3 blockwise path instead of the 2-D sweeps.
+        lifted = PointSet(np.hstack([points.coords, np.zeros((points.n, 1))]),
+                          points.labels, points.weights)
         answers = {
             "dinic": solve_passive(points, backend="dinic").optimal_error,
             "push_relabel": solve_passive(points,
                                           backend="push_relabel").optimal_error,
-            "hasse": solve_passive(points,
-                                   use_hasse_reduction=True).optimal_error,
-            "blockwise": solve_passive(points, block_size=16).optimal_error,
+            "lifted_3d": solve_passive(lifted).optimal_error,
             "no_reduction": solve_passive(
                 points, use_contending_reduction=False).optimal_error,
         }

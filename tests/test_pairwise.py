@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro import PointSet, is_monotone_assignment, solve_passive
 from repro.core.pairwise import (
     blocked_contending_mask,
-    blocked_dominance_pairs,
+    blocked_dominance_pair_arrays,
     blocked_is_monotone_assignment,
 )
 from repro.core.passive import contending_mask
@@ -49,15 +49,20 @@ class TestBlockedDominancePairs:
         weak = ps.weak_dominance_matrix()
         zeros = np.flatnonzero(ps.labels == 0)
         ones = np.flatnonzero(ps.labels == 1)
-        got = {src: set(hits)
-               for src, hits in blocked_dominance_pairs(ps, zeros, ones, 4)}
-        for p in zeros:
-            expected = {int(q) for q in ones if weak[p, q]}
-            assert got.get(int(p), set()) == expected
+        expected = [(int(p), int(q)) for p in zeros for q in ones if weak[p, q]]
+        m = len(zeros)
+        for block_size in (1, 3, m - 1, m, m + 1):
+            got = [(int(p), int(q))
+                   for srcs, tgts in blocked_dominance_pair_arrays(
+                       ps, zeros, ones, block_size)
+                   for p, q in zip(srcs, tgts)]
+            assert got == expected
 
     def test_empty_sides(self, tiny_2d):
-        assert list(blocked_dominance_pairs(tiny_2d, np.array([]), np.array([0]))) == []
-        assert list(blocked_dominance_pairs(tiny_2d, np.array([0]), np.array([]))) == []
+        assert list(blocked_dominance_pair_arrays(
+            tiny_2d, np.array([]), np.array([0]))) == []
+        assert list(blocked_dominance_pair_arrays(
+            tiny_2d, np.array([0]), np.array([]))) == []
 
 
 class TestBlockedMonotoneCheck:
@@ -80,25 +85,32 @@ class TestBlockedMonotoneCheck:
 
 
 class TestSolvePassiveBlockwise:
+    """solve_passive streams every pairwise fact through these helpers."""
+
     def test_forced_blockwise_matches_default(self):
+        """The blockwise d = 3 solve matches the dense references."""
         ps = planted_monotone(400, 3, noise=0.15, rng=7, weights="random")
-        default = solve_passive(ps)
-        blocked = solve_passive(ps, block_size=37)
-        assert blocked.optimal_error == pytest.approx(default.optimal_error)
-        assert blocked.num_contending == default.num_contending
-        assert (blocked.assignment == default.assignment).all()
+        result = solve_passive(ps)
+        assert result.num_contending == int(contending_mask(ps).sum())
+        assert is_monotone_assignment(ps, result.assignment)
+        flipped = result.assignment != ps.labels
+        assert result.optimal_error == pytest.approx(ps.weights[flipped].sum())
 
     def test_blockwise_with_push_relabel(self):
-        ps = planted_monotone(200, 2, noise=0.2, rng=8)
-        a = solve_passive(ps, block_size=16, backend="push_relabel")
-        b = solve_passive(ps)
-        assert a.optimal_error == pytest.approx(b.optimal_error)
+        for dim in (2, 3):
+            ps = planted_monotone(200, dim, noise=0.2, rng=8)
+            a = solve_passive(ps, backend="push_relabel")
+            b = solve_passive(ps)
+            assert a.optimal_error == pytest.approx(b.optimal_error)
+            assert np.array_equal(a.assignment, b.assignment)
 
     def test_blockwise_without_reduction(self):
-        ps = planted_monotone(150, 2, noise=0.2, rng=9)
-        a = solve_passive(ps, block_size=10, use_contending_reduction=False)
-        b = solve_passive(ps)
-        assert a.optimal_error == pytest.approx(b.optimal_error)
+        for dim in (2, 3):
+            ps = planted_monotone(150, dim, noise=0.2, rng=9)
+            a = solve_passive(ps, use_contending_reduction=False)
+            b = solve_passive(ps)
+            assert a.num_contending == ps.n
+            assert a.optimal_error == pytest.approx(b.optimal_error)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core.classifier import (
     UpsetClassifier,
 )
 from repro.core.points import PointSet
+from repro.poset import minimum_chain_decomposition
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.serve import (
     ARTIFACT_MAGIC,
@@ -139,13 +141,16 @@ class TestArtifact:
 
     @pytest.mark.parametrize("dim, method", [(2, "patience"), (3, "matching")])
     def test_fit_active_reused_chains_same_digest(self, tmp_path, rng, dim, method):
-        # The default fit reuses the run's chains; forcing the method the
-        # default resolves to makes fit_artifact decompose a second time.
+        # The default fit reuses the run's chains; they must be the ones a
+        # fresh decomposition of the fit set yields, so the artifact built
+        # from recomputed chains has the same digest.
         coords = rng.random((60, dim))
         points = PointSet(coords, (coords.sum(axis=1) > dim / 2).astype(int))
         reused = fit_artifact(points, "active", epsilon=0.5, seed=3)
-        recomputed = fit_artifact(points, "active", epsilon=0.5, seed=3,
-                                  decomposition=method)
+        decomp = minimum_chain_decomposition(points)
+        assert decomp.method == method
+        recomputed = dataclasses.replace(
+            reused, chains=[[int(i) for i in c] for c in decomp.chains])
         assert reused.chains == recomputed.chains
         assert (save_artifact(reused, tmp_path / "a.json")
                 == save_artifact(recomputed, tmp_path / "b.json"))

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from repro import PointSet, obs
-from repro.poset.dominance import _order_matrix, maximal_points, minimal_points
-from repro.poset.hasse import hasse_edges
-from repro.poset.sparse import (
+from repro.poset import packed_order
+from repro.poset.dominance import (
+    dominance_digraph,
     dominance_pair_count,
-    maximal_points_sparse,
-    minimal_points_sparse,
+    maximal_points,
+    minimal_points,
+)
+from repro.poset.hasse import covers, hasse_edges
+from repro.poset.sparse import (
     order_matrix_blocks,
     transitive_reduction,
     weak_dominance_blocks,
@@ -32,7 +35,7 @@ class TestBlockIterators:
     def test_order_blocks_match_dense(self, n, dim, block):
         ps = _random_set(n, dim, seed=n + dim)
         stacked = np.vstack([b for _, _, b in order_matrix_blocks(ps, block)])
-        assert (stacked == _order_matrix(ps)).all()
+        assert (stacked == ps.order_matrix()).all()
 
     @pytest.mark.parametrize("block", [3, 16, 1000])
     def test_weak_blocks_match_dense(self, block):
@@ -43,8 +46,8 @@ class TestBlockIterators:
     def test_empty_set(self):
         ps = PointSet.from_points([])
         assert list(order_matrix_blocks(ps)) == []
-        assert minimal_points_sparse(ps) == []
-        assert maximal_points_sparse(ps) == []
+        assert minimal_points(ps) == []
+        assert maximal_points(ps) == []
         assert dominance_pair_count(ps) == 0
 
     def test_blocks_serve_cache_when_materialized(self):
@@ -58,23 +61,30 @@ class TestBlockIterators:
 
 
 class TestSparseConsumers:
+    """The packed order queries, packed in streamed row blocks."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_minimal_maximal_match_dense(self, seed):
         ps = _random_set(60, 3, seed=seed)
-        assert minimal_points_sparse(ps, 13) == minimal_points(ps)
-        assert maximal_points_sparse(ps, 13) == maximal_points(ps)
+        packed_order(ps, block_size=13)
+        order = PointSet(ps.coords, ps.labels).order_matrix()
+        assert minimal_points(ps) == np.flatnonzero(~order.any(axis=1)).tolist()
+        assert maximal_points(ps) == np.flatnonzero(~order.any(axis=0)).tolist()
 
     def test_pair_count_matches_dense(self):
         ps = _random_set(80, 2, seed=9)
-        assert dominance_pair_count(ps, 17) == int(_order_matrix(ps).sum())
+        packed_order(ps, block_size=17)
+        assert dominance_pair_count(ps) == int(
+            PointSet(ps.coords, ps.labels).order_matrix().sum())
 
     def test_memory_bounded_by_block_size(self):
-        """The block path must never materialize the O(n^2) matrix.
+        """The packed path must never materialize the O(n^2) matrix.
 
-        At n = 1500 the dense boolean matrix is ~2.25 MB; with 64-row
-        blocks the scratch peak is a few (64 x n) and (n x 64) boolean
-        panels.  Assert the traced numpy peak stays far below the dense
-        footprint (generous 1 MB bound to avoid allocator flakiness).
+        At n = 1500 the dense boolean matrix is ~2.25 MB; packed in
+        64-row blocks, the peak is the ~0.28 MB packed rows plus a few
+        (64 x n) boolean panels.  Assert the traced numpy peak stays far
+        below the dense footprint (generous 1 MB bound to avoid allocator
+        flakiness).
         """
         n = 1500
         gen = np.random.default_rng(3)
@@ -82,8 +92,9 @@ class TestSparseConsumers:
         ps = PointSet(coords, [0] * n)
         tracemalloc.start()
         tracemalloc.reset_peak()
-        mins = minimal_points_sparse(ps, block_size=64)
-        maxs = maximal_points_sparse(ps, block_size=64)
+        packed_order(ps, block_size=64)
+        mins = minimal_points(ps)
+        maxs = maximal_points(ps)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 1_000_000, f"peak {peak} bytes suggests a dense intermediate"
@@ -104,7 +115,7 @@ class TestTransitiveReduction:
 
     def test_closure_of_reduction_recovers_order(self):
         ps = _random_set(40, 2, seed=5)
-        order = _order_matrix(ps)
+        order = ps.order_matrix()
         reduced = transitive_reduction(order)
         closure = reduced.copy()
         for k in range(ps.n):
@@ -118,14 +129,19 @@ class TestTransitiveReduction:
 
 class TestOrderMatrixCache:
     def test_cache_shared_across_helpers(self):
+        """The dense helpers share one order matrix; the packed queries
+        share one PackedOrder and never touch the dense cache."""
         ps = _random_set(25, 2, seed=7)
         first = ps.order_matrix()
         with obs.metrics_session() as reg:
+            hasse_edges(ps)
+            covers(ps, 1, 0)
+            dominance_digraph(ps)
             minimal_points(ps)
             maximal_points(ps)
-            hasse_edges(ps)
         assert ps.order_matrix() is first
         assert reg.counter_value("poset.order_cache_hits") >= 3
+        assert reg.counter_value("poset.bitset_cache_hits") >= 1
 
     def test_cache_is_write_protected(self):
         ps = _random_set(10, 2, seed=8)
