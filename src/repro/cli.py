@@ -138,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sampling seed (active mode)")
     fit.add_argument("--decomposition", choices=["exact", "greedy"],
                      default="exact", help="chain decomposition (active mode)")
-    fit.add_argument("--no-chains", action="store_true",
-                     help="omit the chain decomposition from the artifact")
     fit.add_argument("--no-certificate", action="store_true",
                      help="omit the min-cut certificate from the artifact")
 
@@ -391,13 +389,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                             epsilon=args.epsilon, seed=args.seed,
                             backend=args.backend,
                             decomposition=args.decomposition,
-                            include_chains=not args.no_chains,
                             include_certificate=not args.no_certificate)
     digest = save_artifact(artifact, args.artifact)
     row = {"mode": args.mode, "n": points.n, "d": points.dim,
            "digest": digest[:12]}
-    if artifact.fit.get("width") is not None:
-        row["width_w"] = artifact.fit["width"]
     if artifact.certificate is not None:
         row["optimal_error"] = artifact.certificate["optimal_error"]
     if "probes" in artifact.fit:

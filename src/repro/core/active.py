@@ -38,8 +38,7 @@ from ..obs import recorder
 from ..parallel.chains import ChainTask, run_chain_task
 from ..parallel.pool import pool_map
 from ..parallel.seeds import spawn_seed_sequences
-from ..poset.chains import (ChainDecomposition, greedy_chain_decomposition,
-                            minimum_chain_decomposition)
+from ..poset.chains import greedy_chain_decomposition, minimum_chain_decomposition
 from ..stats.estimation import SamplingPlan
 from .active_1d import WeightedSample, build_weighted_sample_1d
 from .classifier import MonotoneClassifier
@@ -77,8 +76,6 @@ class ActiveResult:
         Sizes of the chains, descending.
     decomposition_method:
         ``"matching"`` (exact, Lemma 6) or ``"greedy"`` (heuristic ablation).
-    decomposition:
-        The chain decomposition the run sampled along.
     epsilon, delta:
         The parameters the run was configured with.
     report:
@@ -96,7 +93,6 @@ class ActiveResult:
     num_chains: int
     chain_sizes: List[int]
     decomposition_method: str
-    decomposition: ChainDecomposition
     epsilon: float
     delta: float
     report: Optional["RunReport"] = None
@@ -160,7 +156,7 @@ def active_classify(points: PointSet, oracle: LabelOracle, epsilon: float,
 
     with rec.span("active") as active_span:
         with rec.span("chain_decompose"):
-            if decomposition in ("exact", "auto"):
+            if decomposition == "exact":
                 decomp = minimum_chain_decomposition(points)
             elif decomposition == "greedy":
                 decomp = greedy_chain_decomposition(points)
@@ -290,7 +286,6 @@ def active_classify(points: PointSet, oracle: LabelOracle, epsilon: float,
         num_chains=w,
         chain_sizes=decomp.sizes(),
         decomposition_method=decomp.method,
-        decomposition=decomp,
         epsilon=epsilon,
         delta=delta,
         report=report,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import tempfile
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 
@@ -132,18 +132,21 @@ def fuzz_artifact_roundtrip(
 ) -> Tuple[int, List[str], List[str]]:
     """Byte-mutate a serve model artifact against :func:`load_artifact`.
 
-    Fits a real artifact (classifier + fallback + chains + certificate) on
-    ``points``, then attacks its envelope the way :func:`fuzz_io_roundtrip`
-    attacks datasets: every mutation must either be *cleanly rejected*
-    (``ValueError`` naming the file) or load into an artifact whose digest
-    verifies and whose classifier still answers queries.  Any other
-    exception type — or an accepted artifact that then crashes on a
-    classify — is a violation of the serve validation boundary.  Offending
-    mutated bytes are archived under ``corpus_dir`` when given.  Returns
-    ``(mutations_tried, violations, archived_paths)``.
+    Fits a real artifact (classifier + fallback + certificate) on
+    ``points`` and attaches the chain decomposition fits no longer write,
+    so mutations reach the loader's chain checks.  It then attacks the
+    envelope the way :func:`fuzz_io_roundtrip` attacks datasets: every
+    mutation must either be *cleanly rejected* (``ValueError`` naming the
+    file) or load into an artifact whose digest verifies and whose
+    classifier still answers queries.  Any other exception type — or an
+    accepted artifact that then crashes on a classify — is a violation of
+    the serve validation boundary.  Offending mutated bytes are archived
+    under ``corpus_dir`` when given.  Returns ``(mutations_tried,
+    violations, archived_paths)``.
     """
     import hashlib
 
+    from ..poset import minimum_chain_decomposition
     from ..serve.artifact import fit_artifact, load_artifact, save_artifact
 
     if points.n == 0:
@@ -151,7 +154,8 @@ def fuzz_artifact_roundtrip(
     if (points.labels < 0).any():
         points = points.replace(labels=np.where(points.labels < 0, 0,
                                                 points.labels))
-    artifact = fit_artifact(points, "passive")
+    artifact = replace(fit_artifact(points, "passive"),
+                       chains=minimum_chain_decomposition(points).chains)
     violations: List[str] = []
     archived: List[str] = []
     tried = 0

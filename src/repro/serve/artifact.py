@@ -9,8 +9,9 @@ server needs to answer queries and to degrade gracefully when it cannot:
   baseline recorded at fit time — served, flagged as degraded, when the
   primary is unloadable;
 * fit metadata (mode, dataset shape, probe bill, solver backend, ...);
-* optionally the chain decomposition and the min-cut certificate of the
-  fit, so operators can audit what was deployed.
+* optionally the min-cut certificate of the fit, so operators can audit
+  what was deployed.  Fits write ``"chains": null``; older artifacts that
+  embed the chain decomposition still load (``repro width`` reports it).
 
 The envelope is versioned and checksummed::
 
@@ -30,6 +31,7 @@ retried forever.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -42,7 +44,6 @@ from .._util import PathLike, atomic_write_text
 from ..core.classifier import ConstantClassifier
 from ..core.points import PointSet
 from ..obs import recorder
-from ..poset import minimum_chain_decomposition
 from ..serialization import (
     AnyClassifier,
     classifier_from_dict,
@@ -83,7 +84,8 @@ class ModelArtifact:
         Free-form fit metadata (mode, n, dim, epsilon, probes, backend).
     chains:
         Optional chain decomposition of the training set (lists of point
-        indices, most-dominated first), for audit and warm diagnostics.
+        indices, most-dominated first).  :func:`fit_artifact` leaves it
+        ``None``; it is kept for artifacts that embed one.
     certificate:
         Optional min-cut certificate of the fit (optimal error, flow
         value, contending-set size, backend).
@@ -224,16 +226,7 @@ def _artifact_from_body(body: Dict[str, Any]) -> ModelArtifact:
         fit = {}
     if not isinstance(fit, dict):
         raise ValueError("'fit' metadata must be an object")
-    chains = body.get("chains")
-    if chains is not None:
-        if not isinstance(chains, list):
-            raise ValueError("'chains' must be a list of index lists")
-        if not all(isinstance(c, list) for c in chains):
-            raise ValueError("'chains' must be a list of index lists")
-        try:
-            chains = [[int(i) for i in chain] for chain in chains]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"'chains' entries must be integers: {exc!r}") from None
+    chains = _chains_from_body(body.get("chains"), fit.get("n"))
     certificate = body.get("certificate")
     if certificate is not None and not isinstance(certificate, dict):
         raise ValueError("'certificate' must be an object")
@@ -244,6 +237,23 @@ def _artifact_from_body(body: Dict[str, Any]) -> ModelArtifact:
         chains=chains,
         certificate=certificate,
     )
+
+
+def _chains_from_body(chains: Any, n: Any) -> Optional[List[List[int]]]:
+    """Embedded chains as stored: distinct JSON integers in ``[0, n)``."""
+    if chains is None:
+        return None
+    if not isinstance(chains, list) or not all(isinstance(c, list) for c in chains):
+        raise ValueError("'chains' must be a list of index lists")
+    flat = list(itertools.chain.from_iterable(chains))
+    # Exact type test: bool, float and str entries are rejected, not coerced.
+    if not set(map(type, flat)) <= {int}:
+        raise ValueError("'chains' entries must be JSON integers")
+    if flat and (min(flat) < 0 or (type(n) is int and max(flat) >= n)):
+        raise ValueError(f"'chains' holds an index outside [0, n) for n={n!r}")
+    if len(set(flat)) != len(flat):
+        raise ValueError("'chains' holds an index more than once")
+    return chains
 
 
 def quarantine_artifact(path: PathLike, reason: str = "") -> Optional[Path]:
@@ -316,7 +326,6 @@ def fit_artifact(
     seed: int = 0,
     backend: str = "dinic",
     decomposition: str = "exact",
-    include_chains: bool = True,
     include_certificate: bool = True,
 ) -> ModelArtifact:
     """Fit a classifier on a fully-labeled set and package it for serving.
@@ -326,7 +335,9 @@ def fit_artifact(
     algorithm against a :class:`~repro.core.oracle.LabelOracle` over
     ``points`` and records the probe bill.  Both embed the trivial
     weighted-majority fallback so a server holding only this artifact can
-    always degrade instead of going down.
+    always degrade instead of going down.  Neither mode writes the
+    chain decomposition: the passive fit never computes one, and the
+    active fit's chains stay inside :func:`~repro.core.active.active_classify`.
     """
     points.require_full_labels()
     fallback = _majority_fallback(points)
@@ -335,7 +346,6 @@ def fit_artifact(
         "n": int(points.n),
         "dim": int(points.dim),
     }
-    chains: Optional[List[List[int]]] = None
     certificate: Optional[Dict[str, Any]] = None
     classifier: AnyClassifier
     if mode == "passive":
@@ -375,18 +385,9 @@ def fit_artifact(
         )
     else:
         raise ValueError(f"unknown fit mode {mode!r}; expected passive or active")
-    if include_chains:
-        if mode == "active" and decomposition in ("exact", "auto"):
-            # Same coordinates, same default method: the run's own chains.
-            decomp = active_result.decomposition
-        else:
-            decomp = minimum_chain_decomposition(points)
-        chains = [[int(i) for i in chain] for chain in decomp.chains]
-        fit_meta["width"] = int(decomp.num_chains)
     return ModelArtifact(
         classifier=classifier,
         fallback=fallback,
         fit=fit_meta,
-        chains=chains,
         certificate=certificate,
     )

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.active import active_classify
 from repro.core.classifier import (
     ConstantClassifier,
     ThresholdClassifier,
     UpsetClassifier,
 )
+from repro.core.oracle import LabelOracle
 from repro.core.points import PointSet
 from repro.poset import minimum_chain_decomposition
 from repro.resilience import CircuitBreaker, RetryPolicy
@@ -35,6 +38,12 @@ from repro.serve import (
 )
 
 
+#: An artifact written by ``repro fit`` on ``repro generate --n 300
+#: --seed 1`` before fits stopped embedding the chain decomposition.
+SCHEMA1_CHAINS_FIXTURE = (Path(__file__).parent / "data"
+                          / "artifact_schema1_chains.json")
+
+
 @pytest.fixture
 def labeled_points(rng):
     coords = rng.random((40, 2))
@@ -55,6 +64,52 @@ def deployed(tmp_path, artifact):
     return path
 
 
+@pytest.fixture
+def legacy_deployed(tmp_path):
+    """A writable copy of the committed chain-embedding artifact."""
+    path = tmp_path / "legacy.json"
+    shutil.copyfile(SCHEMA1_CHAINS_FIXTURE, path)
+    return path
+
+
+def _assert_tamper_rejected(path):
+    envelope = json.loads(path.read_text())
+    envelope["body"]["fit"]["n"] = 999_999  # tamper, keep stale digest
+    path.write_text(json.dumps(envelope))
+    with pytest.raises(ValueError, match="digest mismatch"):
+        load_artifact(path)
+
+
+def _assert_truncation_rejected(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(ValueError, match=str(path)):
+        load_artifact(path)
+
+
+def _assert_wrong_magic_and_schema_rejected(path):
+    envelope = json.loads(path.read_text())
+    envelope["magic"] = "something-else"
+    path.write_text(json.dumps(envelope))
+    with pytest.raises(ValueError, match="not a model artifact"):
+        load_artifact(path)
+    envelope["magic"] = ARTIFACT_MAGIC
+    envelope["schema_version"] = 99
+    path.write_text(json.dumps(envelope))
+    with pytest.raises(ValueError, match="schema version"):
+        load_artifact(path)
+
+
+def _write_with_chains(path, artifact, chains):
+    """Save ``artifact`` with ``chains`` put in its body, digest recomputed."""
+    body = artifact.body()
+    body["chains"] = chains
+    envelope = {"magic": ARTIFACT_MAGIC,
+                "schema_version": ARTIFACT_SCHEMA_VERSION,
+                "digest": artifact_digest(body), "body": body}
+    path.write_text(json.dumps(envelope))
+
+
 class TestArtifact:
     def test_round_trip_preserves_predictions(self, deployed, artifact, rng):
         loaded = load_artifact(deployed)
@@ -63,7 +118,7 @@ class TestArtifact:
                 == artifact.classifier.classify_matrix(probes)).all()
         assert loaded.digest == artifact.digest
         assert loaded.fit["mode"] == "passive"
-        assert loaded.chains is not None
+        assert loaded.chains is None
         assert loaded.certificate is not None
         assert loaded.fallback is not None
 
@@ -81,31 +136,15 @@ class TestArtifact:
         assert envelope["digest"] == artifact_digest(envelope["body"])
 
     def test_content_mutation_rejected(self, deployed):
-        envelope = json.loads(deployed.read_text())
-        envelope["body"]["fit"]["n"] = 999_999  # tamper, keep stale digest
-        deployed.write_text(json.dumps(envelope))
-        with pytest.raises(ValueError, match="digest mismatch"):
-            load_artifact(deployed)
+        _assert_tamper_rejected(deployed)
 
     def test_truncation_rejected_naming_file(self, deployed):
-        text = deployed.read_text()
-        deployed.write_text(text[: len(text) // 2])
-        with pytest.raises(ValueError, match=str(deployed)):
-            load_artifact(deployed)
+        _assert_truncation_rejected(deployed)
 
     def test_wrong_magic_and_schema_rejected(self, tmp_path, artifact):
         path = tmp_path / "m.json"
         save_artifact(artifact, path)
-        envelope = json.loads(path.read_text())
-        envelope["magic"] = "something-else"
-        path.write_text(json.dumps(envelope))
-        with pytest.raises(ValueError, match="not a model artifact"):
-            load_artifact(path)
-        envelope["magic"] = ARTIFACT_MAGIC
-        envelope["schema_version"] = 99
-        path.write_text(json.dumps(envelope))
-        with pytest.raises(ValueError, match="schema version"):
-            load_artifact(path)
+        _assert_wrong_magic_and_schema_rejected(path)
 
     def test_missing_file_raises_value_error(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
@@ -141,19 +180,28 @@ class TestArtifact:
 
     @pytest.mark.parametrize("dim, method", [(2, "patience"), (3, "matching")])
     def test_fit_active_reused_chains_same_digest(self, tmp_path, rng, dim, method):
-        # The default fit reuses the run's chains; they must be the ones a
-        # fresh decomposition of the fit set yields, so the artifact built
-        # from recomputed chains has the same digest.
+        # The active fit decomposes (Theorem 2 needs the chains) but does
+        # not serialize the decomposition: only its size survives, and it
+        # is the width a fresh decomposition of the fit set reports.
         coords = rng.random((60, dim))
         points = PointSet(coords, (coords.sum(axis=1) > dim / 2).astype(int))
-        reused = fit_artifact(points, "active", epsilon=0.5, seed=3)
+        first = fit_artifact(points, "active", epsilon=0.5, seed=3)
+        again = fit_artifact(points, "active", epsilon=0.5, seed=3)
+        assert first.chains is None
         decomp = minimum_chain_decomposition(points)
         assert decomp.method == method
-        recomputed = dataclasses.replace(
-            reused, chains=[[int(i) for i in c] for c in decomp.chains])
-        assert reused.chains == recomputed.chains
-        assert (save_artifact(reused, tmp_path / "a.json")
-                == save_artifact(recomputed, tmp_path / "b.json"))
+        assert first.fit["num_chains"] == decomp.num_chains
+        assert (save_artifact(first, tmp_path / "a.json")
+                == save_artifact(again, tmp_path / "b.json"))
+
+    def test_auto_decomposition_rejected(self, labeled_points):
+        message = "decomposition must be 'exact' or 'greedy'"
+        oracle = LabelOracle(labeled_points)
+        with pytest.raises(ValueError, match=message):
+            active_classify(labeled_points.with_hidden_labels(), oracle,
+                            epsilon=0.5, decomposition="auto")
+        with pytest.raises(ValueError, match=message):
+            fit_artifact(labeled_points, "active", decomposition="auto")
 
     def test_fit_unknown_mode(self, labeled_points):
         with pytest.raises(ValueError, match="unknown fit mode"):
@@ -161,9 +209,79 @@ class TestArtifact:
 
     def test_fallback_is_weighted_majority(self):
         pts = PointSet([[0.0], [1.0], [2.0]], [1, 1, 0], weights=[1, 1, 5])
-        art = fit_artifact(pts, "passive", include_chains=False)
+        art = fit_artifact(pts, "passive")
         assert isinstance(art.fallback, ConstantClassifier)
         assert art.fallback.value == 0  # weight 5 beats 2
+
+
+class TestEmbeddedChains:
+    """Bodies that embed a chain decomposition load only if every index
+    is a distinct JSON integer naming a fit point."""
+
+    def test_valid_chains_round_trip(self, tmp_path, artifact, labeled_points):
+        chains = minimum_chain_decomposition(labeled_points).chains
+        path = tmp_path / "m.json"
+        _write_with_chains(path, artifact, chains)
+        loaded = load_artifact(path)
+        assert loaded.chains == chains
+        assert save_artifact(loaded, tmp_path / "again.json") == loaded.digest
+
+    @pytest.mark.parametrize("chains", [
+        [["3", 2.7, True]], [["3"]], [[2.7]], [[2.0]], [[True]],
+        [[-5, 999]], [[-5]], [[20]], [[0, 0, 0]], [[0], [0]],
+        [[0], 1], {"0": [0]},
+    ], ids=["str-float-bool", "str", "float", "integral-float", "bool",
+            "negative-and-past-n", "negative", "index-n", "repeated-in-chain",
+            "repeated-across-chains", "non-list-chain", "object"])
+    def test_hostile_chains_rejected_naming_file(self, tmp_path, chains):
+        pts = PointSet(np.arange(20.0)[:, None], [0] * 10 + [1] * 10)
+        path = tmp_path / "hostile.json"
+        _write_with_chains(path, fit_artifact(pts, "passive"), chains)
+        with pytest.raises(ValueError, match=str(path)):
+            load_artifact(path)
+
+
+class TestSchema1ChainsFixture:
+    """The committed artifact embeds chains, as every fit used to."""
+
+    def test_loads_verifies_and_answers_like_its_classifier(
+            self, legacy_deployed, tmp_path, capsys):
+        from repro.cli import main
+        from repro.io import load_csv
+
+        envelope = json.loads(legacy_deployed.read_text())
+        loaded = load_artifact(legacy_deployed)
+        assert loaded.digest == envelope["digest"]
+        assert loaded.chains is not None
+        assert sorted(i for c in loaded.chains for i in c) == list(range(300))
+        data = tmp_path / "data.csv"
+        assert main(["generate", str(data), "--n", "300", "--seed", "1"]) == 0
+        points = load_csv(data)
+        # Refitting today writes the same classifier sub-document.
+        refit = fit_artifact(points, "passive")
+        assert refit.body()["classifier"] == envelope["body"]["classifier"]
+        assert refit.body()["fallback"] == envelope["body"]["fallback"]
+        with ServeEngine(legacy_deployed) as engine:
+            result = engine.classify_batch(points.coords)
+            assert result.ok and engine.serving_verified
+            assert engine.source == "primary"
+        assert (np.asarray(result.labels)
+                == loaded.classifier.classify_matrix(points.coords)).all()
+
+    def test_save_round_trip_keeps_digest(self, legacy_deployed, tmp_path):
+        loaded = load_artifact(legacy_deployed)
+        again = tmp_path / "again.json"
+        assert save_artifact(loaded, again) == loaded.digest
+        assert load_artifact(again).chains == loaded.chains
+
+    def test_content_mutation_rejected(self, legacy_deployed):
+        _assert_tamper_rejected(legacy_deployed)
+
+    def test_truncation_rejected_naming_file(self, legacy_deployed):
+        _assert_truncation_rejected(legacy_deployed)
+
+    def test_wrong_magic_and_schema_rejected(self, legacy_deployed):
+        _assert_wrong_magic_and_schema_rejected(legacy_deployed)
 
 
 class TestServeEngine:
