@@ -465,9 +465,11 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         print(format_table([health.row() for health in fleet.health()]))
         if counts:
             print(format_table([dict(sorted(counts.items()))]))
-    # Degraded answers are survivable and explicitly flagged; only a model
-    # that cannot answer at all (or a bulkhead rejection) fails the exit.
-    bad = counts.get("failed", 0) + counts.get("unavailable", 0)
+    # Degraded answers are survivable and explicitly flagged; a model that
+    # cannot answer at all, a bulkhead rejection or an unreadable query
+    # fails the exit.
+    bad = sum(counts.get(status, 0)
+              for status in ("failed", "unavailable", "invalid"))
     return 0 if bad == 0 else 1
 
 
@@ -560,9 +562,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "labels": labels,
         }, indent=1))
         print(f"wrote answers to {args.output}")
-    # Degraded serving is graceful, not an error; only a total inability
-    # to answer (no fallback either) is a failure exit.
-    return 0 if counts.get("failed", 0) == 0 else 1
+    # Degraded serving is graceful, not an error; a total inability to
+    # answer (no fallback either) or an unreadable query is a failure exit.
+    return 0 if counts.get("failed", 0) + counts.get("invalid", 0) == 0 else 1
 
 
 def _cmd_width(args: argparse.Namespace) -> int:

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .classifier import MonotoneClassifier, UpsetClassifier
+from .pairwise import pairwise_weak_dominance
 
 __all__ = [
     "explain_acceptance",
@@ -47,7 +48,7 @@ def explain_acceptance(classifier: UpsetClassifier,
     if classifier.classify(coords) != 1:
         return None
     anchors = classifier.anchors
-    dominated = np.all(coords[None, :] >= anchors, axis=1)
+    dominated = pairwise_weak_dominance(coords[None, :], anchors)[0]
     candidates = anchors[dominated]
     best = int(np.argmax(candidates.sum(axis=1)))
     return candidates[best].copy()

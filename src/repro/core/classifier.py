@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .._util import as_float_matrix
+from .pairwise import pairwise_weak_dominance
 from .points import PointSet
 
 __all__ = [
@@ -155,10 +156,8 @@ class UpsetClassifier(MonotoneClassifier):
                 f"dimension mismatch: points have d={coords.shape[1]}, "
                 f"anchors have d={self.anchors.shape[1]}"
             )
-        if self.anchors.shape[0] == 0:
-            return np.zeros(coords.shape[0], dtype=np.int8)
-        dominated = np.all(coords[:, None, :] >= self.anchors[None, :, :], axis=2)
-        return np.any(dominated, axis=1).astype(np.int8)
+        dominated = pairwise_weak_dominance(coords, self.anchors)
+        return dominated.any(axis=1).astype(np.int8)
 
     @property
     def num_anchors(self) -> int:
@@ -231,8 +230,8 @@ def _minimal_anchors(matrix: np.ndarray) -> np.ndarray:
     kept = unique[:0]
     for start in range(0, unique.shape[0], ANCHOR_BLOCK):
         block = unique[start:start + ANCHOR_BLOCK]
-        redundant = np.all(block[:, None, :] >= kept[None, :, :], axis=2).any(axis=1)
-        within = np.all(block[:, None, :] >= block[None, :, :], axis=2)
+        redundant = pairwise_weak_dominance(block, kept).any(axis=1)
+        within = pairwise_weak_dominance(block, block)
         redundant |= (within & np.tri(len(block), k=-1, dtype=bool)).any(axis=1)
         kept = np.concatenate([kept, block[~redundant]])
     return kept

@@ -12,6 +12,11 @@ blocks of configurable size, keeping memory at ``O(n * block_size)``
 while preserving the time bound.  ``solve_passive`` uses them at every
 size for ``d >= 3`` (and the edge stream for every ``d``); the dense
 matrix survives as the test reference.
+
+:func:`pairwise_weak_dominance` is also the package's one row-vs-anchor
+dominance kernel: ``UpsetClassifier.classify_matrix`` (queries against
+anchors) and ``_minimal_anchors`` (the anchor prune) call it, so no
+code path builds an ``(m, k, d)`` boolean broadcast.
 """
 
 from __future__ import annotations

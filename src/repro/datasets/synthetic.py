@@ -21,6 +21,7 @@ import numpy as np
 
 from .._util import RngLike, as_generator
 from ..core.classifier import UpsetClassifier
+from ..core.pairwise import pairwise_weak_dominance
 from ..core.points import PointSet
 
 __all__ = [
@@ -168,9 +169,7 @@ def staircase(n: int, steps: int, noise: float = 0.0,
         0.1 + 0.8 * ks / max(1, steps - 1) if steps > 1 else np.array([0.5]),
         0.9 - 0.8 * ks / max(1, steps - 1) if steps > 1 else np.array([0.5]),
     ], axis=1)
-    above = np.any(
-        np.all(coords[:, None, :] >= anchors[None, :, :], axis=2), axis=1)
-    labels = above.astype(np.int8)
+    labels = pairwise_weak_dominance(coords, anchors).any(axis=1).astype(np.int8)
     flips = gen.random(n) < noise
     labels = np.where(flips, 1 - labels, labels).astype(np.int8)
     return PointSet(coords, labels)

@@ -132,12 +132,40 @@ def _matching_last_free() -> Iterator[None]:
         bitset._greedy_first_phase = original  # type: ignore[assignment]
 
 
+@contextmanager
+def _classify_strict_ties() -> Iterator[None]:
+    """Make the classifier's dominance test strict on the last coordinate.
+
+    Rebinds only the name :mod:`repro.core.classifier` calls, so
+    ``solve_passive``'s own dominance facts stay right and the cut is
+    still optimal; but a point tied with an anchor on its last coordinate
+    is no longer in the anchor's upset, so the served extension disagrees
+    with the assignment it was built from — which the certificate audit
+    must flag.
+    """
+    from ..core import classifier
+
+    original = classifier.pairwise_weak_dominance
+
+    def strict_last(rows, cols):  # type: ignore[no-untyped-def]
+        out = original(rows[:, :-1], cols[:, :-1])
+        np.logical_and(out, rows[:, -1, None] > cols[None, :, -1], out=out)
+        return out
+
+    classifier.pairwise_weak_dominance = strict_last  # type: ignore[assignment]
+    try:
+        yield
+    finally:
+        classifier.pairwise_weak_dominance = original  # type: ignore[assignment]
+
+
 #: Named mutants: context managers that break one solver invariant each.
 MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "hasse_uint8_overflow": _hasse_uint8_overflow,
     "duplicate_edges_dropped": _duplicate_edges_dropped,
     "capacity_plus_one": _capacity_plus_one,
     "matching_last_free": _matching_last_free,
+    "classify_strict_ties": _classify_strict_ties,
 }
 
 

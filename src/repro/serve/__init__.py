@@ -51,6 +51,7 @@ from .engine import (
     DEADLINE_EXCEEDED,
     DEGRADED,
     FAILED,
+    INVALID,
     OK,
     OVERLOADED,
     QueryResult,
@@ -73,6 +74,7 @@ __all__ = [
     "FaultyArtifactLoader",
     "FleetFaultSpec",
     "FleetModelHealth",
+    "INVALID",
     "ModelArtifact",
     "ModelFleet",
     "OK",

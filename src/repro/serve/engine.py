@@ -54,6 +54,7 @@ __all__ = [
     "DEADLINE_EXCEEDED",
     "DEGRADED",
     "FAILED",
+    "INVALID",
     "OK",
     "OVERLOADED",
     "QueryResult",
@@ -72,6 +73,10 @@ DEGRADED = "degraded"
 OVERLOADED = "overloaded"
 DEADLINE_EXCEEDED = "deadline_exceeded"
 FAILED = "failed"
+#: The request itself is unreadable: not a numeric matrix, NaN or ±inf
+#: coordinates, or a dimension that does not match the model.  It says
+#: nothing about the model's health.
+INVALID = "invalid"
 
 #: Model sources, in degradation-ladder order.
 _PRIMARY = "primary"
@@ -94,9 +99,10 @@ class QueryResult:
     """One answered (or shed/expired) request.
 
     ``labels`` is ``None`` exactly when no classification happened
-    (``overloaded`` / ``deadline_exceeded`` / ``failed``).  ``degraded``
-    is ``True`` whenever the answer did *not* come from a digest-verified
-    artifact — clients must treat such labels as best-effort.
+    (``overloaded`` / ``deadline_exceeded`` / ``failed`` / ``invalid``).
+    ``degraded`` is ``True`` whenever the answer did *not* come from a
+    digest-verified artifact — clients must treat such labels as
+    best-effort.
     """
 
     request_id: int
@@ -605,11 +611,9 @@ class ServeEngine:
         try:
             labels = model.classify_matrix(pending.coords)
         except ValueError:
-            # A malformed query (wrong dimensionality) must not take the
-            # server down; it fails explicitly, alone.
-            if rec.enabled:
-                rec.incr("serve.request_errors")
-            return QueryResult(pending.request_id, FAILED, self._source, degraded=True)
+            # A wrong-dimension query must not take the server down; it
+            # is answered ``invalid``, alone.
+            return self._invalid(pending.request_id)
         latency = self._clock() - now
         verified = self.serving_verified
         status = OK if verified else DEGRADED
@@ -639,13 +643,25 @@ class ServeEngine:
             )
         return result
 
+    def _invalid(self, request_id: int) -> QueryResult:
+        rec = recorder()
+        if rec.enabled:
+            rec.incr("serve.request_errors")
+        return QueryResult(request_id, INVALID, self._source, degraded=True)
+
     def classify_batch(
         self, coords: Any, deadline: Optional[float] = None
     ) -> QueryResult:
-        """Answer one batched request synchronously (no queue)."""
-        matrix = as_float_matrix(coords)
+        """Answer one batched request synchronously (no queue).
+
+        Unreadable coordinates are answered ``invalid``, never raised.
+        """
         request_id = self._next_id
         self._next_id += 1
+        try:
+            matrix = as_float_matrix(coords)
+        except ValueError:
+            return self._invalid(request_id)
         deadline = self.default_deadline if deadline is None else deadline
         deadline_at = None if deadline is None else self._clock() + deadline
         return self._answer(_Pending(request_id, matrix, deadline_at))
@@ -664,6 +680,7 @@ class ServeEngine:
         Returns ``None`` on admission; when the queue is full the request
         is *shed* and an ``overloaded`` :class:`QueryResult` is returned
         immediately — explicit backpressure, never unbounded memory.
+        Unreadable coordinates are answered ``invalid`` immediately.
         """
         rec = recorder()
         if len(self._queue) >= self.queue_limit:
@@ -673,9 +690,12 @@ class ServeEngine:
             if rec.enabled:
                 rec.incr("serve.shed")
             return QueryResult(request_id, OVERLOADED, self._source, degraded=True)
-        matrix = as_float_matrix(coords)
         request_id = self._next_id
         self._next_id += 1
+        try:
+            matrix = as_float_matrix(coords)
+        except ValueError:
+            return self._invalid(request_id)
         deadline = self.default_deadline if deadline is None else deadline
         deadline_at = None if deadline is None else self._clock() + deadline
         self._queue.append(_Pending(request_id, matrix, deadline_at))

@@ -64,6 +64,7 @@ from ..resilience.retry import CircuitBreaker, RetryPolicy
 from .artifact import ModelArtifact, load_artifact, quarantine_artifact, save_artifact
 from .engine import (
     FAILED,
+    INVALID,
     QueryResult,
     ServeEngine,
     ServeLoadTransient,
@@ -459,7 +460,14 @@ class ModelFleet:
         return None
 
     def _account(self, slot: _Slot, result: QueryResult) -> None:
-        """Feed a dispatch outcome to the breaker and the swap watch."""
+        """Feed a dispatch outcome to the breaker and the swap watch.
+
+        An ``invalid`` request is the client's fault, not the model's, so
+        it feeds neither: malformed queries cannot quarantine a healthy
+        model or roll back a promotion.
+        """
+        if result.status == INVALID:
+            return
         if result.status == FAILED:
             slot.breaker.record_failure()
             if slot.breaker.trips >= self.quarantine_after_trips:

@@ -200,6 +200,12 @@ def _reference_minimal_anchors(matrix: np.ndarray) -> np.ndarray:
     return unique[~np.any(weak, axis=1)].copy()
 
 
+def _reference_classify(coords: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """The m x k x d broadcast classify, kept as the reference."""
+    dominated = np.all(coords[:, None, :] >= anchors[None, :, :], axis=2)
+    return np.any(dominated, axis=1).astype(np.int8)
+
+
 def _assert_same_anchors(matrix: np.ndarray) -> None:
     got = UpsetClassifier(matrix, dim=matrix.shape[1]).anchors
     want = _reference_minimal_anchors(matrix)
@@ -222,6 +228,26 @@ def test_minimal_anchors_match_broadcast_reference(data):
     block = data.draw(st.integers(1, 6))
     with mock.patch.object(classifier_module, "ANCHOR_BLOCK", block):
         _assert_same_anchors(matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_classify_matches_broadcast_reference(data):
+    """Property: the served kernel answers exactly like the broadcast."""
+    dim = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.tuples(*[_GRID] * dim), max_size=12))
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    raw = np.asarray(rows, dtype=float).reshape(len(rows), dim)
+    h = UpsetClassifier(raw, dim=dim)
+    wild = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0,
+                            float("inf"), float("-inf"), float("nan")])
+    queries = data.draw(st.lists(st.tuples(*[wild] * dim), max_size=30))
+    queries += data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    coords = np.asarray(queries, dtype=float).reshape(len(queries), dim)
+    got = h.classify_matrix(coords)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, _reference_classify(coords, h.anchors))
+    assert np.array_equal(got, _reference_classify(coords, raw))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])

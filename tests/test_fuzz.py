@@ -160,9 +160,10 @@ class TestStructureCheck:
         assert "König antichain" in findings[0].detail
 
     def test_mutants_restore_on_exit(self):
-        from repro.core import passive
+        from repro.core import classifier, passive
         from repro.poset import bitset, sparse
 
+        original_dominance = classifier.pairwise_weak_dominance
         original_red = sparse.transitive_reduction
         original_inf = passive._effective_infinity
         original_greedy = bitset._greedy_first_phase
@@ -175,9 +176,14 @@ class TestStructureCheck:
             assert bitset._greedy_first_phase is not original_greedy
         with apply_mutant("duplicate_edges_dropped"):
             assert passive.blocked_dominance_pair_arrays is not original_pairs
+        with apply_mutant("classify_strict_ties"):
+            assert classifier.pairwise_weak_dominance is not original_dominance
+            assert passive.blocked_dominance_pair_arrays is original_pairs
         assert sparse.transitive_reduction is original_red
         assert passive._effective_infinity is original_inf
         assert bitset._greedy_first_phase is original_greedy
+        assert passive.blocked_dominance_pair_arrays is original_pairs
+        assert classifier.pairwise_weak_dominance is original_dominance
 
     def test_unknown_mutant_rejected(self):
         with pytest.raises(ValueError, match="unknown mutant"):
@@ -290,6 +296,16 @@ class TestMutantSelfTest:
             assert run_passive_differential(
                 points, configs=ALL_PASSIVE_CONFIGS), \
                 "shrunk reproducer no longer triggers the mutant"
+
+
+    def test_classify_kernel_mutant_is_detected(self):
+        # Only the served classifier's dominance test is broken; the
+        # certificate audit's extension-agreement check must catch it.
+        report = run_fuzz(runs=2, seed=3, families=["duplicates"], size=16,
+                          mutant="classify_strict_ties", shrink=False)
+        assert not report.ok, "mutant was not detected"
+        assert any("classifier extension agrees with assignment" in d.detail
+                   for _family, _run, d in report.findings)
 
 
 class TestIOFuzz:

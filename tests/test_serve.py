@@ -401,9 +401,21 @@ class TestServeEngine:
     def test_malformed_query_fails_alone(self, deployed, rng):
         engine = ServeEngine(deployed)
         bad = engine.classify_batch(rng.random((4, 7)))  # wrong dim
-        assert bad.status == "failed"
+        assert bad.status == "invalid"
         good = engine.classify_batch(rng.random((4, 2)))
         assert good.ok  # the server survived the bad request
+
+    @pytest.mark.parametrize("bad", [
+        [[float("nan"), 0.5]], [[0.5, float("-inf")]], [[0.5, 0.5], [0.5]],
+        [["x", 0.5]], object(),
+    ], ids=["nan", "inf", "ragged", "text", "object"])
+    def test_unreadable_query_is_invalid_not_raised(self, deployed, bad):
+        engine = ServeEngine(deployed)
+        assert engine.classify_batch(bad).status == "invalid"
+        shed = engine.submit(bad)
+        assert shed is not None and shed.status == "invalid"
+        assert engine.queue_depth == 0
+        assert engine.classify((0.5, 0.5)).ok
 
     def test_malformed_query_to_all_zero_model_fails(self, tmp_path, rng):
         art = ModelArtifact(classifier=UpsetClassifier([], dim=2),
@@ -411,7 +423,7 @@ class TestServeEngine:
         path = tmp_path / "zero.json"
         save_artifact(art, path)
         engine = ServeEngine(path)
-        assert engine.classify_batch(rng.random((4, 7))).status == "failed"
+        assert engine.classify_batch(rng.random((4, 7))).status == "invalid"
         good = engine.classify_batch(rng.random((4, 2)))
         assert good.ok and not good.labels.any()
 
@@ -571,6 +583,27 @@ class TestServeCli:
         assert main(["serve", str(model), str(data)]) == 0
         out = capsys.readouterr().out
         assert "last_good" in out
+
+    def test_wrong_dimension_queries_exit_1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        data = tmp_path / "data.csv"
+        data3 = tmp_path / "data3.csv"
+        fleet = tmp_path / "fleet"
+        fleet.mkdir()
+        model = fleet / "m.json"
+        assert main(["generate", str(data), "--n", "30", "--seed", "5"]) == 0
+        assert main(["generate", str(data3), "--n", "30", "--dim", "3",
+                     "--seed", "5"]) == 0
+        assert main(["fit", str(data), str(model)]) == 0
+        capsys.readouterr()
+        assert main(["serve", str(model), str(data3)]) == 1
+        assert "invalid" in capsys.readouterr().out
+        assert main(["serve", str(fleet), str(data3), "--fleet",
+                     "--model", "m"]) == 1
+        assert "invalid" in capsys.readouterr().out
+        assert main(["serve", str(fleet), str(data), "--fleet",
+                     "--model", "m"]) == 0
 
     def test_fit_active_cli(self, tmp_path):
         from repro.cli import main

@@ -7,6 +7,7 @@ import pytest
 from repro.core.classifier import ConstantClassifier, ThresholdClassifier
 from repro.core.points import PointSet
 from repro.serve import (
+    INVALID,
     UNAVAILABLE,
     ModelArtifact,
     ModelFleet,
@@ -180,9 +181,24 @@ class TestFleetBulkheads:
     def test_engine_exception_stays_inside_the_bulkhead(self, fleet_dir):
         with ModelFleet.from_directory(fleet_dir) as fleet:
             result = fleet.dispatch("alpha", object())  # unconvertible coords
-            assert result.status in ("failed", UNAVAILABLE)
+            assert result.status in ("failed", "invalid", UNAVAILABLE)
             # The fleet survives and siblings still answer.
             assert fleet.dispatch("beta", [(0.5, 0.5)]).ok
+
+
+    def test_malformed_queries_do_not_quarantine_a_healthy_model(
+        self, fleet_dir
+    ):
+        bad_queries = ([[float("nan"), 0.5]], [[float("inf"), 0.5]],
+                       [[0.5, 0.5, 0.5]])
+        with ModelFleet.from_directory(fleet_dir) as fleet:
+            for bad in bad_queries:
+                for _ in range(200):
+                    result = fleet.dispatch("alpha", bad)
+                    assert result.status == INVALID and result.labels is None
+            assert fleet.dispatch("alpha", [(0.5, 0.5)]).ok
+            rows = {h.name: h for h in fleet.health()}
+            assert rows["alpha"].state == "active"
 
 
 class TestFleetHotSwap:
