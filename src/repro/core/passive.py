@@ -179,8 +179,19 @@ def solve_passive(points: PointSet, backend: str = "dinic",
         When False, the min-cut instance is built over *all* points instead
         of just ``P^con`` (still correct, since non-contending points have
         no infinite edges forcing them; used by the A1 ablation).
+
+    Raises ``ValueError`` naming the first point with a NaN coordinate
+    (reachable through ``PointSet(validate=False)``); ``±inf`` is accepted.
     """
     points.require_full_labels()
+    nan_rows = np.flatnonzero(np.isnan(points.coords).any(axis=1))
+    if len(nan_rows):
+        bad = int(nan_rows[0])
+        raise ValueError(
+            f"point {bad} has a NaN coordinate ({points.coords[bad].tolist()}"
+            "): every comparison with NaN is false, so dominance is undefined "
+            "on it; drop or impute such points before solve_passive"
+        )
     n = points.n
     labels = points.labels
     weights = points.weights
@@ -239,28 +250,24 @@ def solve_passive(points: PointSet, backend: str = "dinic",
                               weights[zeros_arr].astype(float))
             network.add_edges(vid[ones_arr], np.full(len(ones_arr), sink),
                               weights[ones_arr].astype(float))
-            for srcs, tgts in blocked_dominance_pair_arrays(
-                    points, zeros_arr, ones_arr):
-                network.add_edges(vid[srcs], vid[tgts], infinite_cap)
+            srcs, tgts = blocked_dominance_pair_arrays(points, zeros_arr,
+                                                       ones_arr)
+            network.add_edges(vid[srcs], vid[tgts], infinite_cap)
         if rec.enabled:
-            rec.incr("passive.dominance_pairs",
-                     network.num_edges - len(active))
+            rec.incr("passive.dominance_pairs", len(srcs))
 
         with rec.span("min_cut"):
             cut = solve_min_cut(network, source, sink, backend=backend)
 
         with rec.span("verify"):
-            # Cut source edges flip label-0 points to 1; a source edge
-            # (s, p) is cut iff p is NOT reachable from the source in the
-            # residual graph.
-            for p in zeros_arr.tolist():
-                if int(vid[p]) not in cut.source_side:
-                    assignment[p] = 1
-            # Cut sink edges flip label-1 points to 0; a sink edge (q, t)
-            # is cut iff q IS reachable (t never is).
-            for q in ones_arr.tolist():
-                if int(vid[q]) in cut.source_side:
-                    assignment[q] = 0
+            # A source edge (s, p) is cut iff p is NOT reachable from the
+            # source in the residual graph: label-0 p flips to 1.  A sink
+            # edge (q, t) is cut iff q IS reachable (t never is): label-1
+            # q flips to 0.
+            reached = np.zeros(network.num_nodes, dtype=bool)
+            reached[list(cut.source_side)] = True
+            assignment[zeros_arr[~reached[vid[zeros_arr]]]] = 1
+            assignment[ones_arr[reached[vid[ones_arr]]]] = 0
 
             if low_dim:
                 assignment_monotone = is_monotone_assignment_low_dim(

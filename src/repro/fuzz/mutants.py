@@ -66,15 +66,40 @@ def _duplicate_edges_dropped() -> Iterator[None]:
     original = passive.blocked_dominance_pair_arrays
 
     def strict_pairs(points, *args, **kwargs):  # type: ignore[no-untyped-def]
-        for srcs, tgts in original(points, *args, **kwargs):
-            keep = (points.coords[srcs] != points.coords[tgts]).any(axis=1)
-            yield srcs[keep], tgts[keep]
+        srcs, tgts = original(points, *args, **kwargs)
+        keep = (points.coords[srcs] != points.coords[tgts]).any(axis=1)
+        return srcs[keep], tgts[keep]
 
     passive.blocked_dominance_pair_arrays = strict_pairs  # type: ignore[assignment]
     try:
         yield
     finally:
         passive.blocked_dominance_pair_arrays = original  # type: ignore[assignment]
+
+
+@contextmanager
+def _edge_box_strict() -> Iterator[None]:
+    """Make the edge stream's bounding-box prefilter strict (``<``).
+
+    A target tied with its block's per-coordinate maximum on any
+    coordinate is then never compared, so its dominance edges vanish:
+    with one source row in the block the box *is* that row, and even a
+    duplicate pair loses its edge.  The cut can then keep a label-0
+    point above a label-1 point, which trips the Lemma 16 check on the
+    ``duplicates`` family.
+    """
+    from ..core import pairwise
+
+    original = pairwise._box_candidates
+
+    def strict_box(target_coords, box_max):  # type: ignore[no-untyped-def]
+        return np.flatnonzero(np.all(target_coords < box_max, axis=1))
+
+    pairwise._box_candidates = strict_box  # type: ignore[assignment]
+    try:
+        yield
+    finally:
+        pairwise._box_candidates = original  # type: ignore[assignment]
 
 
 @contextmanager
@@ -163,6 +188,7 @@ def _classify_strict_ties() -> Iterator[None]:
 MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "hasse_uint8_overflow": _hasse_uint8_overflow,
     "duplicate_edges_dropped": _duplicate_edges_dropped,
+    "edge_box_strict": _edge_box_strict,
     "capacity_plus_one": _capacity_plus_one,
     "matching_last_free": _matching_last_free,
     "classify_strict_ties": _classify_strict_ties,

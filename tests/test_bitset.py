@@ -274,10 +274,9 @@ class TestFlowConstructionParity:
         weak = _fresh(ps).weak_dominance_matrix()
         reference = [(int(s), int(t)) for s in src for t in tgt if weak[s, t]]
         for block_size in (1, 3, len(src) - 1, len(src), len(src) + 1):
-            bulk = [(int(s), int(t))
-                    for ss, ts in blocked_dominance_pair_arrays(
-                        ps, src, tgt, max(1, block_size))
-                    for s, t in zip(ss, ts)]
+            ss, ts = blocked_dominance_pair_arrays(ps, src, tgt,
+                                                   max(1, block_size))
+            bulk = [(int(s), int(t)) for s, t in zip(ss, ts)]
             assert bulk == reference
 
     @settings(max_examples=25, deadline=None)

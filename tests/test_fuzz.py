@@ -160,10 +160,11 @@ class TestStructureCheck:
         assert "König antichain" in findings[0].detail
 
     def test_mutants_restore_on_exit(self):
-        from repro.core import classifier, passive
+        from repro.core import classifier, pairwise, passive
         from repro.poset import bitset, sparse
 
         original_dominance = classifier.pairwise_weak_dominance
+        original_box = pairwise._box_candidates
         original_red = sparse.transitive_reduction
         original_inf = passive._effective_infinity
         original_greedy = bitset._greedy_first_phase
@@ -176,6 +177,9 @@ class TestStructureCheck:
             assert bitset._greedy_first_phase is not original_greedy
         with apply_mutant("duplicate_edges_dropped"):
             assert passive.blocked_dominance_pair_arrays is not original_pairs
+        with apply_mutant("edge_box_strict"):
+            assert pairwise._box_candidates is not original_box
+            assert passive.blocked_dominance_pair_arrays is original_pairs
         with apply_mutant("classify_strict_ties"):
             assert classifier.pairwise_weak_dominance is not original_dominance
             assert passive.blocked_dominance_pair_arrays is original_pairs
@@ -184,6 +188,7 @@ class TestStructureCheck:
         assert bitset._greedy_first_phase is original_greedy
         assert passive.blocked_dominance_pair_arrays is original_pairs
         assert classifier.pairwise_weak_dominance is original_dominance
+        assert pairwise._box_candidates is original_box
 
     def test_unknown_mutant_rejected(self):
         with pytest.raises(ValueError, match="unknown mutant"):
@@ -305,6 +310,15 @@ class TestMutantSelfTest:
                           mutant="classify_strict_ties", shrink=False)
         assert not report.ok, "mutant was not detected"
         assert any("classifier extension agrees with assignment" in d.detail
+                   for _family, _run, d in report.findings)
+
+    def test_edge_prune_mutant_is_detected(self):
+        # A strict box prefilter drops every pair tied with its block's
+        # maximum; the duplicates family's Lemma 16 check must catch it.
+        report = run_fuzz(runs=8, seed=3, families=["duplicates"], size=24,
+                          mutant="edge_box_strict", shrink=False)
+        assert not report.ok, "mutant was not detected"
+        assert any("Lemma 16" in d.detail
                    for _family, _run, d in report.findings)
 
 

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import LabelOracle, active_classify, obs, solve_passive
+from repro.core.passive import contending_mask
 from repro.datasets.synthetic import width_controlled
 from repro.obs import (
     Counter,
@@ -374,6 +375,14 @@ class TestPipelineIntegration:
         assert reg.gauge_value("passive.num_contending") == result.num_contending
         assert reg.gauge_value("passive.optimal_error") == result.optimal_error
         assert reg.counter_value("flow.dinic_array.calls") == 1
+        # The box prefilter runs at least one compare per edge and at most
+        # every contending (label-0, label-1) compare.
+        contending = contending_mask(points)
+        all_compares = (int((contending & (points.labels == 0)).sum())
+                        * int((contending & (points.labels == 1)).sum()))
+        pairs = reg.counter_value("passive.dominance_pairs")
+        assert 0 < pairs <= reg.counter_value("passive.edge_candidates") \
+            <= all_compares
 
     def test_disabled_path_records_nothing(self):
         probe = MetricsRegistry("probe")

@@ -43,6 +43,12 @@ class TestBlockedContendingMask:
             blocked_contending_mask(tiny_2d.with_hidden_labels())
 
 
+def _pair_list(ps, sources, targets, *block_size):
+    srcs, tgts = blocked_dominance_pair_arrays(ps, sources, targets,
+                                               *block_size)
+    return [(int(p), int(q)) for p, q in zip(srcs, tgts)]
+
+
 class TestBlockedDominancePairs:
     def test_stream_matches_matrix(self):
         ps = _random_labeled(3, 30, 2)
@@ -52,17 +58,54 @@ class TestBlockedDominancePairs:
         expected = [(int(p), int(q)) for p in zeros for q in ones if weak[p, q]]
         m = len(zeros)
         for block_size in (1, 3, m - 1, m, m + 1):
-            got = [(int(p), int(q))
-                   for srcs, tgts in blocked_dominance_pair_arrays(
-                       ps, zeros, ones, block_size)
-                   for p, q in zip(srcs, tgts)]
+            got = _pair_list(ps, zeros, ones, block_size)
             assert got == expected
 
     def test_empty_sides(self, tiny_2d):
-        assert list(blocked_dominance_pair_arrays(
-            tiny_2d, np.array([]), np.array([0]))) == []
-        assert list(blocked_dominance_pair_arrays(
-            tiny_2d, np.array([0]), np.array([]))) == []
+        assert _pair_list(tiny_2d, np.array([]), np.array([0])) == []
+        assert _pair_list(tiny_2d, np.array([0]), np.array([])) == []
+
+
+_GRID = st.integers(0, 3).map(float)
+_SPECIAL = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def _edge_stream_case(draw):
+    """Points with duplicate, opposing-duplicate, ±inf and NaN rows, plus
+    shuffled label-0 sources and label-1 targets."""
+    n = draw(st.integers(2, 24))
+    dim = draw(st.integers(1, 4))
+    value = st.one_of(_GRID, _GRID, _GRID, _SPECIAL)
+    coords = np.asarray(draw(st.lists(
+        st.lists(value, min_size=dim, max_size=dim),
+        min_size=n, max_size=n)), dtype=float)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  max_size=n // 2)):
+        coords[dst] = coords[src]
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    ps = PointSet(coords, labels, validate=False)
+    sources = draw(st.permutations(np.flatnonzero(ps.labels == 0).tolist()))
+    targets = draw(st.permutations(np.flatnonzero(ps.labels == 1).tolist()))
+    return ps, np.asarray(sources, dtype=int), np.asarray(targets, dtype=int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_stream_case())
+def test_edge_stream_equals_dense_reference(case):
+    """Property: the box-pruned stream lists exactly the dense matrix's
+    dominating pairs, in row-major order by position in the given arrays
+    (not by index value), at every block size."""
+    ps, sources, targets = case
+    weak = ps.weak_dominance_matrix()
+    expected = [(int(p), int(q)) for p in sources for q in targets
+                if weak[p, q]]
+    m = len(sources)
+    assert _pair_list(ps, sources, targets) == expected
+    for block_size in (1, 3, m - 1, m, m + 1):
+        assert _pair_list(ps, sources, targets,
+                          max(1, block_size)) == expected
 
 
 class TestBlockedMonotoneCheck:

@@ -146,6 +146,18 @@ class TestSolvePassive:
         assert result.optimal_error == pytest.approx(3.0)
         assert list(result.assignment) == [1, 1]
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rejects_nan_coordinates(self, dim):
+        """NaN reaches solve_passive only through PointSet(validate=False);
+        it is rejected up front, naming the first bad point, at every d."""
+        gen = np.random.default_rng(dim)
+        coords = gen.integers(0, 3, size=(8, dim)).astype(float)
+        coords[5, dim - 1] = np.nan
+        coords[6, 0] = np.nan
+        ps = PointSet(coords, [0, 1] * 4, validate=False)
+        with pytest.raises(ValueError, match="point 5 has a NaN coordinate"):
+            solve_passive(ps)
+
     def test_straddles_default_block_size(self):
         """n = 2049 = DEFAULT_BLOCK_SIZE + 1, d = 3: the streamed path
         must match the dense contending mask and monotonicity check, and
