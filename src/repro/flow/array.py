@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import chain
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -72,18 +71,21 @@ class CSRFlowSnapshot:
     ------
     ``indptr`` (int64, ``num_nodes + 1``) and ``csr_arcs`` (int64) encode
     the per-vertex adjacency: ``csr_arcs[indptr[u]:indptr[u + 1]]`` are the
-    arc ids leaving ``u`` in the network's adjacency order (the order the
-    engines traverse).  ``arc_heads`` (int64), ``caps`` and ``flows``
-    (float64) are indexed by *arc id*, so the ``arc ^ 1`` reverse-arc
-    pairing of the storage format is preserved and residual pushes stay
-    O(1) (``flows[a] += x; flows[a ^ 1] -= x``).  ``csr_tails`` /
-    ``csr_heads`` mirror tail and head per CSR *position* for vectorized
-    admissibility passes.
+    arc ids leaving ``u`` in ascending arc-id order (the order the engines
+    traverse), i.e. a stable argsort of the arc tails, memoized on the
+    network by :meth:`FlowNetwork.csr` so repeated snapshots (solver, then
+    cut extraction) derive it once.  ``arc_heads`` (int64), ``caps`` and
+    ``flows`` (float64) are indexed by *arc id*, so the ``arc ^ 1``
+    reverse-arc pairing of the storage format is preserved and residual
+    pushes stay O(1) (``flows[a] += x; flows[a ^ 1] -= x``).
+    ``csr_tails`` / ``csr_heads`` mirror tail and head per CSR *position*
+    for vectorized admissibility passes.
 
-    The snapshot is frozen: topology and capacities never change after
-    construction, and solvers that mutate ``flows`` must call
-    :meth:`writeback` so the owning network's residual state (used by
-    ``min_cut_from_residual``) reflects the solve.
+    The snapshot is frozen: ``arc_heads`` and ``caps`` are the network's
+    own arrays (arcs are append-only, and an append replaces rather than
+    grows them), and ``flows`` is a copy.  Solvers that mutate ``flows``
+    must call :meth:`writeback` so the owning network's residual state
+    (used by ``min_cut_from_residual``) reflects the solve.
     """
 
     __slots__ = (
@@ -99,46 +101,16 @@ class CSRFlowSnapshot:
     )
 
     def __init__(self, network: FlowNetwork) -> None:
-        n = network.num_nodes
-        adjacency = network.adjacency
-        self.num_nodes = n
-        self.num_arcs = len(network.heads)
-        self.flows = np.asarray(network.flows, dtype=np.float64)
-        # Topology and capacities are append-only on FlowNetwork, so the
-        # (num_nodes, num_arcs) key fully identifies them; memoize the
-        # frozen arrays on the network so repeated snapshots (solver, then
-        # cut extraction) pay the list-to-array conversion only once.
-        cache = network._csr_cache
-        if cache is not None and cache[0] == (n, self.num_arcs):
-            (self.arc_heads, self.caps, self.indptr, self.csr_arcs,
-             self.csr_tails, self.csr_heads) = cache[1]
-            return
-        self.arc_heads = np.asarray(network.heads, dtype=np.int64)
-        self.caps = np.asarray(network.caps, dtype=np.float64)
-        degrees = np.fromiter(
-            (len(arcs) for arcs in adjacency), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        self.indptr = indptr
-        self.csr_arcs = np.fromiter(
-            chain.from_iterable(adjacency), dtype=np.int64, count=self.num_arcs
-        )
-        self.csr_tails = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        self.csr_heads = (
-            self.arc_heads[self.csr_arcs]
-            if self.num_arcs
-            else np.empty(0, dtype=np.int64)
-        )
-        network._csr_cache = (
-            (n, self.num_arcs),
-            (self.arc_heads, self.caps, self.indptr, self.csr_arcs,
-             self.csr_tails, self.csr_heads),
-        )
+        self.num_nodes = network.num_nodes
+        self.arc_heads = network.heads
+        self.caps = network.caps
+        self.flows = network.flows.copy()
+        self.num_arcs = len(self.arc_heads)
+        self.indptr, self.csr_arcs, self.csr_tails, self.csr_heads = network.csr()
 
     def writeback(self, network: FlowNetwork) -> None:
         """Copy the snapshot's flow state back into the mutable network."""
-        network.flows = self.flows.tolist()
+        network.flows[:] = self.flows
 
 
 def _frontier_positions(
@@ -155,45 +127,80 @@ def _frontier_positions(
     return np.arange(total, dtype=np.int64) + offsets
 
 
-def _level_bfs(
-    snap: CSRFlowSnapshot, residual: np.ndarray, source: int
-) -> np.ndarray:
-    """Vectorized BFS level assignment over usable residual arcs.
+def _level_graph(
+    snap: CSRFlowSnapshot, residual: np.ndarray, source: int, sink: int
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Vectorized BFS level graph over usable residual arcs, up to the sink.
 
-    Levels are exact shortest residual distances from ``source`` — the
-    same values the reference engine's scalar BFS computes, independent of
-    visit order.
+    Returns ``(level, layers)``.  ``level[v]`` is the exact shortest
+    residual distance from ``source`` — the value the reference engine's
+    scalar BFS computes, independent of visit order — for every ``v`` no
+    deeper than the sink, and ``-1`` otherwise: the sweep stops at the
+    sink's depth, since no vertex past it lies on a shortest path.
+    ``layers[d]`` holds the CSR positions of the level-graph arcs leaving
+    depth ``d`` (usable residual, head at depth ``d + 1``), in frontier
+    order.
     """
     level = np.full(snap.num_nodes, -1, dtype=np.int64)
     level[source] = 0
+    slot = np.empty(snap.num_nodes, dtype=np.int64)
     frontier = np.array([source], dtype=np.int64)
+    layers: List[np.ndarray] = []
     depth = 0
-    while frontier.size:
+    while level[sink] < 0:
         positions = _frontier_positions(snap.indptr, frontier)
-        if positions.size == 0:
-            break
         admissible = positions[residual[snap.csr_arcs[positions]] > _EPS]
-        candidates = snap.csr_heads[admissible]
-        candidates = candidates[level[candidates] < 0]
-        if candidates.size == 0:
+        heads = snap.csr_heads[admissible]
+        fresh = heads[level[heads] < 0]
+        if fresh.size == 0:
             break
-        frontier = np.unique(candidates)
+        # Deduplicate in O(k) instead of np.unique's sort: whichever
+        # occurrence of a vertex the scatter keeps, exactly one matches.
+        order = np.arange(fresh.size)
+        slot[fresh] = order
+        frontier = fresh[slot[fresh] == order]
         depth += 1
         level[frontier] = depth
-    return level
+        layers.append(admissible[level[heads] == depth])
+    return level, layers
+
+
+def _sink_reaching(
+    snap: CSRFlowSnapshot, layers: List[np.ndarray], sink: int
+) -> List[np.ndarray]:
+    """Keep the level-graph arcs ``(u, v)`` with
+    ``level[u] + 1 + dist_t(v) == level[sink]``.
+
+    ``dist_t`` is the residual distance to the sink; an arc passes iff its
+    head reaches the sink inside the level graph.  One backward sweep over
+    the layers, deepest first, marks those heads: the sink is live, and a
+    tail at depth ``d`` is live iff one of its arcs enters a live vertex at
+    depth ``d + 1``.  Returns the surviving positions of each layer.
+    """
+    live = np.zeros(snap.num_nodes, dtype=bool)
+    live[sink] = True
+    kept: List[np.ndarray] = []
+    for positions in reversed(layers):
+        hits = positions[live[snap.csr_heads[positions]]]
+        live[snap.csr_tails[hits]] = True
+        kept.append(hits)
+    kept.reverse()
+    return kept
 
 
 def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
     """Array-native Dinic; bit-identical flows/value to the loop reference.
 
-    Per phase: one vectorized residual/level pass builds the level graph,
-    one ``np.flatnonzero`` admissibility pass compacts the *survivor* arcs
-    (usable residual, ``level[head] == level[tail] + 1``), and the
-    blocking-flow DFS runs over compacted ndarray mirrors of just those
-    survivors.  Within a phase no reverse arc of a survivor can become
-    admissible (its level points backwards), so the survivor set is
-    exactly the arc set the loop DFS could ever use — the augmenting
-    sequence, and hence every float operation, is identical.
+    Per phase: one vectorized BFS builds the level graph up to the sink's
+    depth, one backward sweep prunes it to the arcs on shortest
+    source-sink paths (:func:`_sink_reaching`), and the blocking-flow DFS
+    runs over compacted mirrors of just those *survivors*.  Within a phase
+    no reverse arc of a level-graph arc can become admissible (its level
+    points backwards), so the level graph holds every arc the loop DFS
+    could use.  An arc the prune drops leads into a subtree that cannot
+    reach the sink: the loop DFS enters it, retreats, pushes nothing and
+    marks only vertices that are dead anyway.  The augmenting sequence,
+    and hence every float operation, is identical.
     """
     network._check_node(source)
     network._check_node(sink)
@@ -216,21 +223,24 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
     phases = 0
     paths = 0
     pushes = 0
+    survivors = 0
+    pruned = 0
 
     while True:
         residual = caps - flows
-        level = _level_bfs(snap, residual, source)
+        level, layers = _level_graph(snap, residual, source, sink)
         if level[sink] < 0:
             break
         phases += 1
 
-        # Survivor compaction: admissible level-graph arcs, in (vertex,
-        # adjacency-order) position order — the loop DFS candidate order.
-        keep = np.flatnonzero(
-            (residual[snap.csr_arcs] > _EPS)
-            & (level[snap.csr_tails] >= 0)
-            & (level[snap.csr_heads] == level[snap.csr_tails] + 1)
-        )
+        # Survivors in (vertex, adjacency-order) position order — the loop
+        # DFS candidate order, which sorting the CSR positions restores.
+        kept = _sink_reaching(snap, layers, sink)
+        keep = np.sort(np.concatenate(kept))
+        if rec.enabled:
+            found = sum(len(layer) for layer in layers)
+            survivors += found
+            pruned += found - len(keep)
         kept_arcs = snap.csr_arcs[keep]
         sub_bounds = np.searchsorted(
             snap.csr_tails[keep], np.arange(n + 1, dtype=np.int64)
@@ -306,6 +316,8 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
         rec.incr("flow.dinic_array.phases", phases)
         rec.incr("flow.dinic_array.augmenting_paths", paths)
         rec.incr("flow.dinic_array.pushes", pushes)
+        rec.incr("flow.dinic_array.survivor_arcs", survivors)
+        rec.incr("flow.dinic_array.pruned_arcs", pruned)
         rec.observe("flow.dinic_array.paths_per_call", paths)
     return float(total)
 
@@ -370,10 +382,10 @@ def push_relabel_array_max_flow(
         rec.incr("flow.array.snapshots")
         rec.gauge("flow.array.snapshot_arcs", snap.num_arcs)
 
+    # The discharge loop runs on Python-list mirrors of the arc arrays;
+    # the flows are written back once at the end.
     n = network.num_nodes
-    heads = network.heads
-    caps = network.caps
-    flows = network.flows
+    heads, caps, flows = network.list_mirrors()
     adjacency = network.adjacency
 
     height = [0] * n
@@ -406,7 +418,8 @@ def push_relabel_array_max_flow(
             # warm-started networks whose source arcs carry sub-epsilon
             # residuals; skip the push entirely.
             return
-        network.push(arc, amount)
+        flows[arc] += amount
+        flows[arc ^ 1] -= amount
         num_pushes += 1
         excess[u] -= amount
         excess[v] += amount
@@ -485,6 +498,7 @@ def push_relabel_array_max_flow(
         if relabels_since_sweep >= sweep_interval and active:
             global_relabel()
 
+    network.flows[:] = flows
     if rec.enabled:
         rec.incr("flow.push_relabel_array.calls")
         rec.incr("flow.push_relabel_array.pushes", num_pushes)

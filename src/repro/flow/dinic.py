@@ -32,10 +32,10 @@ def dinic_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
     if source == sink:
         raise ValueError("source and sink must differ")
 
+    # Python-list mirrors of the arc arrays, taken once; the flows are
+    # written back once at the end.
     n = network.num_nodes
-    heads = network.heads
-    caps = network.caps
-    flows = network.flows
+    heads, caps, flows = network.list_mirrors()
     adjacency = network.adjacency
 
     total = 0.0
@@ -91,11 +91,13 @@ def dinic_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
                 break  # no more augmenting paths in this phase
             bottleneck = min(caps[arc] - flows[arc] for arc in path)
             for arc in path:
-                network.push(arc, bottleneck)
+                flows[arc] += bottleneck
+                flows[arc ^ 1] -= bottleneck
             total += bottleneck
             paths += 1
             pushes += len(path)
 
+    network.flows[:] = flows
     rec = recorder()
     if rec.enabled:
         rec.incr("flow.dinic.calls")

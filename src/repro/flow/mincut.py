@@ -43,14 +43,14 @@ class MinCut:
 
     def cut_edges(self, network: FlowNetwork) -> List[Tuple[int, int, float]]:
         """Materialize the cut-edge set as ``(tail, head, capacity)`` triples."""
-        return [
-            (network.tail(arc), network.heads[arc], network.caps[arc])
-            for arc in self.cut_arcs
-        ]
+        arcs = self.cut_arcs
+        return list(zip(network.tails[arcs].tolist(),
+                        network.heads[arcs].tolist(),
+                        network.caps[arcs].tolist()))
 
     def weight(self, network: FlowNetwork) -> float:
         """Total capacity of the cut-edge set (eq. (5) of the paper)."""
-        return float(sum(network.caps[arc] for arc in self.cut_arcs))
+        return float(sum(network.caps[self.cut_arcs].tolist()))
 
     def __repr__(self) -> str:
         return (f"MinCut(value={self.value:g}, source_side={len(self.source_side)}, "

@@ -312,7 +312,7 @@ def run_flow_differential(network: FlowNetwork, source: int,
             ))
             continue
         values[label] = float(value)
-        flows[label] = list(network.flows)
+        flows[label] = network.flows.tolist()
         if not network.check_flow_conservation(source, sink):
             findings.append(Disagreement(
                 kind="flow", config=label,

@@ -103,6 +103,40 @@ def _edge_box_strict() -> Iterator[None]:
 
 
 @contextmanager
+def _dinic_prune_off_by_one() -> Iterator[None]:
+    """Make Dinic's shortest-path prune skip the last tail of each layer.
+
+    The backward sweep marks the tails of all but the last live arc in
+    each layer (a ``[:-1]`` slip), so a vertex whose only way to the sink
+    is that arc is wrongly dead and the arcs into it — which lie on a
+    shortest path — are pruned.  Whenever a phase's last augmenting path
+    runs through such a vertex the phase finds nothing and Dinic stops
+    short of a maximum flow; the min-cut extraction then finds the sink
+    still reachable, which the passive differential must catch.
+    """
+    from ..flow import array
+
+    original = array._sink_reaching
+
+    def off_by_one(snap, layers, sink):  # type: ignore[no-untyped-def]
+        live = np.zeros(snap.num_nodes, dtype=bool)
+        live[sink] = True
+        kept = []
+        for positions in reversed(layers):
+            hits = positions[live[snap.csr_heads[positions]]]
+            live[snap.csr_tails[hits[:-1]]] = True
+            kept.append(hits)
+        kept.reverse()
+        return kept
+
+    array._sink_reaching = off_by_one  # type: ignore[assignment]
+    try:
+        yield
+    finally:
+        array._sink_reaching = original  # type: ignore[assignment]
+
+
+@contextmanager
 def _capacity_plus_one() -> Iterator[None]:
     """Revert the effective-infinity guard to the bare ``total + 1.0``.
 
@@ -189,6 +223,7 @@ MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "hasse_uint8_overflow": _hasse_uint8_overflow,
     "duplicate_edges_dropped": _duplicate_edges_dropped,
     "edge_box_strict": _edge_box_strict,
+    "dinic_prune_off_by_one": _dinic_prune_off_by_one,
     "capacity_plus_one": _capacity_plus_one,
     "matching_last_free": _matching_last_free,
     "classify_strict_ties": _classify_strict_ties,

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from repro import PointSet
 from repro.flow import RESIDUAL_EPS, FlowNetwork
 
-__all__ = ["point_sets", "flow_networks", "boundary_flow_networks"]
+__all__ = [
+    "point_sets",
+    "flow_networks",
+    "boundary_flow_networks",
+    "pruning_flow_networks",
+    "network_build_scripts",
+]
 
 
 @st.composite
@@ -101,3 +107,90 @@ def boundary_flow_networks(draw, max_nodes: int = 8, max_edges: int = 20
             continue
         network.add_edge(u, v, draw(st.sampled_from(_BOUNDARY_CAPACITIES)))
     return network, 0, n - 1
+
+
+@st.composite
+def pruning_flow_networks(draw, max_core: int = 8, max_extra: int = 6
+                          ) -> Tuple[FlowNetwork, int, int]:
+    """Networks that give Dinic's shortest-path prune something to drop.
+
+    A random core digraph (source ``0``, sink ``n - 1``) around a short
+    source-sink backbone, plus:
+
+    * dead-end branches: extra vertices entered from the core whose arcs
+      lead only to other dead ends, so they sit in the level graph
+      without reaching the sink;
+    * a detour: a chain from the source to the sink longer than the
+      backbone, whose vertices lie past the sink's level until the short
+      paths saturate;
+    * capacities at the ``RESIDUAL_EPS`` boundary mixed with ordinary
+      values, so arcs drop in and out of the level graph on ties.
+
+    Vertex ids and edge order are shuffled so the pruned arcs interleave
+    with live ones in every adjacency list.
+    """
+    core = draw(st.integers(3, max_core))
+    dead = draw(st.integers(0, max_extra))
+    detour = draw(st.integers(0, max_extra))
+    n = core + dead + detour
+    inner = draw(st.permutations(range(1, n - 1)))
+    # Logical roles -> vertex ids: source 0, sink n - 1, the rest shuffled.
+    core_ids = [0, *inner[:core - 2], n - 1]
+    dead_ids = inner[core - 2:core - 2 + dead]
+    detour_ids = inner[core - 2 + dead:]
+    ordinary = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+    mixed = st.sampled_from(_BOUNDARY_CAPACITIES + [0.5, 2.0, 3.0])
+    vertex = st.sampled_from(core_ids)
+
+    middle = draw(st.sampled_from(core_ids[1:-1]))
+    edges: List[Tuple[int, int, float]] = [
+        (0, middle, draw(ordinary)), (middle, n - 1, draw(ordinary))]
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=16)):
+        if u != v:
+            edges.append((u, v, draw(mixed)))
+    for index, d in enumerate(dead_ids):
+        entry = draw(st.sampled_from([*core_ids[:-1], *dead_ids[:index]]))
+        edges.append((entry, d, draw(ordinary)))
+        if index:
+            edges.append((d, draw(st.sampled_from(dead_ids[:index])),
+                          draw(mixed)))
+    if detour:
+        chain = [0, *detour_ids, n - 1]
+        for u, v in zip(chain, chain[1:]):
+            edges.append((u, v, draw(st.one_of(ordinary, mixed))))
+    order = draw(st.permutations(range(len(edges))))
+    network = FlowNetwork(n)
+    for index in order:
+        network.add_edge(*edges[index])
+    return network, 0, n - 1
+
+
+@st.composite
+def network_build_scripts(draw, max_ops: int = 12) -> List[tuple]:
+    """A random mix of ``add_node`` / ``add_edge`` / ``add_edges`` calls.
+
+    Each step is ``("node",)``, ``("edge", u, v, cap)`` or ``("edges",
+    tails, heads, caps)``; vertex ids are valid at the step they appear,
+    and a ``("read",)`` step forces the buffered edges into storage
+    mid-build.
+    """
+    num_nodes = draw(st.integers(1, 5))
+    steps: List[tuple] = [("init", num_nodes)]
+    for _ in range(draw(st.integers(0, max_ops))):
+        kind = draw(st.sampled_from(["node", "edge", "edges", "read"]))
+        vertex = st.integers(0, num_nodes - 1)
+        cap = st.floats(0.0, 10.0, allow_nan=False)
+        if kind == "node":
+            num_nodes += 1
+            steps.append(("node",))
+        elif kind == "edge":
+            steps.append(("edge", draw(vertex), draw(vertex), draw(cap)))
+        elif kind == "edges":
+            m = draw(st.integers(0, 6))
+            steps.append(("edges",
+                          draw(st.lists(vertex, min_size=m, max_size=m)),
+                          draw(st.lists(vertex, min_size=m, max_size=m)),
+                          draw(st.lists(cap, min_size=m, max_size=m))))
+        else:
+            steps.append(("read",))
+    return steps

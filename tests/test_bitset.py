@@ -243,9 +243,9 @@ class TestFlowConstructionParity:
                 seq.add_edge(int(t), int(h), float(c))
             bulk = FlowNetwork(n)
             ids = bulk.add_edges(tails, heads, caps)
-            assert bulk.heads == seq.heads
-            assert bulk.caps == seq.caps
-            assert bulk.tails == seq.tails
+            assert bulk.heads.tolist() == seq.heads.tolist()
+            assert bulk.caps.tolist() == seq.caps.tolist()
+            assert bulk.tails.tolist() == seq.tails.tolist()
             assert bulk.adjacency == seq.adjacency
             assert ids.tolist() == list(range(0, 2 * m, 2))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,13 @@ class TestFlowNetwork:
         with pytest.raises(ValueError):
             net.add_edge(0, 1, -1.0)
 
+    def test_rejects_nan_capacity(self):
+        """add_edge validates like add_edges: a NaN capacity is refused."""
+        net = FlowNetwork(2)
+        with pytest.raises(ValueError, match="non-negative"):
+            net.add_edge(0, 1, float("nan"))
+        assert net.num_edges == 0
+
     def test_rejects_bad_vertex(self):
         net = FlowNetwork(2)
         with pytest.raises(ValueError):
@@ -79,6 +87,39 @@ class TestFlowNetwork:
         dinic_max_flow(net, 0, 3)
         assert net.check_flow_conservation(0, 3)
 
+    def test_conservation_check_tolerance_boundaries(self):
+        """Excess and capacity slack of exactly ``tol`` pass; more fails."""
+        tol = 2.0 ** -20
+        net = FlowNetwork(3)
+        a = net.add_edge(0, 1, 1.0)
+        b = net.add_edge(1, 2, 1.0)
+        net.push(a, 0.5)
+        net.push(b, 0.5 + tol)  # vertex 1 is short by exactly tol
+        assert net.check_flow_conservation(0, 2, tol=tol)
+        assert not net.check_flow_conservation(0, 2, tol=tol / 2)
+        net.reset_flow()
+        net.push(a, 1.0 + tol)  # over capacity by exactly tol
+        net.push(b, 1.0 + tol)
+        assert net.check_flow_conservation(0, 2, tol=tol)
+        assert not net.check_flow_conservation(0, 2, tol=tol / 2)
+
+    def test_flow_value_sums_left_to_right(self):
+        """flow_value keeps the scalar loop's summation order.
+
+        numpy's pairwise sum rounds these flows differently, and
+        push_relabel reports ``0.0 - flow_value(sink)``, so the order is
+        part of its bit-for-bit contract.
+        """
+        amounts = [1.0] + [2.0 ** -53] * 16
+        net = FlowNetwork(len(amounts) + 1)
+        for leaf, amount in enumerate(amounts, start=1):
+            net.push(net.add_edge(0, leaf, 2.0), amount)
+        sequential = 0.0
+        for amount in amounts:
+            sequential += amount
+        assert float(np.sum(amounts)) != sequential  # the sums do differ
+        assert net.flow_value(0) == sequential
+
     def test_tail_accessor(self):
         """Public tail()/tails: the arc-origin counterpart of heads."""
         net = FlowNetwork(3)
@@ -87,7 +128,7 @@ class TestFlowNetwork:
         assert net.tail(arc) == 0 and net.heads[arc] == 1
         assert net.tail(arc ^ 1) == 1  # reverse arc runs backwards
         assert net.tail(other) == 1
-        assert net.tails == (0, 1, 1, 2)
+        assert tuple(net.tails.tolist()) == (0, 1, 1, 2)
         # Every forward arc's materialized tail agrees with the accessor.
         assert all(a.tail == net.tail(arc_id) for arc_id, a in net.forward_arcs())
 

@@ -34,7 +34,12 @@ from repro.flow import (
 from repro.fuzz.corpus import iter_corpus, load_reproducer
 from repro.obs import metrics_session
 from tests.conftest import FLOW_ENGINES
-from tests.strategies import boundary_flow_networks, flow_networks
+from tests.strategies import (
+    boundary_flow_networks,
+    flow_networks,
+    network_build_scripts,
+    pruning_flow_networks,
+)
 
 CORPUS_DIR = "tests/corpus"
 
@@ -109,6 +114,52 @@ class TestCSRFlowSnapshot:
         assert net.residual(arc) == 1.5
         assert net.residual(arc ^ 1) == 2.5
 
+    @settings(max_examples=60, deadline=None)
+    @given(network_build_scripts())
+    def test_csr_matches_sequential_reference(self, steps):
+        """Any mix of add_node / add_edge / add_edges derives the CSR a
+        per-vertex list of sequential appends would hold."""
+        net = FlowNetwork(steps[0][1])
+        adjacency = [[] for _ in range(steps[0][1])]
+        heads, tails, caps = [], [], []
+
+        def append(u, v, cap):
+            adjacency[u].append(len(heads))
+            adjacency[v].append(len(heads) + 1)
+            heads.extend([v, u])
+            tails.extend([u, v])
+            caps.extend([float(cap), 0.0])
+
+        for step in steps[1:]:
+            if step[0] == "node":
+                assert net.add_node() == len(adjacency)
+                adjacency.append([])
+            elif step[0] == "edge":
+                assert net.add_edge(*step[1:]) == len(heads)
+                append(*step[1:])
+            elif step[0] == "edges":
+                ids = net.add_edges(np.asarray(step[1], dtype=np.int64),
+                                    np.asarray(step[2], dtype=np.int64),
+                                    np.asarray(step[3], dtype=float))
+                assert ids.tolist() == list(
+                    range(len(heads), len(heads) + 2 * len(step[1]), 2))
+                for edge in zip(*step[1:]):
+                    append(*edge)
+            else:
+                net.csr()  # flush and memoize mid-build
+        expected = [arc for arcs in adjacency for arc in arcs]
+        snap = CSRFlowSnapshot(net)
+        assert snap.csr_arcs.tolist() == expected
+        assert snap.indptr.tolist() == np.cumsum(
+            [0] + [len(arcs) for arcs in adjacency]).tolist()
+        assert snap.csr_tails.tolist() == [tails[a] for a in expected]
+        assert snap.csr_heads.tolist() == [heads[a] for a in expected]
+        assert net.adjacency == adjacency
+        assert net.heads.tolist() == heads
+        assert net.tails.tolist() == tails
+        assert net.caps.tolist() == caps
+        assert net.num_edges == len(heads) // 2
+
     def test_empty_network(self):
         net = FlowNetwork(3)
         snap = CSRFlowSnapshot(net)
@@ -128,7 +179,7 @@ class TestDinicArrayBitIdentity:
         loop_value = dinic_max_flow(loop_net, source, sink)
         array_value = dinic_array_max_flow(array_net, source, sink)
         assert array_value == loop_value  # exact, no tolerance
-        assert array_net.flows == loop_net.flows
+        assert array_net.flows.tolist() == loop_net.flows.tolist()
 
     @settings(max_examples=25, deadline=None)
     @given(boundary_flow_networks())
@@ -137,7 +188,48 @@ class TestDinicArrayBitIdentity:
         loop_net, array_net = _clone(network), _clone(network)
         assert dinic_array_max_flow(array_net, source, sink) == \
             dinic_max_flow(loop_net, source, sink)
-        assert array_net.flows == loop_net.flows
+        assert array_net.flows.tolist() == loop_net.flows.tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(pruning_flow_networks())
+    def test_bit_identical_where_the_prune_drops_arcs(self, case):
+        """Dead ends, vertices past the sink's level and epsilon-boundary
+        capacities: the shortest-path prune changes no push."""
+        network, source, sink = case
+        loop_net, array_net = _clone(network), _clone(network)
+        with metrics_session() as reg:
+            loop_value = dinic_max_flow(loop_net, source, sink)
+            array_value = dinic_array_max_flow(array_net, source, sink)
+        assert np.float64(array_value).tobytes() == \
+            np.float64(loop_value).tobytes()
+        assert array_net.flows.tobytes() == loop_net.flows.tobytes()
+        for counter in ("phases", "augmenting_paths", "pushes"):
+            assert reg.counter_value(f"flow.dinic_array.{counter}") == \
+                reg.counter_value(f"flow.dinic.{counter}"), counter
+
+    def test_prune_counters(self):
+        """A dead-end branch and a detour are pruned from the first phase."""
+        net = FlowNetwork(7)
+        net.add_edge(0, 1, 1.0)  # 0 -> 1 -> 6: the shortest path
+        net.add_edge(1, 6, 1.0)
+        net.add_edge(0, 2, 1.0)  # 2 -> 3: a dead end
+        net.add_edge(2, 3, 1.0)
+        net.add_edge(0, 4, 1.0)  # 0 -> 4 -> 5 -> 6: a longer detour
+        net.add_edge(4, 5, 1.0)
+        net.add_edge(5, 6, 1.0)
+        loop_net = _clone(net)
+        with metrics_session() as reg:
+            value = dinic_array_max_flow(net, 0, 6)
+        assert value == dinic_max_flow(loop_net, 0, 6) == 2.0
+        assert net.flows.tolist() == loop_net.flows.tolist()
+        counters = reg.counters
+        assert counters["flow.dinic_array.phases"].value == 2
+        # Phase 1 (sink at depth 2): the level graph is 0->1, 0->2, 0->4,
+        # 1->6, 2->3, 4->5; only 0->1 and 1->6 reach the sink, and the BFS
+        # never looks past depth 2 (5->6).  Phase 2 (depth 3): 0->2, 0->4,
+        # 2->3, 4->5, 5->6, of which 0->2 and 2->3 are pruned.
+        assert counters["flow.dinic_array.survivor_arcs"].value == 6 + 5
+        assert counters["flow.dinic_array.pruned_arcs"].value == 4 + 2
 
     def test_bit_identical_on_larger_random_networks(self):
         for seed in range(20):
@@ -145,7 +237,7 @@ class TestDinicArrayBitIdentity:
             loop_net, array_net = _clone(net), _clone(net)
             assert dinic_array_max_flow(array_net, 0, 59) == \
                 dinic_max_flow(loop_net, 0, 59)
-            assert array_net.flows == loop_net.flows
+            assert array_net.flows.tolist() == loop_net.flows.tolist()
 
 
 class TestPushRelabelArray:

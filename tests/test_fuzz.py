@@ -161,8 +161,10 @@ class TestStructureCheck:
 
     def test_mutants_restore_on_exit(self):
         from repro.core import classifier, pairwise, passive
+        from repro.flow import array
         from repro.poset import bitset, sparse
 
+        original_prune = array._sink_reaching
         original_dominance = classifier.pairwise_weak_dominance
         original_box = pairwise._box_candidates
         original_red = sparse.transitive_reduction
@@ -183,12 +185,16 @@ class TestStructureCheck:
         with apply_mutant("classify_strict_ties"):
             assert classifier.pairwise_weak_dominance is not original_dominance
             assert passive.blocked_dominance_pair_arrays is original_pairs
+        with apply_mutant("dinic_prune_off_by_one"):
+            assert array._sink_reaching is not original_prune
+            assert pairwise._box_candidates is original_box
         assert sparse.transitive_reduction is original_red
         assert passive._effective_infinity is original_inf
         assert bitset._greedy_first_phase is original_greedy
         assert passive.blocked_dominance_pair_arrays is original_pairs
         assert classifier.pairwise_weak_dominance is original_dominance
         assert pairwise._box_candidates is original_box
+        assert array._sink_reaching is original_prune
 
     def test_unknown_mutant_rejected(self):
         with pytest.raises(ValueError, match="unknown mutant"):
@@ -319,6 +325,16 @@ class TestMutantSelfTest:
                           mutant="edge_box_strict", shrink=False)
         assert not report.ok, "mutant was not detected"
         assert any("Lemma 16" in d.detail
+                   for _family, _run, d in report.findings)
+
+    def test_level_prune_mutant_is_detected(self):
+        # A prune that wrongly kills one vertex per layer can end a Dinic
+        # phase with no path while the sink is still reachable; the cut
+        # extraction's maximality check must catch the short flow.
+        report = run_fuzz(runs=8, seed=3, families=["duplicates"], size=24,
+                          mutant="dinic_prune_off_by_one", shrink=False)
+        assert not report.ok, "mutant was not detected"
+        assert any("flow is not maximum" in d.detail
                    for _family, _run, d in report.findings)
 
 
