@@ -11,6 +11,11 @@ baseline mean.  Benchmarks present in only one file are reported but never
 fail the gate (new benchmarks must be allowed to land before a baseline
 refresh; retired ones must not haunt it).
 
+When both files hold the fixed calibration benchmark (``CALIBRATION``,
+which runs no project code), every ratio is divided by its ratio first:
+a host that runs the yardstick 1.6x slower is allowed 1.6x everywhere,
+so the gate measures the code and not the host.
+
 Stdlib only, on purpose: CI runs this before any project dependency is
 importable-by-accident, and local runs should not need the bench venv.
 """
@@ -37,26 +42,46 @@ def load_means(path: str) -> Dict[str, float]:
     return means
 
 
+#: ``fullname`` of the host-speed yardstick in ``test_bench_smoke.py``.
+CALIBRATION = "benchmarks/test_bench_smoke.py::test_smoke_calibration"
+
+
+def host_factor(baseline: Dict[str, float], current: Dict[str, float]) -> float:
+    """How much slower the current host runs the calibration (1.0 if absent)."""
+    if CALIBRATION in baseline and CALIBRATION in current:
+        factor = current[CALIBRATION] / baseline[CALIBRATION]
+        print(f"host factor: {factor:.2f} (calibration ratio; every ratio "
+              "is divided by it)")
+        return factor
+    print("host factor: 1.00 (calibration not in both files; raw ratios)")
+    return 1.0
+
+
 def compare(
     baseline: Dict[str, float],
     current: Dict[str, float],
     threshold: float,
 ) -> List[str]:
-    """Return one failure line per benchmark regressing beyond ``threshold``."""
+    """Return one failure line per benchmark regressing beyond ``threshold``.
+
+    Ratios are host-normalised by :func:`host_factor`.
+    """
+    factor = host_factor(baseline, current)
     failures: List[str] = []
     for name in sorted(baseline):
         if name not in current:
             print(f"  [gone]  {name} (in baseline only; not gating)")
             continue
         base, cur = baseline[name], current[name]
-        ratio = cur / base
+        ratio = cur / base / factor
         marker = "FAIL" if ratio > 1.0 + threshold else "ok"
         print(f"  [{marker:>4}] {name}: {base * 1e3:.2f}ms -> {cur * 1e3:.2f}ms "
-              f"({ratio:.2f}x baseline)")
+              f"({ratio:.2f}x baseline, host-normalised)")
         if ratio > 1.0 + threshold:
             failures.append(
                 f"{name}: mean {cur * 1e3:.2f}ms vs baseline {base * 1e3:.2f}ms "
-                f"({ratio:.2f}x, threshold {1.0 + threshold:.2f}x)"
+                f"({ratio:.2f}x host-normalised, threshold "
+                f"{1.0 + threshold:.2f}x)"
             )
     for name in sorted(set(current) - set(baseline)):
         print(f"  [new ]  {name} (no baseline; not gating)")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro import PointSet
 from repro.datasets.synthetic import planted_monotone, width_controlled
 from repro.poset.chains import (
     greedy_chain_decomposition,
@@ -28,6 +30,22 @@ def test_patience_decomposition_large(benchmark, n):
     decomposition = benchmark(patience_chain_decomposition, points)
     assert decomposition.num_chains == 16
     benchmark.extra_info.update({"n": n, "chains": decomposition.num_chains})
+
+
+@pytest.mark.parametrize("shape", ["antichain_20k", "planted_200k"])
+def test_patience_decomposition_worst(benchmark, shape):
+    """The hybrid's worst shapes: an antichain (no chain peels, first fit
+    places every point) and planted_monotone (w in the hundreds)."""
+    if shape == "antichain_20k":
+        t = np.arange(20_000, dtype=float)
+        points = PointSet(np.c_[t, -t], [0] * len(t))
+    else:
+        points = planted_monotone(200_000, 2, noise=0.1, rng=2)
+    decomposition = benchmark(patience_chain_decomposition, points)
+    if shape == "antichain_20k":
+        assert decomposition.num_chains == points.n
+    benchmark.extra_info.update({"n": points.n,
+                                 "chains": decomposition.num_chains})
 
 
 def test_greedy_vs_exact_chain_count(benchmark):

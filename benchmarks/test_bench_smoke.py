@@ -22,6 +22,25 @@ from repro.parallel import GridConfig, run_grid
 from repro.poset import dominance_pair_count, maximal_points, minimal_points
 
 
+def _calibration_work(data):
+    total = 0
+    for i in range(100_000):
+        total += i & 7
+    return total + float(np.sort(data)[0])
+
+
+def test_smoke_calibration(benchmark):
+    """Host-speed yardstick: fixed work that runs no repro code.
+
+    ``compare.py`` divides every benchmark's slowdown by this one's, so
+    the gate compares code and not the hosts the two files came from.
+    It mixes an interpreter loop with a numpy sort, as the pipeline
+    does.  Changing it invalidates the baseline: refresh both together.
+    """
+    data = np.random.default_rng(0).random(100_000)
+    benchmark(_calibration_work, data)
+
+
 def test_smoke_passive_flow(benchmark):
     """Passive optimum via min-cut on a small planted instance."""
     points = planted_monotone(400, 2, noise=0.1, rng=0)

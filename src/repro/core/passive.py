@@ -184,14 +184,7 @@ def solve_passive(points: PointSet, backend: str = "dinic",
     (reachable through ``PointSet(validate=False)``); ``±inf`` is accepted.
     """
     points.require_full_labels()
-    nan_rows = np.flatnonzero(np.isnan(points.coords).any(axis=1))
-    if len(nan_rows):
-        bad = int(nan_rows[0])
-        raise ValueError(
-            f"point {bad} has a NaN coordinate ({points.coords[bad].tolist()}"
-            "): every comparison with NaN is false, so dominance is undefined "
-            "on it; drop or impute such points before solve_passive"
-        )
+    points.require_no_nan("solve_passive")
     n = points.n
     labels = points.labels
     weights = points.weights

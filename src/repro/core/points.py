@@ -251,6 +251,21 @@ class PointSet:
         if self.has_hidden_labels:
             raise ValueError("operation requires a fully-labeled point set")
 
+    def require_no_nan(self, consumer: str) -> None:
+        """Raise ``ValueError`` naming the first point with a NaN coordinate.
+
+        Reachable only through ``validate=False``; ``±inf`` passes.
+        ``consumer`` names the caller in the message.
+        """
+        nan_rows = np.flatnonzero(np.isnan(self.coords).any(axis=1))
+        if len(nan_rows):
+            bad = int(nan_rows[0])
+            raise ValueError(
+                f"point {bad} has a NaN coordinate ({self.coords[bad].tolist()}"
+                "): every comparison with NaN is false, so dominance is "
+                f"undefined on it; drop or impute such points before {consumer}"
+            )
+
     # ------------------------------------------------------------------
     # Dominance
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ identically everywhere or fail identically everywhere with ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from ..core.points import PointSet
 from ..core.validation import audit_active_result, audit_passive_result
 from ..flow import FLOW_BACKENDS, FlowNetwork, dinic_max_flow
 from ..obs import recorder
+
+if TYPE_CHECKING:
+    from ..poset import ChainDecomposition
 
 __all__ = [
     "PassiveConfig",
@@ -196,7 +199,9 @@ def check_poset_structure(points: PointSet) -> List[Disagreement]:
       its endpoints (the invariant the historical uint8 mod-256 overflow
       violated: spurious covering pairs at 256-multiple depths).
 
-    And two of the chain decomposition (see :func:`_check_matching`).
+    And two of the chain decomposition (see :func:`_check_matching`),
+    plus three of the ``d <= 2`` patience decomposition (see
+    :func:`_check_patience`).
     """
     from ..poset.sparse import transitive_reduction
 
@@ -206,6 +211,8 @@ def check_poset_structure(points: PointSet) -> List[Disagreement]:
         return findings
     order = points.order_matrix()
     findings.extend(_check_matching(points, order))
+    if points.dim <= 2:
+        findings.extend(_check_patience(points, order))
     red = transitive_reduction(order)
 
     if bool(np.any(red & ~order)):
@@ -253,9 +260,7 @@ def _check_matching(points: PointSet, order: np.ndarray) -> List[Disagreement]:
     from ..poset import (
         hopcroft_karp,
         hopcroft_karp_bitset,
-        is_valid_chain_decomposition,
         matching_chain_decomposition,
-        maximum_antichain,
         packed_order,
     )
 
@@ -271,16 +276,51 @@ def _check_matching(points: PointSet, order: np.ndarray) -> List[Disagreement]:
             detail=(f"left vertex {u} matched to {bitset[u]}, loop "
                     f"Hopcroft-Karp matches it to {reference[u]}"),
         ))
-    chains = matching_chain_decomposition(points)
+    findings.extend(_check_dilworth(points, order,
+                                    matching_chain_decomposition(points)))
+    return findings
+
+
+def _check_dilworth(points: PointSet, order: np.ndarray,
+                    chains: ChainDecomposition) -> List[Disagreement]:
+    """A valid decomposition with as many chains as a König antichain."""
+    from ..poset import is_valid_chain_decomposition, maximum_antichain
+
     antichain = maximum_antichain(points)
-    if not (is_valid_chain_decomposition(points, chains)
+    if (is_valid_chain_decomposition(points, chains)
             and not order[np.ix_(antichain, antichain)].any()
             and chains.num_chains == len(antichain)):
-        findings.append(Disagreement(
-            kind="structure", config="matching_chain_decomposition",
-            detail=(f"{chains.num_chains} chain(s) against a König "
-                    f"antichain of {len(antichain)} point(s)"),
-        ))
+        return []
+    return [Disagreement(
+        kind="structure", config=f"{chains.method}_chain_decomposition",
+        detail=(f"{chains.num_chains} chain(s) against a König "
+                f"antichain of {len(antichain)} point(s)"),
+    )]
+
+
+def _check_patience(points: PointSet, order: np.ndarray) -> List[Disagreement]:
+    """Check the ``d <= 2`` peel + first-fit decomposition.
+
+    * its chains must equal first fit run over the whole ``(x, y)`` order
+      with no peeling (listed newest chain first), chain for chain;
+    * it must be valid, with as many chains as the König maximum
+      antichain has points.
+    """
+    from ..poset.chains import _first_fit_chains, patience_chain_decomposition
+
+    findings: List[Disagreement] = []
+    chains = patience_chain_decomposition(points)
+    if points.dim == 2:
+        xs, ys = points.coords[:, 0], points.coords[:, 1]
+        lex = np.lexsort((ys, xs))
+        reference = _first_fit_chains(ys[lex].tolist(), lex.tolist())[::-1]
+        if chains.chains != reference:
+            findings.append(Disagreement(
+                kind="structure", config="patience_chain_decomposition",
+                detail=(f"{chains.num_chains} chain(s) differ from first fit "
+                        f"without peeling ({len(reference)} chain(s))"),
+            ))
+    findings.extend(_check_dilworth(points, order, chains))
     return findings
 
 

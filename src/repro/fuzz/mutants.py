@@ -218,6 +218,31 @@ def _classify_strict_ties() -> Iterator[None]:
         classifier.pairwise_weak_dominance = original  # type: ignore[assignment]
 
 
+@contextmanager
+def _patience_peel_strict() -> Iterator[None]:
+    """Make the patience peel strict: ``y >`` the running max of earlier ``y``.
+
+    First fit's first chain takes every point whose ``y`` is *at least*
+    the running maximum; a strict test leaves a point tied with that
+    maximum (a duplicate, or a tie in ``y``) for a later chain.  The
+    chains stay valid but split, so the count exceeds the width — which
+    the structure check's first-fit and König comparisons must flag.
+    """
+    from ..poset import chains
+
+    original = chains._peel_mask
+
+    def strict(ys):  # type: ignore[no-untyped-def]
+        earlier = np.maximum.accumulate(np.concatenate(([-np.inf], ys[:-1])))
+        return ys > earlier
+
+    chains._peel_mask = strict  # type: ignore[assignment]
+    try:
+        yield
+    finally:
+        chains._peel_mask = original  # type: ignore[assignment]
+
+
 #: Named mutants: context managers that break one solver invariant each.
 MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "hasse_uint8_overflow": _hasse_uint8_overflow,
@@ -227,6 +252,7 @@ MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "capacity_plus_one": _capacity_plus_one,
     "matching_last_free": _matching_last_free,
     "classify_strict_ties": _classify_strict_ties,
+    "patience_peel_strict": _patience_peel_strict,
 }
 
 

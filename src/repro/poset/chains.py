@@ -18,6 +18,7 @@ ablation: it needs no matching but may emit more than ``w`` chains for
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -113,21 +114,68 @@ def minimum_chain_decomposition(points: PointSet) -> ChainDecomposition:
         return matching_chain_decomposition(points)
 
 
-def patience_chain_decomposition(points: PointSet) -> ChainDecomposition:
-    """Exact minimum chain decomposition for ``d <= 2`` in ``O(n log n)``.
+#: Peeling continues while a pass removes at least ``1 / _PEEL_DIVISOR``
+#: of the points left; the accepted passes then cost at most
+#: ``_PEEL_DIVISOR * n`` vectorised element operations in total.
+_PEEL_DIVISOR = 64
 
-    Process points by ascending ``(x, y)``; append each point to the chain
-    whose current top has the largest ``y`` not exceeding the point's ``y``
-    (best fit), opening a new chain when no top qualifies.  Every earlier
-    top has ``x <=`` the current point's ``x``, so best-fit placement keeps
-    chains valid; a patience-sorting argument shows that when the k-th
-    chain opens there is an anti-chain of size k, so the count is minimum
+
+def _peel_mask(ys: np.ndarray) -> np.ndarray:
+    """First fit's first chain over ``ys``: each ``y`` at least the running max."""
+    return ys >= np.maximum.accumulate(ys)
+
+
+def _first_fit_chains(ys: Sequence[float], indices: Sequence[int]) -> List[List[int]]:
+    """First fit over a sequence already in ``(x asc, y asc)`` order.
+
+    Each point joins the first chain, in creation order, whose top ``y``
+    is at most its own, and opens a new chain when none qualifies.
+    Returns the chains in creation order.  Tops strictly decrease in
+    creation order, so their negations are a sorted list and the first
+    qualifying chain is one ``bisect_left`` away: ``O(n log w)``.
+    """
+    neg_tops: List[float] = []
+    chains: List[List[int]] = []
+    for idx, y in zip(indices, ys):
+        pos = bisect_left(neg_tops, -y)
+        if pos == len(chains):
+            neg_tops.append(-y)
+            chains.append([idx])
+        else:
+            neg_tops[pos] = -y
+            chains[pos].append(idx)
+    return chains
+
+
+def patience_chain_decomposition(points: PointSet) -> ChainDecomposition:
+    """Exact minimum chain decomposition for ``d <= 2``.
+
+    Points are processed by ascending ``(x, y)``; each joins the chain
+    whose current top has the largest ``y`` not exceeding its own (best
+    fit), opening a new chain when no top qualifies.  Every earlier top
+    has ``x <=`` the current point's ``x``, so placement keeps chains
+    valid; a patience-sorting argument shows that when the k-th chain
+    opens there is an anti-chain of size k, so the count is minimum
     (Dilworth).  For ``d = 1`` the points are totally ordered and the
     result is a single chain.
+
+    Chain tops strictly decrease in creation order, so best fit is first
+    fit, and first fit's first chain is exactly the points whose ``y`` is
+    at least the running maximum.  The chains are therefore *peeled* one
+    vectorised pass at a time while a pass removes at least 1/64 of the
+    points left (``O(n)`` element operations in all), and
+    :func:`_first_fit_chains` places the rest — a peeled chain takes none
+    of the points left, so first fit over them alone builds the same
+    later chains.  Chains are listed in reverse creation order.  Time
+    ``O(n log n)``.
+
+    Raises ``ValueError`` naming the first point with a NaN coordinate
+    (reachable through ``PointSet(validate=False)``); ``±inf`` is accepted.
     """
     n = points.n
     if points.dim > 2:
         raise ValueError(f"patience decomposition requires d <= 2; got d = {points.dim}")
+    points.require_no_nan("patience_chain_decomposition")
     if n == 0:
         return ChainDecomposition([], 0, method="patience")
     if points.dim == 1:
@@ -137,27 +185,25 @@ def patience_chain_decomposition(points: PointSet) -> ChainDecomposition:
     xs = points.coords[:, 0]
     ys = points.coords[:, 1]
     order = np.lexsort((ys, xs))  # ascending x, ties by ascending y
-
-    from bisect import bisect_right
-
-    top_ys: List[float] = []          # sorted multiset of current chain-top y's
-    chain_at: List[List[int]] = []    # chain_at[k] = chain whose top has top_ys[k]
-    for idx in order:
-        y = float(ys[idx])
-        pos = bisect_right(top_ys, y)
-        if pos == 0:
-            # No top with y' <= y: open a new chain.
-            top_ys.insert(0, y)
-            chain_at.insert(0, [int(idx)])
-        else:
-            chain = chain_at.pop(pos - 1)
-            top_ys.pop(pos - 1)
-            chain.append(int(idx))
-            insert_at = bisect_right(top_ys, y)
-            top_ys.insert(insert_at, y)
-            chain_at.insert(insert_at, chain)
+    rest_ys = ys[order]
+    peeled: List[List[int]] = []
+    while len(order):
+        keep = _peel_mask(rest_ys)
+        taken = int(np.count_nonzero(keep))
+        if taken * _PEEL_DIVISOR < len(order):
+            break
+        peeled.append(order[keep].tolist())
+        order = order[~keep]
+        rest_ys = rest_ys[~keep]
+    rec = recorder()
+    if rec.enabled:
+        rec.incr("poset.patience.peel_passes", len(peeled))
+        rec.incr("poset.patience.peeled_points", n - len(order))
+    chains = _first_fit_chains(rest_ys.tolist(), order.tolist())
+    chains.reverse()
+    peeled.reverse()
     return _record_decomposition(
-        ChainDecomposition(chain_at, n, method="patience"))
+        ChainDecomposition(chains + peeled, n, method="patience"))
 
 
 def matching_chain_decomposition(points: PointSet) -> ChainDecomposition:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from typing import List
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PointSet
+from repro import PointSet, obs
 from repro.datasets.synthetic import width_controlled
 from repro.poset.chains import (
     ChainDecomposition,
@@ -18,6 +21,44 @@ from repro.poset.chains import (
     patience_chain_decomposition,
 )
 from repro.poset.width import brute_force_width
+
+
+def _reference_patience(points: PointSet) -> List[List[int]]:
+    """The per-point best-fit loop the peel + first-fit hybrid replaced.
+
+    Keeps the chain-top ``y`` values as a sorted list; each point in
+    ``(x asc, y asc)`` order pops the chain with the largest top not
+    exceeding its ``y``, appends itself and re-inserts the chain, or
+    opens a new chain at the front.  ``O(n w)`` from the list memmoves,
+    but obviously a best fit: the parity tests hold the hybrid to it.
+    """
+    xs = points.coords[:, 0]
+    ys = points.coords[:, 1]
+    top_ys: List[float] = []
+    chain_at: List[List[int]] = []
+    for idx in np.lexsort((ys, xs)):
+        y = float(ys[idx])
+        pos = bisect_right(top_ys, y)
+        if pos == 0:
+            top_ys.insert(0, y)
+            chain_at.insert(0, [int(idx)])
+        else:
+            chain = chain_at.pop(pos - 1)
+            top_ys.pop(pos - 1)
+            chain.append(int(idx))
+            insert_at = bisect_right(top_ys, y)
+            top_ys.insert(insert_at, y)
+            chain_at.insert(insert_at, chain)
+    return chain_at
+
+
+def _stacked_chains(sizes) -> PointSet:
+    """Chains side by side, each to the right of and below the last (the
+    ``width_controlled`` layout), so the width is ``len(sizes)``."""
+    offset = max(sizes) + 2
+    coords = [(t + j * offset, t - j * offset)
+              for j, size in enumerate(sizes) for t in range(1, size + 1)]
+    return PointSet(np.asarray(coords, dtype=float), [0] * len(coords))
 
 
 def _random_points(seed: int, n: int, dim: int, grid: int = 0) -> PointSet:
@@ -86,6 +127,33 @@ class TestPatienceDecomposition:
         d = patience_chain_decomposition(ps)
         assert d.num_chains == 7
         assert is_valid_chain_decomposition(ps, d)
+
+    @pytest.mark.parametrize("rows", [
+        [(0.0, 1.0), (1.0, np.nan), (2.0, 0.0), (3.0, 2.0), (4.0, 3.0)],
+        [(0.0,), (np.nan,), (1.0,)],
+    ])
+    def test_rejects_nan_naming_the_point(self, rows):
+        # Every comparison with NaN is false: both cases used to return a
+        # single "chain" through the NaN point, which is not a chain.
+        ps = PointSet(rows, [0] * len(rows), validate=False)
+        with pytest.raises(ValueError, match="point 1 has a NaN coordinate"):
+            patience_chain_decomposition(ps)
+
+    @pytest.mark.parametrize("sizes, passes, peeled", [
+        ([400], 1, 400),                 # one chain: peeled whole
+        ([1] * 300, 0, 0),               # antichain: a pass takes 1/300
+        ([300] * 4 + [1] * 100, 4, 1200),  # chains peel, singletons loop
+    ])
+    def test_hybrid_split_is_counted(self, sizes, passes, peeled):
+        # A pass that takes less than 1/64 of the points left stops the
+        # peeling; first fit places the rest.
+        ps = _stacked_chains(sizes)
+        with obs.metrics_session() as reg:
+            d = patience_chain_decomposition(ps)
+        assert reg.counter_value("poset.patience.peel_passes") == passes
+        assert reg.counter_value("poset.patience.peeled_points") == peeled
+        assert d.num_chains == len(sizes)
+        assert d.chains == _reference_patience(ps)
 
 
 class TestAutoDispatch:
@@ -173,3 +241,44 @@ def test_patience_equals_matching_on_random_2d(n, seed):
     ps = _random_points(seed, n, 2)
     assert (patience_chain_decomposition(ps).num_chains
             == matching_chain_decomposition(ps).num_chains)
+
+
+_GRID_OR_INF = st.one_of(st.integers(-3, 3).map(float),
+                         st.sampled_from([np.inf, -np.inf]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_GRID_OR_INF, _GRID_OR_INF), min_size=1,
+                max_size=300))
+def test_patience_parity_ties_duplicates_infinities(rows):
+    """Chain for chain equal to the best-fit loop on a 7x7 grid plus ±inf:
+    ties in x and in y, duplicate points, infinite coordinates."""
+    ps = PointSet(rows, [0] * len(rows), validate=False)
+    assert patience_chain_decomposition(ps).chains == _reference_patience(ps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3000),
+       st.sampled_from(["chain", "antichain", "random", "stacked"]),
+       st.integers(0, 10_000))
+def test_patience_parity_across_widths(n, shape, seed):
+    """w = 1 (peel only), w = n (first fit only), and two shapes of width
+    about 2 sqrt(n): uniform random points (first fit only: each peel
+    takes only the ~ln n running maxima) and stacked chains of skewed
+    sizes (the large chains peel, first fit places the rest)."""
+    gen = np.random.default_rng(seed)
+    if shape == "random":
+        ps = PointSet(gen.random((n, 2)), [0] * n)
+    elif shape == "stacked":
+        k = min(n, int(np.ceil(2 * np.sqrt(n))))
+        sizes = gen.multinomial(n - k, gen.dirichlet(np.full(k, 0.3))) + 1
+        ps = _stacked_chains(sizes.tolist())
+    else:
+        t = gen.permutation(n).astype(float)
+        ps = PointSet(np.c_[t, t if shape == "chain" else -t], [0] * n)
+    d = patience_chain_decomposition(ps)
+    assert d.chains == _reference_patience(ps)
+    if shape == "chain":
+        assert d.num_chains == 1
+    elif shape == "antichain":
+        assert d.num_chains == n

@@ -156,14 +156,30 @@ class TestStructureCheck:
 
         monkeypatch.setattr(width, "_bitset_antichain", corrupted)
         findings = check_poset_structure(points)
-        assert [f.config for f in findings] == ["matching_chain_decomposition"]
-        assert "König antichain" in findings[0].detail
+        assert [f.config for f in findings] == [
+            "matching_chain_decomposition", "patience_chain_decomposition"]
+        assert all("König antichain" in f.detail for f in findings)
+
+    def test_catches_strict_patience_peel(self):
+        # Duplicates tie with the running maximum: a strict peel splits
+        # them into separate chains, so the decomposition is no longer
+        # first fit's and has more chains than the width.
+        points = PointSet([(0.0, 0.0), (1.0, 1.0), (1.0, 1.0), (2.0, 2.0)],
+                          [0, 0, 1, 1])
+        assert check_poset_structure(points) == []
+        with apply_mutant("patience_peel_strict"):
+            findings = check_poset_structure(points)
+        assert [f.config for f in findings] == [
+            "patience_chain_decomposition"] * 2
+        assert "first fit without peeling" in findings[0].detail
+        assert "König antichain of 1 point(s)" in findings[1].detail
 
     def test_mutants_restore_on_exit(self):
         from repro.core import classifier, pairwise, passive
         from repro.flow import array
-        from repro.poset import bitset, sparse
+        from repro.poset import bitset, chains, sparse
 
+        original_peel = chains._peel_mask
         original_prune = array._sink_reaching
         original_dominance = classifier.pairwise_weak_dominance
         original_box = pairwise._box_candidates
@@ -188,6 +204,10 @@ class TestStructureCheck:
         with apply_mutant("dinic_prune_off_by_one"):
             assert array._sink_reaching is not original_prune
             assert pairwise._box_candidates is original_box
+        with apply_mutant("patience_peel_strict"):
+            assert chains._peel_mask is not original_peel
+            assert bitset._greedy_first_phase is original_greedy
+        assert chains._peel_mask is original_peel
         assert sparse.transitive_reduction is original_red
         assert passive._effective_infinity is original_inf
         assert bitset._greedy_first_phase is original_greedy
@@ -325,6 +345,15 @@ class TestMutantSelfTest:
                           mutant="edge_box_strict", shrink=False)
         assert not report.ok, "mutant was not detected"
         assert any("Lemma 16" in d.detail
+                   for _family, _run, d in report.findings)
+
+    def test_patience_peel_mutant_is_detected(self):
+        # A strict peel splits duplicates off the first chain; the
+        # structure check's first-fit comparison must catch it.
+        report = run_fuzz(runs=8, seed=3, families=["duplicates"], size=24,
+                          mutant="patience_peel_strict", shrink=False)
+        assert not report.ok, "mutant was not detected"
+        assert any("first fit without peeling" in d.detail
                    for _family, _run, d in report.findings)
 
     def test_level_prune_mutant_is_detected(self):
