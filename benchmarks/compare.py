@@ -5,11 +5,14 @@ Usage::
     python benchmarks/compare.py baseline.json current.json [--threshold 0.30]
 
 Both files are ``--benchmark-json`` exports.  Benchmarks are matched by
-``fullname``; for each match the mean runtime is compared, and the gate
-fails (exit 1) if any benchmark is more than ``threshold`` slower than its
-baseline mean.  Benchmarks present in only one file are reported but never
-fail the gate (new benchmarks must be allowed to land before a baseline
-refresh; retired ones must not haunt it).
+``fullname``; for each match the best round (``stats.min``, or the mean
+when a file has no ``min``) is compared, and the gate fails (exit 1) if
+any benchmark is more than ``threshold`` slower than its baseline.  The
+best round is the one least disturbed by other load on the host: a
+burst of noise during a run inflates the mean but rarely every round.
+Benchmarks present in only one file are reported but never fail the
+gate (new benchmarks must be allowed to land before a baseline refresh;
+retired ones must not haunt it).
 
 When both files hold the fixed calibration benchmark (``CALIBRATION``,
 which runs no project code), every ratio is divided by its ratio first:
@@ -28,18 +31,28 @@ import sys
 from typing import Dict, List
 
 
-def load_means(path: str) -> Dict[str, float]:
-    """Map benchmark ``fullname`` -> mean seconds from a benchmark JSON."""
+def _positive(value: object) -> bool:
+    return isinstance(value, (int, float)) and value > 0
+
+
+def load_times(path: str) -> Dict[str, float]:
+    """Map benchmark ``fullname`` -> seconds of its best round.
+
+    Reads ``stats.min``, falling back to ``stats.mean`` for exports
+    without it.
+    """
     with open(path) as handle:
         payload = json.load(handle)
-    means: Dict[str, float] = {}
+    times: Dict[str, float] = {}
     for bench in payload.get("benchmarks", []):
         name = bench.get("fullname") or bench.get("name")
         stats = bench.get("stats") or {}
-        mean = stats.get("mean")
-        if name and isinstance(mean, (int, float)) and mean > 0:
-            means[name] = float(mean)
-    return means
+        best = stats.get("min")
+        if not _positive(best):
+            best = stats.get("mean")
+        if name and _positive(best):
+            times[name] = float(best)
+    return times
 
 
 #: ``fullname`` of the host-speed yardstick in ``test_bench_smoke.py``.
@@ -79,7 +92,7 @@ def compare(
               f"({ratio:.2f}x baseline, host-normalised)")
         if ratio > 1.0 + threshold:
             failures.append(
-                f"{name}: mean {cur * 1e3:.2f}ms vs baseline {base * 1e3:.2f}ms "
+                f"{name}: best {cur * 1e3:.2f}ms vs baseline {base * 1e3:.2f}ms "
                 f"({ratio:.2f}x host-normalised, threshold "
                 f"{1.0 + threshold:.2f}x)"
             )
@@ -96,12 +109,12 @@ def main(argv: List[str] | None = None) -> int:
         "--threshold",
         type=float,
         default=0.30,
-        help="allowed slowdown fraction over baseline mean (default 0.30)",
+        help="allowed slowdown fraction over the baseline (default 0.30)",
     )
     args = parser.parse_args(argv)
 
-    baseline = load_means(args.baseline)
-    current = load_means(args.current)
+    baseline = load_times(args.baseline)
+    current = load_times(args.current)
     if not baseline:
         print(f"error: no benchmarks found in baseline {args.baseline}",
               file=sys.stderr)

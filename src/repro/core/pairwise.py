@@ -1,17 +1,18 @@
 """Blockwise pairwise dominance computations for the Theorem 4 pipeline.
 
-The Theorem 4 pipeline needs three ``O(d n^2)``-time pairwise facts:
+The Theorem 4 pipeline needs two ``O(d n^2)``-time pairwise facts:
 
-* which points are *contending* (Section 5.1);
-* the dominance edges between contending label-0 and label-1 points;
+* the dominance pairs between label-0 and label-1 points: the type-3
+  edges of the flow network, whose endpoints are the *contending* points
+  (Section 5.1), so one stream yields both;
 * whether a final assignment is monotone (Lemma 16's certificate).
 
 The cached ``PointSet.weak_dominance_matrix`` materializes all ``n^2``
 booleans at once.  The functions here compute the same facts in row
-blocks of configurable size, keeping memory at ``O(n * block_size)``
-while preserving the time bound.  ``solve_passive`` uses them at every
-size for ``d >= 3`` (and the edge stream for every ``d``); the dense
-matrix survives as the test reference.
+blocks, keeping memory at ``O(n * block_size)`` while preserving the
+time bound.  ``solve_passive`` uses the edge stream for every ``d`` (for
+``d >= 3`` over all label-0 x label-1 points, once) and the monotonicity
+check for ``d >= 3``; the dense matrix survives as the test reference.
 
 The edge stream is output-sensitive: it sweeps the sources in ascending
 first coordinate and compares each block only against the targets inside
@@ -37,7 +38,6 @@ from .points import PointSet
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "pairwise_weak_dominance",
-    "blocked_contending_mask",
     "blocked_dominance_pair_arrays",
     "blocked_is_monotone_assignment",
 ]
@@ -73,35 +73,6 @@ def pairwise_weak_dominance(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     for k in range(rows.shape[1]):
         np.logical_and(out, rows[:, k, None] >= cols[None, :, k], out=out)
     return out
-
-
-def blocked_contending_mask(points: PointSet,
-                            block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """Contending mask (Section 5.1) without the full dominance matrix.
-
-    A label-0 point contends iff it weakly dominates some label-1 point;
-    a label-1 point contends iff some label-0 point weakly dominates it.
-    Computed per block of label-0 rows against all label-1 columns.
-    """
-    points.require_full_labels()
-    n = points.n
-    mask = np.zeros(n, dtype=bool)
-    if n == 0:
-        return mask
-    zero_idx = np.flatnonzero(points.labels == 0)
-    one_idx = np.flatnonzero(points.labels == 1)
-    if len(zero_idx) == 0 or len(one_idx) == 0:
-        return mask
-    one_coords = points.coords[one_idx]
-    one_hit = np.zeros(len(one_idx), dtype=bool)
-    for start, stop in _blocks(len(zero_idx), block_size):
-        rows = points.coords[zero_idx[start:stop]]
-        # dom[i, j]: zero-row i weakly dominates one-col j.
-        dom = pairwise_weak_dominance(rows, one_coords)
-        mask[zero_idx[start:stop]] = dom.any(axis=1)
-        one_hit |= dom.any(axis=0)
-    mask[one_idx] = one_hit
-    return mask
 
 
 def _box_candidates(target_coords: np.ndarray,

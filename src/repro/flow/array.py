@@ -201,6 +201,9 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
     reach the sink: the loop DFS enters it, retreats, pushes nothing and
     marks only vertices that are dead anyway.  The augmenting sequence,
     and hence every float operation, is identical.
+
+    On a network that already carries flow, Dinic augments from it and
+    reports the total: the flow it started from plus its augmentations.
     """
     network._check_node(source)
     network._check_node(sink)
@@ -219,7 +222,8 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
     flows = snap.flows
     arc_heads = snap.arc_heads
 
-    total = 0.0
+    # Count the flow the network already carries: 0.0 on a cold network.
+    total = network.flow_value(source)
     phases = 0
     paths = 0
     pushes = 0

@@ -26,7 +26,11 @@ _EPS = RESIDUAL_EPS
 
 
 def dinic_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
-    """Compute a maximum flow from ``source`` to ``sink`` in place."""
+    """Compute a maximum flow from ``source`` to ``sink`` in place.
+
+    Augments from whatever flow the network carries and returns the
+    value of the final flow, that starting flow included.
+    """
     network._check_node(source)
     network._check_node(sink)
     if source == sink:
@@ -38,7 +42,8 @@ def dinic_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
     heads, caps, flows = network.list_mirrors()
     adjacency = network.adjacency
 
-    total = 0.0
+    # Count the flow the network already carries: 0.0 on a cold network.
+    total = network.flow_value(source)
     level: List[int] = [-1] * n
     phases = 0
     paths = 0

@@ -72,6 +72,7 @@ def min_cut_from_residual(network: FlowNetwork, source: int, sink: int,
     usable = residual > RESIDUAL_EPS
     seen = np.zeros(snap.num_nodes, dtype=bool)
     seen[source] = True
+    slot = np.empty(snap.num_nodes, dtype=np.int64)
     frontier = np.array([source], dtype=np.int64)
     while frontier.size:
         positions = _frontier_positions(snap.indptr, frontier)
@@ -82,7 +83,11 @@ def min_cut_from_residual(network: FlowNetwork, source: int, sink: int,
         candidates = candidates[~seen[candidates]]
         if candidates.size == 0:
             break
-        frontier = np.unique(candidates)
+        # Deduplicate in O(k) with the scatter ``_level_graph`` uses; the
+        # frontier's order does not matter to reachability.
+        order = np.arange(candidates.size)
+        slot[candidates] = order
+        frontier = candidates[slot[candidates] == order]
         seen[frontier] = True
     if seen[sink]:
         raise AssertionError("sink reachable in residual graph: flow is not maximum")

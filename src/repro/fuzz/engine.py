@@ -12,7 +12,9 @@ must be bit-for-bit identical and the Theorem 2/3 accounting must audit
 clean.
 Every result is additionally cross-checked against the machine-checkable
 certificates in :mod:`repro.core.validation` and the flow-feasibility
-check of :class:`~repro.flow.FlowNetwork`.
+check of :class:`~repro.flow.FlowNetwork`, and the greedy preflow the
+passive solver starts from must be feasible and lead to the source side
+loop Dinic finds from zero flow (:func:`check_preflow`).
 
 A configuration that *raises* is also a finding (kind ``"error"``): the
 strict validation boundary means hostile instances either solve
@@ -26,10 +28,23 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.passive import brute_force_passive, solve_passive
+from ..core.passive import (
+    SINK,
+    SOURCE,
+    brute_force_passive,
+    greedy_preflow,
+    passive_network,
+    solve_passive,
+)
 from ..core.points import PointSet
 from ..core.validation import audit_active_result, audit_passive_result
-from ..flow import FLOW_BACKENDS, FlowNetwork, dinic_max_flow
+from ..flow import (
+    FLOW_BACKENDS,
+    FlowNetwork,
+    dinic_max_flow,
+    min_cut_from_residual,
+    solve_min_cut,
+)
 from ..obs import recorder
 
 if TYPE_CHECKING:
@@ -40,6 +55,7 @@ __all__ = [
     "ALL_PASSIVE_CONFIGS",
     "Disagreement",
     "run_passive_differential",
+    "check_preflow",
     "run_active_differential",
     "run_flow_differential",
     "check_poset_structure",
@@ -179,12 +195,55 @@ def run_passive_differential(
                     detail=f"brute force {brute!r} != solver {ref_value!r}",
                 ))
 
+    if outcome.values:
+        findings.extend(check_preflow(points))
+
     if check_structure and points.n <= structure_max_n:
         findings.extend(check_poset_structure(points))
 
     if rec.enabled and findings:
         rec.incr("fuzz.disagreements", len(findings))
     return findings
+
+
+def check_preflow(points: PointSet) -> List[Disagreement]:
+    """Check the greedy preflow ``solve_passive`` seeds its network with.
+
+    * the seed must be a feasible flow (capacity and conservation, to a
+      tolerance relative to the total weight in the network);
+    * max flow finished from the seed must leave the residual source side
+      loop Dinic leaves from zero flow: the minimal minimum cut, from
+      which the assignment is read.
+    """
+    label = "greedy_preflow"
+    try:
+        passive = passive_network(points)
+        if passive.num_contending == 0:
+            return []
+        network = passive.network
+        greedy_preflow(passive)
+        scale = max(1.0, float(points.weights.sum()))
+        if not network.check_flow_conservation(SOURCE, SINK, tol=1e-9 * scale):
+            return [Disagreement(
+                kind="flow", config=label,
+                detail="produced an infeasible flow (conservation/capacity)",
+            )]
+        warm = solve_min_cut(network, SOURCE, SINK).source_side
+        network.reset_flow()
+        value = dinic_max_flow(network, SOURCE, SINK)
+        cold = min_cut_from_residual(network, SOURCE, SINK, value).source_side
+    except Exception as exc:  # noqa: BLE001 - every escape is data here
+        return [Disagreement(
+            kind="error", config=label,
+            detail=f"raised {type(exc).__name__}: {exc}",
+        )]
+    if warm != cold:
+        return [Disagreement(
+            kind="flow", config=f"{FLOW_REFERENCE} vs {label}",
+            detail=(f"warm-started source side ({len(warm)} vertices) differs "
+                    f"from loop Dinic's from zero flow ({len(cold)})"),
+        )]
+    return []
 
 
 def check_poset_structure(points: PointSet) -> List[Disagreement]:

@@ -243,6 +243,30 @@ def _patience_peel_strict() -> Iterator[None]:
         chains._peel_mask = original  # type: ignore[assignment]
 
 
+@contextmanager
+def _preflow_over_accept() -> Iterator[None]:
+    """Make the greedy preflow's targets accept every offer in full.
+
+    A target then takes flow past its remaining demand: more flow enters
+    it than its sink arc carries away, so the seed breaks conservation,
+    which the passive differential's preflow check must flag.  The max
+    flow finished from the seed also reports more than the cut's
+    capacity, which trips the min-cut certificate in ``solve_passive``.
+    """
+    from ..core import passive
+
+    original = passive._accept
+
+    def over_accept(offers, before, demand):  # type: ignore[no-untyped-def]
+        return offers
+
+    passive._accept = over_accept  # type: ignore[assignment]
+    try:
+        yield
+    finally:
+        passive._accept = original  # type: ignore[assignment]
+
+
 #: Named mutants: context managers that break one solver invariant each.
 MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "hasse_uint8_overflow": _hasse_uint8_overflow,
@@ -253,6 +277,7 @@ MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "matching_last_free": _matching_last_free,
     "classify_strict_ties": _classify_strict_ties,
     "patience_peel_strict": _patience_peel_strict,
+    "preflow_over_accept": _preflow_over_accept,
 }
 
 

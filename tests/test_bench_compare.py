@@ -23,6 +23,13 @@ def _write(path: Path, means: dict) -> str:
     return str(path)
 
 
+def _write_stats(path: Path, stats: dict) -> str:
+    path.write_text(json.dumps({"benchmarks": [
+        {"fullname": name, "stats": {"mean": mean, "min": best}}
+        for name, (mean, best) in stats.items()]}))
+    return str(path)
+
+
 def test_slower_host_is_normalised_away(tmp_path, capsys):
     base = _write(tmp_path / "b.json", {CAL: 1.0, "a": 1.0, "b": 2.0})
     cur = _write(tmp_path / "c.json", {CAL: 1.6, "a": 1.7, "b": 3.3})
@@ -45,3 +52,17 @@ def test_raw_ratios_without_calibration_in_both(tmp_path, capsys, cal_in):
     cur = _write(tmp_path / "c.json", cur_means)
     assert compare.main([base, cur]) == 1
     assert "raw ratios" in capsys.readouterr().out
+
+
+def test_noisy_mean_with_steady_best_round_passes(tmp_path):
+    base = _write_stats(tmp_path / "b.json", {CAL: (1.0, 1.0), "a": (1.0, 0.9)})
+    cur = _write_stats(tmp_path / "c.json", {CAL: (1.0, 1.0), "a": (2.2, 0.92)})
+    assert compare.main([base, cur]) == 0
+
+
+def test_best_round_regression_fails(tmp_path, capsys):
+    base = _write_stats(tmp_path / "b.json", {CAL: (1.0, 1.0), "a": (1.0, 0.9)})
+    cur = _write_stats(tmp_path / "c.json",
+                       {CAL: (1.0, 1.0), "a": (1.0, 0.9 * 1.35)})
+    assert compare.main([base, cur]) == 1
+    assert "a: best" in capsys.readouterr().err

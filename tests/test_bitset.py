@@ -18,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PointSet, obs
-from repro.core.pairwise import (
-    blocked_contending_mask,
-    blocked_dominance_pair_arrays,
+from repro.core.pairwise import blocked_dominance_pair_arrays
+from repro.core.passive import (
+    brute_force_passive,
+    contending_mask,
+    contending_pairs,
+    solve_passive,
 )
-from repro.core.passive import brute_force_passive, contending_mask, solve_passive
 from repro.flow import FlowNetwork
 from repro.poset import (
     dominance_pair_count,
@@ -144,7 +146,7 @@ class TestConsumerParity:
         dense = contending_mask(_fresh(ps))
         for block_size in (1, 5, ps.n):
             assert np.array_equal(
-                blocked_contending_mask(ps, block_size=block_size), dense)
+                contending_pairs(ps, block_size=block_size)[0], dense)
         if ps.dim <= 2:
             assert np.array_equal(contending_mask_low_dim(ps), dense)
 

@@ -189,6 +189,24 @@ class TestBackends:
         assert FLOW_ENGINES[engine](net, s, t) == pytest.approx(23.0)
 
 
+@pytest.mark.parametrize("engine", sorted(FLOW_ENGINES))
+class TestWarmNetwork:
+    """Max flow on a network that already carries flow reports the total:
+    the flow it started from plus its own augmentation."""
+
+    def test_solved_network_reports_full_value(self, engine):
+        net = _diamond()
+        first = FLOW_ENGINES[engine](net, 0, 3)
+        assert FLOW_ENGINES[engine](net, 0, 3) == first == pytest.approx(2.0)
+
+    def test_partial_flow_is_counted(self, engine):
+        net = _diamond()
+        net.push(0, 1.0)  # 0 -> 1
+        net.push(4, 1.0)  # 1 -> 3
+        assert FLOW_ENGINES[engine](net, 0, 3) == pytest.approx(2.0)
+        assert net.check_flow_conservation(0, 3)
+
+
 class TestMinCut:
     def test_cut_weight_equals_flow(self):
         cut = solve_min_cut(_diamond(), 0, 3)
@@ -206,6 +224,19 @@ class TestMinCut:
         cut = solve_min_cut(net, 0, 1)
         assert cut.cut_edges(net) == [(0, 1, 4.0)]
         assert cut.weight(net) == 4.0
+
+    def test_on_a_network_that_already_carries_flow(self):
+        """The certificate compares the cut with the whole flow, not with
+        the augmentation on top of the flow the network started with."""
+        net = FlowNetwork(4)
+        net.add_edge(0, 1, 2.0)
+        net.add_edge(0, 2, 2.0)
+        net.add_edge(1, 3, 2.0)
+        net.add_edge(2, 3, 2.0)
+        net.push(0, 1.0)
+        net.push(4, 1.0)
+        cut = solve_min_cut(net, 0, 3)
+        assert cut.value == cut.weight(net) == 4.0
 
     def test_residual_extraction_rejects_non_max_flow(self):
         net = _diamond()  # zero flow: sink still reachable

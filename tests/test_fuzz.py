@@ -187,6 +187,7 @@ class TestStructureCheck:
         original_inf = passive._effective_infinity
         original_greedy = bitset._greedy_first_phase
         original_pairs = passive.blocked_dominance_pair_arrays
+        original_accept = passive._accept
         with apply_mutant("hasse_uint8_overflow"):
             assert sparse.transitive_reduction is not original_red
         with apply_mutant("capacity_plus_one"):
@@ -207,6 +208,10 @@ class TestStructureCheck:
         with apply_mutant("patience_peel_strict"):
             assert chains._peel_mask is not original_peel
             assert bitset._greedy_first_phase is original_greedy
+        with apply_mutant("preflow_over_accept"):
+            assert passive._accept is not original_accept
+            assert array._sink_reaching is original_prune
+        assert passive._accept is original_accept
         assert chains._peel_mask is original_peel
         assert sparse.transitive_reduction is original_red
         assert passive._effective_infinity is original_inf
@@ -364,6 +369,15 @@ class TestMutantSelfTest:
                           mutant="dinic_prune_off_by_one", shrink=False)
         assert not report.ok, "mutant was not detected"
         assert any("flow is not maximum" in d.detail
+                   for _family, _run, d in report.findings)
+
+    def test_preflow_over_accept_mutant_is_detected(self):
+        # Targets that take every offer in full break conservation in the
+        # seed; the passive differential's preflow check must catch it.
+        report = run_fuzz(runs=8, seed=3, mutant="preflow_over_accept",
+                          shrink=False)
+        assert not report.ok, "mutant was not detected"
+        assert any(d.config == "greedy_preflow" and "infeasible" in d.detail
                    for _family, _run, d in report.findings)
 
 

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from repro import PointSet, is_monotone_assignment, solve_passive
 from repro.core.pairwise import (
-    blocked_contending_mask,
     blocked_dominance_pair_arrays,
     blocked_is_monotone_assignment,
 )
-from repro.core.passive import contending_mask
+from repro.core.passive import contending_mask, contending_pairs
 from repro.datasets.synthetic import planted_monotone
 
 
@@ -24,23 +23,28 @@ def _random_labeled(seed: int, n: int, dim: int, grid: int = 5) -> PointSet:
     return PointSet(coords, labels)
 
 
+def pair_endpoint_mask(ps: PointSet, *block_size: int) -> np.ndarray:
+    """The contending mask solve_passive reads off the one-pass pairs."""
+    return contending_pairs(ps, *block_size)[0]
+
+
 class TestBlockedContendingMask:
     @pytest.mark.parametrize("block_size", [1, 3, 64])
     def test_matches_matrix_version(self, block_size):
         for seed in range(10):
             ps = _random_labeled(seed, 40, 2)
-            assert (blocked_contending_mask(ps, block_size)
+            assert (pair_endpoint_mask(ps, block_size)
                     == contending_mask(ps)).all()
 
     def test_empty_and_single_class(self):
         empty = PointSet.from_points([])
-        assert blocked_contending_mask(empty).shape == (0,)
+        assert pair_endpoint_mask(empty).shape == (0,)
         ones = PointSet([(0.0,), (1.0,)], [1, 1])
-        assert not blocked_contending_mask(ones).any()
+        assert not pair_endpoint_mask(ones).any()
 
     def test_requires_labels(self, tiny_2d):
         with pytest.raises(ValueError):
-            blocked_contending_mask(tiny_2d.with_hidden_labels())
+            pair_endpoint_mask(tiny_2d.with_hidden_labels())
 
 
 def _pair_list(ps, sources, targets, *block_size):
@@ -162,5 +166,5 @@ class TestSolvePassiveBlockwise:
 def test_blocked_mask_equals_matrix_mask(n, dim, block_size, seed):
     """Property: blockwise and matrix contending masks always agree."""
     ps = _random_labeled(seed, n, dim)
-    assert (blocked_contending_mask(ps, block_size)
+    assert (pair_endpoint_mask(ps, block_size)
             == contending_mask(ps)).all()

@@ -17,9 +17,22 @@ from repro import (
 )
 from repro.core import passive as passive_module
 from repro.core.pairwise import DEFAULT_BLOCK_SIZE
-from repro.core.passive import contending_mask
+from repro.core.passive import (
+    SINK,
+    SOURCE,
+    contending_mask,
+    greedy_preflow,
+    passive_network,
+)
 from repro.datasets.synthetic import planted_monotone
-from repro.flow import FLOW_BACKENDS, MinCut
+from repro.flow import (
+    FLOW_BACKENDS,
+    RESIDUAL_EPS,
+    MinCut,
+    dinic_max_flow,
+    min_cut_from_residual,
+    solve_min_cut,
+)
 
 from .conftest import FLOW_ENGINES
 from .strategies import point_sets
@@ -173,6 +186,96 @@ class TestSolvePassive:
         assert np.array_equal(push.assignment, dinic.assignment)
         assert push.optimal_error == pytest.approx(dinic.optimal_error,
                                                    rel=1e-9)
+
+
+def _left_at_vertices(passive):
+    """Supply and demand the seeded flow leaves, per network vertex."""
+    net = passive.network
+    k0, k = len(passive.zeros), passive.num_contending
+    residual = (net.caps - net.flows)[0::2]
+    supply = np.zeros(net.num_nodes)
+    supply[net.heads[0::2][:k0]] = residual[:k0]
+    demand = np.zeros(net.num_nodes)
+    demand[net.tails[0::2][k0:k]] = residual[k0:k]
+    return supply, demand
+
+
+class TestGreedyPreflow:
+    INSTANCES = [(seed, dim) for seed in range(5) for dim in (2, 3)]
+
+    @staticmethod
+    def _seeded(seed, dim, n=120):
+        ps = planted_monotone(n, dim, noise=0.3, weights="random", rng=seed)
+        passive = passive_network(ps)
+        rounds = greedy_preflow(passive)
+        return ps, passive, rounds
+
+    @pytest.mark.parametrize("seed,dim", INSTANCES)
+    def test_seed_is_feasible_and_leaves_no_live_arc(self, seed, dim):
+        _ps, passive, rounds = self._seeded(seed, dim)
+        net = passive.network
+        assert rounds >= 1
+        assert net.check_flow_conservation(SOURCE, SINK)
+        supply, demand = _left_at_vertices(passive)
+        pair_tails = net.tails[0::2][passive.num_contending:]
+        pair_heads = net.heads[0::2][passive.num_contending:]
+        live = ((supply[pair_tails] > RESIDUAL_EPS)
+                & (demand[pair_heads] > RESIDUAL_EPS))
+        assert not live.any()
+
+    @pytest.mark.parametrize("seed,dim", INSTANCES)
+    def test_warm_source_side_matches_cold_loop_dinic(self, seed, dim):
+        _ps, passive, _rounds = self._seeded(seed, dim)
+        net = passive.network
+        warm = solve_min_cut(net, SOURCE, SINK)
+        net.reset_flow()
+        value = dinic_max_flow(net, SOURCE, SINK)
+        cold = min_cut_from_residual(net, SOURCE, SINK, value)
+        assert warm.source_side == cold.source_side
+        assert warm.cut_arcs == cold.cut_arcs
+        assert warm.value == pytest.approx(value, rel=1e-9)
+
+    @pytest.mark.parametrize("seed,dim", INSTANCES)
+    def test_flow_value_is_the_cut_capacity(self, seed, dim):
+        ps, passive, _rounds = self._seeded(seed, dim)
+        cut = solve_min_cut(passive.network, SOURCE, SINK)
+        result = solve_passive(ps)
+        assert result.flow_value == sum(
+            passive.network.caps[cut.cut_arcs].tolist())
+        assert result.flow_value == solve_passive(
+            ps, backend="push_relabel").flow_value
+
+    def test_targets_accept_in_arc_order_up_to_demand(self):
+        # One label-1 point under three label-0 points: all three offer
+        # to it in the first round, and it takes them in arc order until
+        # its demand of 1.0 is met.
+        ps = PointSet([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0),
+                       (3.0, 3.0, 3.0)], [1, 0, 0, 0], [1.0, 0.5, 0.25, 0.5])
+        passive = passive_network(ps)
+        assert greedy_preflow(passive) == 1
+        forward = passive.network.flows[0::2].tolist()
+        # source arcs (three label-0 points), sink arc, type-3 arcs
+        assert forward == [0.5, 0.25, 0.25, 1.0, 0.5, 0.25, 0.25]
+        assert solve_passive(ps).optimal_error == 1.0
+
+    def test_offered_before_is_a_grouped_exclusive_cumsum(self):
+        gen = np.random.default_rng(4)
+        offers = gen.random(200)
+        starts = gen.random(200) < 0.1
+        starts[0] = True
+        expected = []
+        running = 0.0
+        for offer, start in zip(offers.tolist(), starts.tolist()):
+            running = 0.0 if start else running
+            expected.append(running)
+            running += offer
+        got = passive_module._offered_before(offers, starts)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_no_pairs_no_rounds(self, monotone_2d):
+        passive = passive_network(monotone_2d, use_contending_reduction=False)
+        assert greedy_preflow(passive) == 0
+        assert not passive.network.flows.any()
 
 
 class TestBruteForce:
