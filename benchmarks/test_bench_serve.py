@@ -1,11 +1,14 @@
 """Serving-layer smoke benchmarks: query latency must stay flat.
 
 Part of the CI ``bench-smoke`` gate: each benchmark has a matching entry
-in ``benchmarks/baseline.json`` and the gate fails on a >30% mean
-regression.  Tiny inputs on purpose — this catches order-of-magnitude
+in ``benchmarks/baseline.json`` and the gate fails when the best round
+regresses by >30%.  Tiny inputs on purpose — this catches order-of-magnitude
 slips (a digest recomputed per query, a journal fsync per point), not
-scaling behavior.  ``BENCH_serve.json`` holds the standing throughput /
-p99 summary; refresh it with ``benchmarks/run_serve.py``.
+scaling behavior.  The end-to-end serve numbers (``serve_p50_us``,
+``serve_p99_us``, ``serve_points_per_s``) come from the repository
+benchmark's ``serve_fleet`` workload::
+
+    python3 perfbench/run.py --workload serve_fleet --seed 1 --seconds 20
 """
 
 from __future__ import annotations
@@ -116,6 +119,31 @@ def test_bench_fleet_dispatch(benchmark, fleet_dir):
     answered = benchmark(job)
     fleet.close()
     benchmark.extra_info["points_per_round"] = answered
+
+
+def test_bench_fleet_single_dispatch(benchmark, fleet_dir):
+    """Single-point ``ModelFleet.dispatch``, the call ``serve_p50_us``
+    times: 256 one-row requests round-robined across 4 resident models.
+
+    Fixed rounds after one warm-up (the four cold loads): a round is only
+    ~3 ms, so the default 0.2 s budget can fall wholly inside a slow spell
+    of a shared host, and the gate reads the best round."""
+    fleet = ModelFleet.from_directory(fleet_dir)
+    names = fleet.models
+    points = np.random.default_rng(8).random((256, 2))
+    rows = [points[i:i + 1] for i in range(len(points))]
+
+    def job():
+        labels = 0
+        for i, row in enumerate(rows):
+            result = fleet.dispatch(names[i % len(names)], row)
+            assert result.ok
+            labels += result.label
+        return labels
+
+    benchmark.pedantic(job, rounds=200, warmup_rounds=1)
+    fleet.close()
+    benchmark.extra_info["requests_per_round"] = len(rows)
 
 
 def test_bench_fleet_lru_churn(benchmark, fleet_dir):

@@ -123,7 +123,9 @@ class UpsetClassifier(MonotoneClassifier):
     all-0 classifier.
 
     Anchors that dominate another anchor are redundant and pruned at
-    construction, so ``anchors`` always stores a minimal antichain.
+    construction, so ``anchors`` always stores a minimal antichain.  It is
+    read-only and column-major for the dominance kernel; its values,
+    ``tolist()`` and C-order ``tobytes()`` do not depend on the layout.
     """
 
     def __init__(self, anchors: Iterable[Sequence[float]], dim: Optional[int] = None) -> None:
@@ -132,7 +134,7 @@ class UpsetClassifier(MonotoneClassifier):
             if dim is None:
                 raise ValueError("dim is required when constructing with no anchors")
             matrix = np.empty((0, dim), dtype=float)
-        self.anchors = _minimal_anchors(matrix)
+        self.anchors = np.asfortranarray(_minimal_anchors(matrix))
         self.anchors.setflags(write=False)
 
     @classmethod
@@ -157,7 +159,7 @@ class UpsetClassifier(MonotoneClassifier):
                 f"anchors have d={self.anchors.shape[1]}"
             )
         dominated = pairwise_weak_dominance(coords, self.anchors)
-        return dominated.any(axis=1).astype(np.int8)
+        return dominated.any(axis=1).view(np.int8)
 
     @property
     def num_anchors(self) -> int:

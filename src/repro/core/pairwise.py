@@ -23,7 +23,9 @@ the positional row-major order the flow network's arc layout depends on.
 :func:`pairwise_weak_dominance` is also the package's one row-vs-anchor
 dominance kernel: ``UpsetClassifier.classify_matrix`` (queries against
 anchors) and ``_minimal_anchors`` (the anchor prune) call it, so no
-code path builds an ``(m, k, d)`` boolean broadcast.
+code path builds an ``(m, k, d)`` boolean broadcast.  Any layout of its
+arguments gives the same answer; it reads anchor column ``k`` as
+``cols.T[k]``, contiguous when column-major, as ``UpsetClassifier`` stores them.
 """
 
 from __future__ import annotations
@@ -61,17 +63,20 @@ def _blocks(n: int, block_size: int) -> Iterator[Tuple[int, int]]:
 def pairwise_weak_dominance(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Boolean ``(len(rows), len(cols))`` matrix of weak dominance.
 
-    ``out[i, j]`` is true iff ``rows[i]`` weakly dominates ``cols[j]``.
-    Accumulates one dimension at a time, so peak scratch memory is one
-    ``rows x cols`` boolean matrix — never the ``(rows, cols, d)``
-    broadcast intermediate that a single ``np.all(..., axis=2)`` call
-    would materialize.
+    ``out[i, j]`` is true iff ``rows[i]`` weakly dominates ``cols[j]``
+    (all true when ``d = 0``).  Coordinate 0's compare seeds ``out`` and
+    the rest are ANDed in place, so scratch is ``O(rows x cols)`` — never
+    the ``(rows, cols, d)`` broadcast of one ``np.all(..., axis=2)``.
+    Layout contract: C-, Fortran-ordered and strided arguments all give
+    the same result; ``cols.T[k]`` is contiguous when ``cols`` is
+    Fortran-ordered.
     """
-    r = rows.shape[0]
-    c = cols.shape[0]
-    out = np.ones((r, c), dtype=bool)
-    for k in range(rows.shape[1]):
-        np.logical_and(out, rows[:, k, None] >= cols[None, :, k], out=out)
+    if rows.shape[1] == 0:
+        return np.ones((rows.shape[0], cols.shape[0]), dtype=bool)
+    cols_t = cols.T
+    out = rows[:, 0, None] >= cols_t[0]
+    for k in range(1, rows.shape[1]):
+        out &= rows[:, k, None] >= cols_t[k]
     return out
 
 

@@ -575,10 +575,6 @@ class ServeEngine:
             except OSError:
                 pass  # a full disk must not fail the swap path
 
-    def _ensure_model(self) -> None:
-        if not self._loaded_once:
-            self.reload()
-
     @property
     def source(self) -> str:
         """Where answers currently come from (ladder rung name)."""
@@ -593,27 +589,30 @@ class ServeEngine:
     # Query path
     # ------------------------------------------------------------------
 
-    def _answer(self, pending: _Pending) -> QueryResult:
+    def _answer(
+        self, request_id: int, coords: np.ndarray, deadline_at: Optional[float]
+    ) -> QueryResult:
         rec = recorder()
         now = self._clock()
-        if pending.deadline_at is not None and now > pending.deadline_at:
+        if deadline_at is not None and now > deadline_at:
             if rec.enabled:
                 rec.incr("serve.deadline_missed")
             return QueryResult(
-                pending.request_id, DEADLINE_EXCEEDED, self._source, degraded=True
+                request_id, DEADLINE_EXCEEDED, self._source, degraded=True
             )
-        self._ensure_model()
+        if not self._loaded_once:
+            self.reload()
         model = self._model
         if model is None:
             if rec.enabled:
                 rec.incr("serve.unanswerable")
-            return QueryResult(pending.request_id, FAILED, self._source, degraded=True)
+            return QueryResult(request_id, FAILED, self._source, degraded=True)
         try:
-            labels = model.classify_matrix(pending.coords)
+            labels = model.classify_matrix(coords)
         except ValueError:
             # A wrong-dimension query must not take the server down; it
             # is answered ``invalid``, alone.
-            return self._invalid(pending.request_id)
+            return self._invalid(request_id)
         latency = self._clock() - now
         verified = self.serving_verified
         status = OK if verified else DEGRADED
@@ -625,17 +624,12 @@ class ServeEngine:
             if not verified:
                 rec.incr("serve.degraded_answers")
         result = QueryResult(
-            pending.request_id,
-            status,
-            self._source,
-            labels=labels,
-            degraded=not verified,
-            latency=latency,
+            request_id, status, self._source, labels, not verified, latency
         )
         if self._journal is not None:
             self._journal.write(
                 {
-                    "seq": pending.request_id,
+                    "seq": request_id,
                     "n": int(len(labels)),
                     "status": status,
                     "source": self._source,
@@ -664,7 +658,7 @@ class ServeEngine:
             return self._invalid(request_id)
         deadline = self.default_deadline if deadline is None else deadline
         deadline_at = None if deadline is None else self._clock() + deadline
-        return self._answer(_Pending(request_id, matrix, deadline_at))
+        return self._answer(request_id, matrix, deadline_at)
 
     def classify(
         self, point: Sequence[float], deadline: Optional[float] = None
@@ -708,7 +702,10 @@ class ServeEngine:
         results: List[QueryResult] = []
         budget = len(self._queue) if max_requests is None else max_requests
         while self._queue and budget > 0:
-            results.append(self._answer(self._queue.popleft()))
+            pending = self._queue.popleft()
+            results.append(
+                self._answer(pending.request_id, pending.coords, pending.deadline_at)
+            )
             budget -= 1
         return results
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,8 @@ from repro import (
     monotone_extension,
 )
 from repro.core import classifier as classifier_module
+from repro.datasets.synthetic import planted_monotone
+from repro.serve import fit_artifact, load_artifact, save_artifact
 
 
 class TestConstantClassifier:
@@ -268,3 +272,46 @@ def test_minimal_anchors_at_block_boundary(offset, dim):
     assert len(np.unique(matrix, axis=0)) == m
     _assert_same_anchors(matrix)
     assert UpsetClassifier(matrix).num_anchors == k
+
+
+#: Digest of the passive artifact fitted on :func:`_fixed_fit_points`,
+#: recorded with row-major anchors: the anchor layout must not move it.
+FIXED_FIT_DIGEST = (
+    "bddfc25c3c79957fb3eeed21c9b90037707420136a7f962ecc1b4e3236006c6f")
+
+
+def _fixed_fit_points() -> PointSet:
+    """Unit weights, so the certificate's flow value is an exact integer."""
+    return planted_monotone(160, 3, noise=0.1, rng=np.random.default_rng(7))
+
+
+class TestAnchorLayout:
+    """``anchors`` is stored column-major; nothing outside can tell."""
+
+    def test_anchors_are_read_only_and_column_major(self):
+        h = UpsetClassifier(np.random.default_rng(0).random((60, 3)))
+        assert h.num_anchors > 1
+        assert h.anchors.flags.f_contiguous
+        assert not h.anchors.flags.writeable
+
+    def test_values_and_bytes_match_the_row_major_reference(self):
+        raw = np.random.default_rng(1).integers(0, 6, (80, 4)).astype(float)
+        h = UpsetClassifier(raw)
+        want = _reference_minimal_anchors(raw)
+        assert want.flags.c_contiguous and not h.anchors.flags.c_contiguous
+        assert h.anchors.tolist() == want.tolist()
+        assert h.anchors.tobytes() == want.tobytes()
+
+    def test_artifact_is_identical_to_a_row_major_twin(self, tmp_path):
+        artifact = fit_artifact(_fixed_fit_points(), "passive")
+        assert artifact.classifier.anchors.flags.f_contiguous
+        twin = copy.copy(artifact.classifier)
+        twin.anchors = np.ascontiguousarray(artifact.classifier.anchors)
+        row_major = dataclasses.replace(artifact, classifier=twin)
+        digest = save_artifact(artifact, tmp_path / "f.json")
+        assert save_artifact(row_major, tmp_path / "c.json") == digest
+        assert digest == FIXED_FIT_DIGEST
+        assert (tmp_path / "f.json").read_bytes() == (tmp_path / "c.json").read_bytes()
+        loaded = load_artifact(tmp_path / "f.json").classifier
+        assert loaded.anchors.flags.f_contiguous
+        assert loaded.anchors.tobytes() == twin.anchors.tobytes()

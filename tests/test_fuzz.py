@@ -343,6 +343,22 @@ class TestMutantSelfTest:
         assert any("classifier extension agrees with assignment" in d.detail
                    for _family, _run, d in report.findings)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_classify_mutant_reaches_the_served_kernel(self, dim):
+        # The mutant rebinds a module-level name; classify_matrix must
+        # call through it, or the served path escapes the mutation test.
+        from repro import UpsetClassifier
+
+        anchor = np.arange(1.0, dim + 1.0)
+        h = UpsetClassifier([anchor])
+        tied = (anchor + np.r_[np.ones(dim - 1), 0.0])[None, :]
+        above = (anchor + 1.0)[None, :]
+        assert h.classify_matrix(tied).tolist() == [1]
+        with apply_mutant("classify_strict_ties"):
+            assert h.classify_matrix(tied).tolist() == [0]
+            assert h.classify_matrix(above).tolist() == [1]
+        assert h.classify_matrix(tied).tolist() == [1]
+
     def test_edge_prune_mutant_is_detected(self):
         # A strict box prefilter drops every pair tied with its block's
         # maximum; the duplicates family's Lemma 16 check must catch it.

@@ -11,6 +11,7 @@ from repro import PointSet, is_monotone_assignment, solve_passive
 from repro.core.pairwise import (
     blocked_dominance_pair_arrays,
     blocked_is_monotone_assignment,
+    pairwise_weak_dominance,
 )
 from repro.core.passive import contending_mask, contending_pairs
 from repro.datasets.synthetic import planted_monotone
@@ -110,6 +111,42 @@ def test_edge_stream_equals_dense_reference(case):
     for block_size in (1, 3, m - 1, m, m + 1):
         assert _pair_list(ps, sources, targets,
                           max(1, block_size)) == expected
+
+
+def _layouts(matrix: np.ndarray):
+    """``matrix`` as C-ordered, F-ordered, row-strided and column-strided
+    arrays, all with equal values."""
+    rows, dim = matrix.shape
+    wide = np.zeros((rows, 2 * dim))
+    wide[:, ::2] = matrix
+    return {
+        "C": np.ascontiguousarray(matrix),
+        "F": np.asfortranarray(matrix),
+        "row-strided": np.repeat(matrix, 2, axis=0)[::2],
+        "column-strided": wide[:, ::2],
+    }
+
+
+_WILD = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dominance_kernel_is_layout_independent(data):
+    """Property: every layout of ``rows`` and ``cols`` gets the ``(m, k, d)``
+    broadcast's answer, for d = 0..4, signed zeros, ±inf and NaN."""
+    dim = data.draw(st.integers(0, 4))
+    row = st.lists(_WILD, min_size=dim, max_size=dim)
+    rows, cols = (np.asarray(drawn, dtype=float).reshape(len(drawn), dim)
+                  for drawn in (data.draw(st.lists(row, max_size=6)),
+                                data.draw(st.lists(row, max_size=6))))
+    want = np.all(rows[:, None, :] >= cols[None, :, :], axis=2)
+    for row_layout in _layouts(rows).values():
+        for col_layout in _layouts(cols).values():
+            got = pairwise_weak_dominance(row_layout, col_layout)
+            assert got.dtype == bool
+            assert got.shape == (len(rows), len(cols))
+            assert np.array_equal(got, want)
 
 
 class TestBlockedMonotoneCheck:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.classifier import ConstantClassifier, ThresholdClassifier
@@ -396,3 +397,83 @@ class TestFleetHealthAndMetrics:
         with ModelFleet.from_directory(fleet_dir, resident_limit=2) as fleet:
             fleet.dispatch("alpha", rng.random((4, 2)))
             assert repr(fleet) == "ModelFleet(models=3, resident=1/2)"
+
+
+@pytest.fixture
+def fleet_3d(tmp_path):
+    """Two deployed 3-D models with a few dozen anchors each."""
+    from repro.datasets.synthetic import planted_monotone
+
+    directory = tmp_path / "models3d"
+    directory.mkdir()
+    for k, name in enumerate(("alpha", "beta")):
+        points = planted_monotone(400, 3, noise=0.1,
+                                  rng=np.random.default_rng([23, k]))
+        save_artifact(fit_artifact(points, "passive"),
+                      directory / f"{name}.json")
+    return directory
+
+
+class TestSingleRequestPath:
+    """A single-point request answers exactly like the same row in a batch."""
+
+    def test_single_dispatch_matches_batch(self, fleet_3d):
+        coords = np.random.default_rng(5).random((512, 3))
+        coords[::7] = np.round(coords[::7], 1)  # ties with grid anchors
+        with ModelFleet.from_directory(fleet_3d) as fleet:
+            for name in fleet.models:
+                batch = fleet.dispatch(name, coords)
+                assert batch.ok and batch.labels.dtype == np.int8
+                assert 0 < batch.labels.sum() < len(coords)
+                for i in range(len(coords)):
+                    alone = fleet.dispatch(name, coords[i:i + 1])
+                    assert alone.ok and alone.labels.tolist() == [batch.labels[i]]
+                for i in range(0, len(coords), 37):
+                    row = [tuple(coords[i])]
+                    assert fleet.dispatch(name, row).label == batch.labels[i]
+                    assert fleet.classify(name, coords[i]).label == batch.labels[i]
+
+    def test_queued_requests_keep_deadlines_and_labels(self, fleet_3d):
+        now = {"t": 0.0}
+        coords = np.random.default_rng(6).random((64, 3))
+        with ModelFleet.from_directory(fleet_3d, clock=lambda: now["t"],
+                                       queue_limit=8) as fleet:
+            want = fleet.dispatch("alpha", coords).labels
+            assert fleet.submit("alpha", coords[:32], deadline=1.0) is None
+            assert fleet.submit("alpha", coords[32:], deadline=100.0) is None
+            assert fleet.submit("alpha", coords[:1]) is None
+            now["t"] = 5.0  # the first request is now stale
+            expired, fresh, single = fleet.drain("alpha")
+            assert expired.status == "deadline_exceeded" and expired.labels is None
+            assert fresh.ok and np.array_equal(fresh.labels, want[32:])
+            assert single.ok and single.labels.tolist() == [want[0]]
+            assert expired.request_id < fresh.request_id < single.request_id
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.5, np.nan, 0.5]]),  # a NaN row
+        np.array([[0.5, 0.5]]),  # wrong d
+        [[0.5, 0.5, 0.5], [0.5, 0.5]],  # ragged
+    ], ids=["nan", "wrong-d", "ragged"])
+    def test_invalid_feeds_neither_breaker_nor_watch(self, fleet_3d, bad):
+        coords = np.random.default_rng(7).random((4, 3))
+        with ModelFleet.from_directory(fleet_3d, breaker_threshold=2,
+                                       canary_count=8) as fleet:
+            fleet.dispatch("alpha", coords)
+            refit = _refit(load_artifact(fleet_3d / "alpha.json"), marker=1)
+            save_artifact(refit, fleet_3d / "alpha.json")
+            assert [e["action"] for e in fleet.poll()] == ["promote"]
+            # The watch counts valid answers only: window - 1 of them plus
+            # any number of invalid ones leave it open.
+            for _ in range(fleet.watch_window - 1):
+                assert fleet.dispatch("alpha", coords).ok
+            for _ in range(3 * fleet.watch_window):
+                result = fleet.dispatch("alpha", bad)
+                assert result.status == INVALID and result.labels is None
+            assert {h.name: h for h in fleet.health()}["alpha"].watching
+            # A success would reset the breaker's failure run; an invalid
+            # request must not, so one failure + invalid + one failure trips.
+            breaker = fleet._slots["alpha"].breaker
+            breaker.record_failure()
+            assert fleet.dispatch("alpha", bad).status == INVALID
+            breaker.record_failure()
+            assert breaker.state == "open"
