@@ -6,13 +6,14 @@ cut-edge set (Lemmas 7 and 8).  Everything is implemented from scratch:
 * :class:`.graph.FlowNetwork` — mutable residual-graph representation,
   plus the shared epsilon-boundary contract (``RESIDUAL_EPS`` /
   ``has_residual``) every backend routes admissibility through;
-* :mod:`.array` — the two production engines over a frozen CSR snapshot:
-  Dinic (vectorized frontier BFS) and Goldberg–Tarjan FIFO push-relabel
-  with gap and global relabeling, the ``O(V^3)`` algorithm the paper
-  cites [14];
+* :mod:`.array` — the two production engines: Dinic (vectorized
+  frontier BFS over a split residual adjacency) and Goldberg–Tarjan FIFO
+  push-relabel with gap and global relabeling over a frozen CSR snapshot,
+  the ``O(V^3)`` algorithm the paper cites [14];
 * :mod:`.dinic` — loop Dinic, the reference the differential tests and
   the fuzzer compare the production engines against (not a backend);
-* :mod:`.mincut` — source-side cut extraction and cut-edge sets (Lemma 8).
+* :mod:`.mincut` — the cut readout: a closure-checked residual source
+  side and its cut-edge set (Lemma 8).
 
 A ``networkx`` backend is available for cross-checking in tests.
 """

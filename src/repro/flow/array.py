@@ -1,34 +1,37 @@
-"""Array-native max-flow engines over a frozen CSR snapshot.
+"""Array-native max-flow engines.
 
 A loop engine spends almost all of its time iterating Python adjacency
 lists arc by arc; above a few thousand vertices that per-arc interpreter
-cost dominates the whole passive solve.  This module builds the two
-production backends on top of :class:`CSRFlowSnapshot`, a frozen CSR view
-of :class:`~repro.flow.graph.FlowNetwork`:
+cost dominates the whole passive solve.  This module holds the two
+production backends:
 
 * :func:`dinic_array_max_flow` — Dinic with a *vectorized frontier BFS*
-  (one ``np.flatnonzero`` admissibility pass over the frontier's CSR slice
-  per level) and a scaled-down Python DFS that walks only the level-graph
-  *survivors* (arcs admissible at BFS time), not the full adjacency.  The
-  survivor DFS replays the reference engine's traversal exactly — same
-  levels, same per-node candidate order, same pointer/retreat semantics —
-  and the per-push writeback applies the identical ``+b`` / ``-b``
-  sequences with ``np.ufunc.at`` (unbuffered, in index order), so values
-  *and* final flows are bit-identical to the loop reference
-  :func:`~repro.flow.dinic.dinic_max_flow`.
+  over a split residual adjacency: a static CSR of the forward arcs,
+  built once per solve, plus a per-phase CSR of just the reverse arcs
+  with usable residual, so the dead zero-capacity reverse arcs are never
+  gathered.  A scaled-down Python DFS then walks only the level-graph
+  *survivors* (arcs on shortest source-sink paths), merged into (tail,
+  arc id) order.  The survivor DFS replays the reference engine's
+  traversal exactly — same levels, same per-node candidate order, same
+  pointer/retreat semantics — and the per-push writeback applies the
+  identical ``+b`` / ``-b`` sequences with ``np.ufunc.at`` (unbuffered,
+  in index order), so values *and* final flows are bit-identical to the
+  loop reference :func:`~repro.flow.dinic.dinic_max_flow`.  Its last BFS,
+  the one that cannot reach the sink, is the residual-reachable set:
+  :func:`dinic_array_solve` returns it for the cut readout.
 
 * :func:`push_relabel_array_max_flow` — Goldberg–Tarjan FIFO push-relabel
   with the gap heuristic plus the *global-relabeling* heuristic: a
   periodic backward BFS from the sink, run as a vectorized distance sweep
-  over the CSR arrays, replaces height labels with exact residual
-  distances.  Heights are updated monotonically (``max`` of old label and
-  BFS distance; sink-disconnected nodes lift to ``n + 1``), which keeps
-  the distance-labeling valid, so correctness is untouched while useless
-  relabel chains collapse.
+  over a :class:`CSRFlowSnapshot`, replaces height labels with exact
+  residual distances.  Heights are updated monotonically (``max`` of old
+  label and BFS distance; sink-disconnected nodes lift to ``n + 1``),
+  which keeps the distance-labeling valid, so correctness is untouched
+  while useless relabel chains collapse.
 
 Both solvers share the epsilon-boundary contract of
-:data:`~repro.flow.graph.RESIDUAL_EPS` with the reference engine and write
-their results back into the mutable network, so
+:data:`~repro.flow.graph.RESIDUAL_EPS` with the reference engine and leave
+their flow in the mutable network, so
 :func:`~repro.flow.mincut.min_cut_from_residual` reads the residual graph
 of the maximum flow.  They run at every network size; see
 ``docs/algorithms.md`` for the small-network cost.
@@ -38,16 +41,17 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..obs import recorder
-from .graph import RESIDUAL_EPS, FlowNetwork
+from .graph import RESIDUAL_EPS, FlowNetwork, tail_order
 
 __all__ = [
     "CSRFlowSnapshot",
     "dinic_array_max_flow",
+    "dinic_array_solve",
     "push_relabel_array_max_flow",
 ]
 
@@ -71,21 +75,21 @@ class CSRFlowSnapshot:
     ------
     ``indptr`` (int64, ``num_nodes + 1``) and ``csr_arcs`` (int64) encode
     the per-vertex adjacency: ``csr_arcs[indptr[u]:indptr[u + 1]]`` are the
-    arc ids leaving ``u`` in ascending arc-id order (the order the engines
-    traverse), i.e. a stable argsort of the arc tails, memoized on the
-    network by :meth:`FlowNetwork.csr` so repeated snapshots (solver, then
-    cut extraction) derive it once.  ``arc_heads`` (int64), ``caps`` and
+    arc ids leaving ``u`` in ascending arc-id order, forward and reverse
+    alike, i.e. a stable argsort of the arc tails, memoized on the network
+    by :meth:`FlowNetwork.csr`.  ``arc_heads`` (int64), ``caps`` and
     ``flows`` (float64) are indexed by *arc id*, so the ``arc ^ 1``
     reverse-arc pairing of the storage format is preserved and residual
     pushes stay O(1) (``flows[a] += x; flows[a ^ 1] -= x``).
     ``csr_tails`` / ``csr_heads`` mirror tail and head per CSR *position*
-    for vectorized admissibility passes.
+    for vectorized admissibility passes.  Push-relabel and the cut
+    readout's own reachability sweep use it; array Dinic builds its split
+    adjacency instead.
 
     The snapshot is frozen: ``arc_heads`` and ``caps`` are the network's
     own arrays (arcs are append-only, and an append replaces rather than
-    grows them), and ``flows`` is a copy.  Solvers that mutate ``flows``
-    must call :meth:`writeback` so the owning network's residual state
-    (used by ``min_cut_from_residual``) reflects the solve.
+    grows them), and ``flows`` is a copy of the flow at snapshot time.
+    The engines leave their flow in the network itself.
     """
 
     __slots__ = (
@@ -108,50 +112,100 @@ class CSRFlowSnapshot:
         self.num_arcs = len(self.arc_heads)
         self.indptr, self.csr_arcs, self.csr_tails, self.csr_heads = network.csr()
 
-    def writeback(self, network: FlowNetwork) -> None:
-        """Copy the snapshot's flow state back into the mutable network."""
-        network.flows[:] = self.flows
-
 
 def _frontier_positions(
     indptr: np.ndarray, frontier: np.ndarray
 ) -> np.ndarray:
-    """CSR positions of every arc leaving a frontier vertex (ragged gather)."""
+    """CSR positions of every arc leaving a frontier vertex (ragged gather).
+
+    ``frontier`` must be non-empty.  Array methods rather than the ``np.*``
+    wrappers: this runs once per BFS level and CSR part, so on small
+    networks the wrappers' dispatch is a visible share of a solve.
+    """
     starts = indptr[frontier]
     counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
+    inclusive = counts.cumsum()
+    total = int(inclusive[-1])
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    inclusive = np.cumsum(counts)
-    offsets = np.repeat(starts - (inclusive - counts), counts)
+    offsets = (starts - (inclusive - counts)).repeat(counts)
     return np.arange(total, dtype=np.int64) + offsets
 
 
+def _tail_csr(
+    network: FlowNetwork, arcs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR of the given arcs (ascending ids), grouped by tail.
+
+    Returns ``(indptr, arcs, heads)``: ``arcs[indptr[u]:indptr[u + 1]]``
+    are the given arcs leaving ``u``, still in ascending arc-id order, and
+    ``heads`` mirrors them per position.
+    """
+    n = network.num_nodes
+    tails = network.tails[arcs]
+    order = tail_order(tails, n)
+    indptr = np.searchsorted(tails[order], np.arange(n + 1, dtype=np.int64))
+    arcs = arcs[order]
+    return indptr, arcs, network.heads[arcs]
+
+
+def _reverse_adjacency(
+    network: FlowNetwork, pairs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR of one phase's usable reverse arcs, grouped by tail.
+
+    ``pairs`` are the ascending edge indices ``k`` whose reverse arc
+    ``2k + 1`` has usable residual (``caps - flows > RESIDUAL_EPS``).  On
+    a cold network there are none; after the passive solver's greedy
+    preflow they are the few edges that carry flow.
+    """
+    return _tail_csr(network, 2 * pairs + 1)
+
+
+#: One CSR part of a residual adjacency: ``(indptr, arcs, heads, usable)``.
+#: ``usable`` masks the positions with usable residual, or is ``None`` when
+#: every arc of the part is usable.
+Part = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+#: The level-graph arcs of one depth, per part: ``(arcs, positions, heads)``
+#: with ``arcs[positions]`` the arc ids and ``heads`` their heads.
+Layer = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 def _level_graph(
-    snap: CSRFlowSnapshot, residual: np.ndarray, source: int, sink: int
-) -> Tuple[np.ndarray, List[np.ndarray]]:
+    parts: List[Part], num_nodes: int, source: int, sink: int
+) -> Tuple[np.ndarray, List[Layer]]:
     """Vectorized BFS level graph over usable residual arcs, up to the sink.
 
-    Returns ``(level, layers)``.  ``level[v]`` is the exact shortest
-    residual distance from ``source`` — the value the reference engine's
-    scalar BFS computes, independent of visit order — for every ``v`` no
-    deeper than the sink, and ``-1`` otherwise: the sweep stops at the
-    sink's depth, since no vertex past it lies on a shortest path.
-    ``layers[d]`` holds the CSR positions of the level-graph arcs leaving
-    depth ``d`` (usable residual, head at depth ``d + 1``), in frontier
-    order.
+    Together the ``parts`` must hold every usable residual arc.  Returns
+    ``(level, layers)``.  ``level[v]`` is the exact shortest residual
+    distance from ``source`` — the value the reference engine's scalar BFS
+    computes, independent of visit order — for every ``v`` no deeper than
+    the sink, and ``-1`` otherwise: the sweep stops at the sink's depth,
+    since no vertex past it lies on a shortest path.  When the sink is
+    unreachable the sweep runs out, and ``level >= 0`` is the whole
+    residual-reachable set.  ``layers[d]`` holds the level-graph arcs
+    leaving depth ``d`` (usable residual, head at depth ``d + 1``) as
+    positions into each part, in no particular order.
     """
-    level = np.full(snap.num_nodes, -1, dtype=np.int64)
+    level = np.full(num_nodes, -1, dtype=np.int64)
     level[source] = 0
-    slot = np.empty(snap.num_nodes, dtype=np.int64)
+    slot = np.empty(num_nodes, dtype=np.int64)
     frontier = np.array([source], dtype=np.int64)
-    layers: List[np.ndarray] = []
+    layers: List[Layer] = []
     depth = 0
     while level[sink] < 0:
-        positions = _frontier_positions(snap.indptr, frontier)
-        admissible = positions[residual[snap.csr_arcs[positions]] > _EPS]
-        heads = snap.csr_heads[admissible]
-        fresh = heads[level[heads] < 0]
+        # The usable arcs into unvisited vertices all land one level
+        # deeper, so they are exactly this depth's layer.
+        layer: Layer = []
+        for indptr, arcs, heads, usable in parts:
+            positions = _frontier_positions(indptr, frontier)
+            if usable is not None:
+                positions = positions[usable[positions]]
+            ends = heads[positions]
+            into = level[ends] < 0
+            layer.append((arcs, positions[into], ends[into]))
+        fresh = np.concatenate([ends for _arcs, _positions, ends in layer])
         if fresh.size == 0:
             break
         # Deduplicate in O(k) instead of np.unique's sort: whichever
@@ -161,12 +215,12 @@ def _level_graph(
         frontier = fresh[slot[fresh] == order]
         depth += 1
         level[frontier] = depth
-        layers.append(admissible[level[heads] == depth])
+        layers.append(layer)
     return level, layers
 
 
 def _sink_reaching(
-    snap: CSRFlowSnapshot, layers: List[np.ndarray], sink: int
+    tails: np.ndarray, layers: List[Layer], num_nodes: int, sink: int
 ) -> List[np.ndarray]:
     """Keep the level-graph arcs ``(u, v)`` with
     ``level[u] + 1 + dist_t(v) == level[sink]``.
@@ -175,35 +229,32 @@ def _sink_reaching(
     head reaches the sink inside the level graph.  One backward sweep over
     the layers, deepest first, marks those heads: the sink is live, and a
     tail at depth ``d`` is live iff one of its arcs enters a live vertex at
-    depth ``d + 1``.  Returns the surviving positions of each layer.
+    depth ``d + 1``.  The parts of one layer read only marks made by
+    deeper layers, so their order does not matter.  ``tails`` is the
+    network's per-arc tail array.  Returns the surviving arc ids, one
+    array per layer part, deepest layer first.
     """
-    live = np.zeros(snap.num_nodes, dtype=bool)
+    live = np.zeros(num_nodes, dtype=bool)
     live[sink] = True
     kept: List[np.ndarray] = []
-    for positions in reversed(layers):
-        hits = positions[live[snap.csr_heads[positions]]]
-        live[snap.csr_tails[hits]] = True
-        kept.append(hits)
-    kept.reverse()
+    for layer in reversed(layers):
+        for arcs, positions, heads in layer:
+            hits = arcs[positions[live[heads]]]
+            live[tails[hits]] = True
+            kept.append(hits)
     return kept
 
 
-def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
-    """Array-native Dinic; bit-identical flows/value to the loop reference.
+def dinic_array_solve(
+    network: FlowNetwork, source: int, sink: int
+) -> Tuple[float, np.ndarray]:
+    """Array Dinic returning ``(value, reached)``.
 
-    Per phase: one vectorized BFS builds the level graph up to the sink's
-    depth, one backward sweep prunes it to the arcs on shortest
-    source-sink paths (:func:`_sink_reaching`), and the blocking-flow DFS
-    runs over compacted mirrors of just those *survivors*.  Within a phase
-    no reverse arc of a level-graph arc can become admissible (its level
-    points backwards), so the level graph holds every arc the loop DFS
-    could use.  An arc the prune drops leads into a subtree that cannot
-    reach the sink: the loop DFS enters it, retreats, pushes nothing and
-    marks only vertices that are dead anyway.  The augmenting sequence,
-    and hence every float operation, is identical.
-
-    On a network that already carries flow, Dinic augments from it and
-    reports the total: the flow it started from plus its augmentations.
+    ``reached`` is the boolean vertex mask of the final BFS, the one that
+    finds the sink unreachable: the residual-reachable set of the maximum
+    flow, which :func:`~repro.flow.mincut.solve_min_cut` hands to the cut
+    readout instead of sweeping the residual graph a second time.  See
+    :func:`dinic_array_max_flow` for the engine.
     """
     network._check_node(source)
     network._check_node(sink)
@@ -211,16 +262,25 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
         raise ValueError("source and sink must differ")
 
     rec = recorder()
+    n = network.num_nodes
+    caps = network.caps
+    flows = network.flows
+    arc_heads = network.heads
+    arc_tails = network.tails
     with rec.span("csr_snapshot"):
-        snap = CSRFlowSnapshot(network)
-    if rec.enabled:
-        rec.incr("flow.array.snapshots")
-        rec.gauge("flow.array.snapshot_arcs", snap.num_arcs)
-
-    n = snap.num_nodes
-    caps = snap.caps
-    flows = snap.flows
-    arc_heads = snap.arc_heads
+        # The forward arcs never change, so their CSR is built once.
+        # Reverse arcs carry no capacity and most carry no flow either;
+        # each phase gathers just the usable ones (_reverse_adjacency).
+        f_indptr, f_arcs, f_heads = _tail_csr(
+            network, np.arange(0, len(arc_heads), 2, dtype=np.int64)
+        )
+        # Usable residual per forward position and per reverse arc (by
+        # edge index).  Only pushed arcs change residual, so after each
+        # phase the masks are re-evaluated just there.
+        f_slot = np.empty(len(f_arcs), dtype=np.int64)
+        f_slot[f_arcs >> 1] = np.arange(len(f_arcs), dtype=np.int64)
+        f_usable = (caps[0::2] - flows[0::2] > _EPS)[f_arcs >> 1]
+        r_usable = caps[1::2] - flows[1::2] > _EPS
 
     # Count the flow the network already carries: 0.0 on a cold network.
     total = network.flow_value(source)
@@ -229,25 +289,34 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
     pushes = 0
     survivors = 0
     pruned = 0
+    reverse_arcs = 0
 
     while True:
-        residual = caps - flows
-        level, layers = _level_graph(snap, residual, source, sink)
+        r_indptr, r_arcs, r_heads = _reverse_adjacency(
+            network, np.flatnonzero(r_usable)
+        )
+        reverse_arcs += len(r_arcs)
+        parts = [(f_indptr, f_arcs, f_heads, f_usable)]
+        if r_arcs.size:
+            parts.append((r_indptr, r_arcs, r_heads, None))
+        level, layers = _level_graph(parts, n, source, sink)
         if level[sink] < 0:
             break
         phases += 1
 
-        # Survivors in (vertex, adjacency-order) position order — the loop
-        # DFS candidate order, which sorting the CSR positions restores.
-        kept = _sink_reaching(snap, layers, sink)
-        keep = np.sort(np.concatenate(kept))
+        # Survivors in (tail, arc id) order — the loop DFS candidate
+        # order: sort by arc id, then group stably by tail.
+        kept = _sink_reaching(arc_tails, layers, n, sink)
+        kept_arcs = np.sort(np.concatenate(kept))
+        kept_tails = arc_tails[kept_arcs]
+        order = tail_order(kept_tails, n)
+        kept_arcs = kept_arcs[order]
         if rec.enabled:
-            found = sum(len(layer) for layer in layers)
+            found = sum(len(part[1]) for layer in layers for part in layer)
             survivors += found
-            pruned += found - len(keep)
-        kept_arcs = snap.csr_arcs[keep]
+            pruned += found - len(kept_arcs)
         sub_bounds = np.searchsorted(
-            snap.csr_tails[keep], np.arange(n + 1, dtype=np.int64)
+            kept_tails[order], np.arange(n + 1, dtype=np.int64)
         ).tolist()
         # Survivor mirrors are stdlib arrays: their items read and write as
         # plain Python ints/floats, without the ndarray scalar boxing the
@@ -305,7 +374,7 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
 
         if not push_seq:
             break  # defensive: a leveled sink guarantees >= 1 path
-        # Replay the phase's pushes on the master arrays in order.
+        # Replay the phase's pushes on the network's flows in order.
         # ufunc.at is unbuffered and applies repeated indices in sequence,
         # so each arc receives the identical rounding sequence the loop
         # reference's per-push updates produce.
@@ -313,8 +382,11 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
         amounts = np.asarray(amount_seq, dtype=np.float64)
         np.add.at(flows, arcs_seq, amounts)
         np.subtract.at(flows, arcs_seq ^ 1, amounts)
+        edges = arcs_seq >> 1
+        forward = 2 * edges
+        f_usable[f_slot[edges]] = caps[forward] - flows[forward] > _EPS
+        r_usable[edges] = caps[forward + 1] - flows[forward + 1] > _EPS
 
-    snap.writeback(network)
     if rec.enabled:
         rec.incr("flow.dinic_array.calls")
         rec.incr("flow.dinic_array.phases", phases)
@@ -322,8 +394,32 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
         rec.incr("flow.dinic_array.pushes", pushes)
         rec.incr("flow.dinic_array.survivor_arcs", survivors)
         rec.incr("flow.dinic_array.pruned_arcs", pruned)
+        rec.incr("flow.dinic_array.reverse_arcs", reverse_arcs)
         rec.observe("flow.dinic_array.paths_per_call", paths)
-    return float(total)
+    return float(total), level >= 0
+
+
+def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
+    """Array-native Dinic; bit-identical flows/value to the loop reference.
+
+    Per phase: one vectorized BFS over the split residual adjacency (the
+    solve's static forward CSR, filtered to usable arcs, plus the phase's
+    usable reverse arcs) builds the level graph up to the sink's depth;
+    one backward sweep prunes it to the arcs on shortest source-sink paths
+    (:func:`_sink_reaching`); and the blocking-flow DFS runs over
+    compacted mirrors of just those *survivors*, merged into (tail, arc
+    id) order.  Within a phase no reverse arc of a level-graph arc can
+    become admissible (its level points backwards), so the level graph
+    holds every arc the loop DFS could use.  An arc the prune drops leads
+    into a subtree that cannot reach the sink: the loop DFS enters it,
+    retreats, pushes nothing and marks only vertices that are dead
+    anyway.  The augmenting sequence, and hence every float operation, is
+    identical.
+
+    On a network that already carries flow, Dinic augments from it and
+    reports the total: the flow it started from plus its augmentations.
+    """
+    return dinic_array_solve(network, source, sink)[0]
 
 
 def _distances_to_sink(

@@ -3,11 +3,13 @@
 Arcs are stored in flat numpy arrays where each arc and its reverse arc
 occupy adjacent slots (``arc ^ 1`` is the reverse), the classic competitive-
 programming layout that keeps residual updates O(1) and cache-friendly.
-Capacities are floats because Problem 2 weights are positive reals.
+Capacities are finite floats because Problem 2 weights are positive reals;
+the passive reduction's "infinite" edges use a finite effective infinity.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -31,6 +33,17 @@ def _shared_zeros(values: np.ndarray) -> List[float]:
     objects = values.astype(object)
     objects[(values == 0.0) & ~np.signbit(values)] = 0.0
     return objects.tolist()
+
+
+def tail_order(tails: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Stable argsort of ``tails``: indices grouped by tail, in input order.
+
+    Vertex ids that fit in 16 bits sort as ``uint16``, where numpy's
+    stable sort is a radix sort (~4x the int64 timsort); larger networks
+    sort the int64 ids.
+    """
+    keys = tails.astype(np.uint16) if num_nodes <= 0x10000 else tails
+    return np.argsort(keys, kind="stable")
 
 
 def has_residual(value: float) -> bool:
@@ -111,8 +124,11 @@ class FlowNetwork:
         """Add a directed edge ``u -> v``; returns the forward arc id."""
         self._check_node(u)
         self._check_node(v)
-        if not capacity >= 0:  # also rejects NaN, as add_edges does
-            raise ValueError(f"capacity must be non-negative; got {capacity}")
+        # Also rejects NaN and inf, as add_edges does: an infinite
+        # capacity makes ``caps - flows`` NaN once it carries flow.
+        if not 0 <= capacity < math.inf:
+            raise ValueError(
+                f"capacity must be finite and non-negative; got {capacity}")
         arc_id = len(self._heads) + 2 * len(self._pending_tails)
         self._pending_tails.append(u)
         self._pending_heads.append(v)
@@ -156,9 +172,10 @@ class FlowNetwork:
                     f"vertex {int(endpoint[bad][0])} outside "
                     f"[0, {self.num_nodes})"
                 )
-        if (caps_arr < 0).any() or np.isnan(caps_arr).any():
-            offender = caps_arr[(caps_arr < 0) | np.isnan(caps_arr)][0]
-            raise ValueError(f"capacity must be non-negative; got {offender}")
+        bad = ~((caps_arr >= 0) & (caps_arr < np.inf))
+        if bad.any():
+            raise ValueError(
+                f"capacity must be finite and non-negative; got {caps_arr[bad][0]}")
         self._flush()
         base = len(self._heads)
         self._append(tails_arr, heads_arr, caps_arr)
@@ -239,10 +256,7 @@ class FlowNetwork:
         key = (n, len(tails))
         cache = self._csr_cache
         if cache is None or cache[0] != key:
-            # Vertex ids that fit in 16 bits sort as uint16, where numpy's
-            # stable sort is a radix sort (~4x the int64 timsort).
-            keys = tails.astype(np.uint16) if n <= 0x10000 else tails
-            csr_arcs = np.argsort(keys, kind="stable")
+            csr_arcs = tail_order(tails, n)
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
             cache = self._csr_cache = (

@@ -111,22 +111,23 @@ def _dinic_prune_off_by_one() -> Iterator[None]:
     is that arc is wrongly dead and the arcs into it — which lie on a
     shortest path — are pruned.  Whenever a phase's last augmenting path
     runs through such a vertex the phase finds nothing and Dinic stops
-    short of a maximum flow; the min-cut extraction then finds the sink
-    still reachable, which the passive differential must catch.
+    short of a maximum flow, its last BFS still reaching the sink; the
+    cut readout's check then rejects the reached set, which the passive
+    differential must catch.
     """
     from ..flow import array
 
     original = array._sink_reaching
 
-    def off_by_one(snap, layers, sink):  # type: ignore[no-untyped-def]
-        live = np.zeros(snap.num_nodes, dtype=bool)
+    def off_by_one(tails, layers, num_nodes, sink):  # type: ignore[no-untyped-def]
+        live = np.zeros(num_nodes, dtype=bool)
         live[sink] = True
         kept = []
-        for positions in reversed(layers):
-            hits = positions[live[snap.csr_heads[positions]]]
-            live[snap.csr_tails[hits[:-1]]] = True
-            kept.append(hits)
-        kept.reverse()
+        for layer in reversed(layers):
+            hits = [arcs[positions[live[heads]]]
+                    for arcs, positions, heads in layer]
+            live[tails[np.concatenate(hits)[:-1]]] = True
+            kept.extend(hits)
         return kept
 
     array._sink_reaching = off_by_one  # type: ignore[assignment]
@@ -134,6 +135,31 @@ def _dinic_prune_off_by_one() -> Iterator[None]:
         yield
     finally:
         array._sink_reaching = original  # type: ignore[assignment]
+
+
+@contextmanager
+def _dinic_reverse_arc_dropped() -> Iterator[None]:
+    """Drop one flow-carrying reverse arc from Dinic's per-phase adjacency.
+
+    The arc of the highest-numbered edge whose reverse is usable goes
+    missing from every phase's BFS.  Dinic itself runs to the end without
+    error, but its last BFS misses whatever only that arc reaches, so the
+    reached set it hands to the cut readout is not closed: a usable arc
+    leaves it.  The readout's engine-independent closure check must
+    reject it; a readout that trusted the engine would return a wrong cut.
+    """
+    from ..flow import array
+
+    original = array._reverse_adjacency
+
+    def dropped(network, pairs):  # type: ignore[no-untyped-def]
+        return original(network, pairs[:-1])
+
+    array._reverse_adjacency = dropped  # type: ignore[assignment]
+    try:
+        yield
+    finally:
+        array._reverse_adjacency = original  # type: ignore[assignment]
 
 
 @contextmanager
@@ -273,6 +299,7 @@ MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "duplicate_edges_dropped": _duplicate_edges_dropped,
     "edge_box_strict": _edge_box_strict,
     "dinic_prune_off_by_one": _dinic_prune_off_by_one,
+    "dinic_reverse_arc_dropped": _dinic_reverse_arc_dropped,
     "capacity_plus_one": _capacity_plus_one,
     "matching_last_free": _matching_last_free,
     "classify_strict_ties": _classify_strict_ties,

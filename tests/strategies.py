@@ -20,6 +20,7 @@ from repro.flow import RESIDUAL_EPS, FlowNetwork
 __all__ = [
     "point_sets",
     "flow_networks",
+    "multigraph_flow_networks",
     "boundary_flow_networks",
     "pruning_flow_networks",
     "network_build_scripts",
@@ -69,6 +70,33 @@ def flow_networks(draw, max_nodes: int = 10, max_edges: int = 25
             continue
         capacity = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e6]))
         network.add_edge(u, v, capacity)
+    return network, 0, n - 1
+
+
+@st.composite
+def multigraph_flow_networks(draw, max_nodes: int = 8, max_edges: int = 14
+                             ) -> Tuple[FlowNetwork, int, int]:
+    """Networks with antiparallel and parallel edges, zero capacities and
+    self-loops, which :func:`flow_networks` leaves out or only hits by
+    chance.
+
+    Each drawn edge may be followed by its antiparallel twin and by a
+    parallel copy, so a vertex's adjacency interleaves forward and reverse
+    arcs of the same pair of vertices.
+    """
+    n = draw(st.integers(2, max_nodes))
+    network = FlowNetwork(n)
+    capacity = st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e6])
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.booleans(), st.booleans()),
+        max_size=max_edges))
+    for u, v, antiparallel, parallel in edges:
+        network.add_edge(u, v, draw(capacity))
+        if antiparallel:
+            network.add_edge(v, u, draw(capacity))
+        if parallel:
+            network.add_edge(u, v, draw(capacity))
     return network, 0, n - 1
 
 

@@ -254,8 +254,8 @@ class TestFlowConstructionParity:
     def test_add_edges_scalar_capacity_and_empty(self):
         net = FlowNetwork(3)
         assert net.add_edges(np.empty(0, int), np.empty(0, int), 1.0).size == 0
-        net.add_edges(np.array([0, 1]), np.array([1, 2]), float("inf"))
-        assert net.caps[0] == float("inf") and net.caps[2] == float("inf")
+        net.add_edges(np.array([0, 1]), np.array([1, 2]), 1e300)
+        assert net.caps[0] == 1e300 and net.caps[2] == 1e300
 
     def test_add_edges_validation(self):
         net = FlowNetwork(2)

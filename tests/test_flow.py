@@ -71,6 +71,27 @@ class TestFlowNetwork:
             net.add_edge(0, 1, float("nan"))
         assert net.num_edges == 0
 
+    def test_rejects_infinite_capacity_path(self):
+        """An inf-capacity 0 -> 2 -> 1 path once solved to MinCut(inf)
+        whose cut arc was itself infinite, with NaN residuals from
+        ``inf - inf``; now the path cannot be built."""
+        net = FlowNetwork(3)
+        with pytest.raises(ValueError, match="finite"):
+            net.add_edge(0, 2, math.inf)
+        net.add_edge(0, 2, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            net.add_edge(2, 1, math.inf)
+        assert net.num_edges == 1
+
+    def test_add_edges_rejects_infinite_capacity(self):
+        net = FlowNetwork(3)
+        with pytest.raises(ValueError, match="finite"):
+            net.add_edges(np.array([0, 2]), np.array([2, 1]),
+                          np.array([1.0, np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            net.add_edges(np.array([0]), np.array([2]), -np.inf)
+        assert net.num_edges == 0
+
     def test_rejects_bad_vertex(self):
         net = FlowNetwork(2)
         with pytest.raises(ValueError):

@@ -3,8 +3,8 @@
 Covers the CSR snapshot contract, bit-identity of ``dinic_array`` with
 the loop-Dinic reference, the solver-equivalence suite of both production
 engines against that reference (random and epsilon-boundary instances
-plus the replayable corpus), and the CSR min-cut extraction against a
-scalar reference BFS.
+plus the replayable corpus), and the cut readout — from its own sweep or
+from array Dinic's last BFS — against a scalar reference BFS.
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.passive import solve_passive
+from repro.core.passive import (
+    SINK,
+    SOURCE,
+    greedy_preflow,
+    passive_network,
+    solve_passive,
+)
+from repro.datasets import planted_monotone
 from repro.experiments.flow_backends import random_flow_network
 from repro.flow import (
     FLOW_BACKENDS,
@@ -30,13 +37,16 @@ from repro.flow import (
     min_cut_from_residual,
     push_relabel_array_max_flow,
     solve_max_flow,
+    solve_min_cut,
 )
+from repro.flow.array import dinic_array_solve
 from repro.fuzz.corpus import iter_corpus, load_reproducer
 from repro.obs import metrics_session
 from tests.conftest import FLOW_ENGINES
 from tests.strategies import (
     boundary_flow_networks,
     flow_networks,
+    multigraph_flow_networks,
     network_build_scripts,
     pruning_flow_networks,
 )
@@ -55,11 +65,12 @@ def _clone(network: FlowNetwork) -> FlowNetwork:
 def _scalar_min_cut(network: FlowNetwork, source: int, sink: int,
                     flow_value: float) -> MinCut:
     """Reference cut extraction: scalar residual BFS over adjacency lists."""
+    adjacency = network.adjacency
     reachable: Set[int] = {source}
     queue: deque = deque([source])
     while queue:
         u = queue.popleft()
-        for arc in network.adjacency[u]:
+        for arc in adjacency[u]:
             v = network.heads[arc]
             if v not in reachable and has_residual(network.residual(arc)):
                 reachable.add(v)
@@ -102,17 +113,6 @@ class TestCSRFlowSnapshot:
         assert (snap.caps[arcs[1::2]] == 0.0).all()
         for a in range(0, snap.num_arcs, 2):
             assert snap.arc_heads[a ^ 1] == net.tail(a)
-
-    def test_writeback_round_trip(self):
-        net = FlowNetwork(2)
-        arc = net.add_edge(0, 1, 4.0)
-        snap = CSRFlowSnapshot(net)
-        snap.flows[arc] += 2.5
-        snap.flows[arc ^ 1] -= 2.5
-        snap.writeback(net)
-        assert net.flows[arc] == 2.5
-        assert net.residual(arc) == 1.5
-        assert net.residual(arc ^ 1) == 2.5
 
     @settings(max_examples=60, deadline=None)
     @given(network_build_scripts())
@@ -400,3 +400,94 @@ class TestArrayMinCutExtraction:
         net = random_flow_network(10, 0.5, seed=3)  # zero flow
         with pytest.raises(AssertionError):
             min_cut_from_residual(net, 0, 9, 0.0)
+
+
+class TestSplitAdjacency:
+    """Array Dinic over the split residual adjacency: per-arc flows equal
+    loop Dinic's, and its last BFS is the residual-reachable set."""
+
+    @staticmethod
+    def _assert_parity(network: FlowNetwork, source: int, sink: int) -> None:
+        loop_net, array_net = _clone(network), _clone(network)
+        loop_value = dinic_max_flow(loop_net, source, sink)
+        cut = solve_min_cut(array_net, source, sink)
+        assert cut.value == loop_value  # exact, no tolerance
+        assert array_net.flows.tobytes() == loop_net.flows.tobytes()
+        reference = _scalar_min_cut(loop_net, source, sink, loop_value)
+        assert cut.source_side == reference.source_side
+        assert cut.cut_arcs == reference.cut_arcs
+
+    @settings(max_examples=80, deadline=None)
+    @given(multigraph_flow_networks())
+    def test_parity_with_antiparallel_parallel_zero_and_self_loops(self, case):
+        self._assert_parity(*case)
+
+    def test_parity_beyond_16_bit_vertex_ids(self):
+        """More than 65,536 vertices: tails group by an int64 sort, not
+        the uint16 radix sort, and ids wrap if the key is narrowed."""
+        gen = np.random.default_rng(5)
+        n = 70_000
+        # A sparse random core among ids on both sides of 65,536.
+        core = np.unique(np.concatenate((gen.integers(1, 65_536, 60),
+                                         gen.integers(65_536, n - 1, 60))))
+        net = FlowNetwork(n)
+        for v in core[:40]:
+            net.add_edge(0, int(v), float(gen.random() * 5))
+        for u in core[-40:]:
+            net.add_edge(int(u), n - 1, float(gen.random() * 5))
+        for _ in range(600):
+            u, v = gen.choice(core, 2, replace=False)
+            net.add_edge(int(u), int(v), float(gen.random() * 5))
+        self._assert_parity(net, 0, n - 1)
+
+    @pytest.mark.parametrize("size,density,seed", [
+        (200, 0.08, 7), (600, 0.08, 7), (300, 0.08, 8), (400, 0.08, 9),
+        (512, 0.05, 13), (1024, 0.05, 13)])
+    def test_parity_on_benchmark_networks(self, size, density, seed):
+        """The networks ``benchmarks/test_bench_flow.py`` times."""
+        self._assert_parity(random_flow_network(size, density, seed),
+                            0, size - 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_warm_source_side_matches_reference_bfs(self, seed):
+        """After the greedy preflow the reverse adjacency starts full; the
+        source side read off the last BFS is the reference BFS's."""
+        points = planted_monotone(300, 3, noise=0.2, weights="random",
+                                  rng=np.random.default_rng([seed, 1]))
+        passive = passive_network(points)
+        greedy_preflow(passive)
+        net = passive.network
+        cut = solve_min_cut(net, SOURCE, SINK)
+        reference = _scalar_min_cut(net, SOURCE, SINK, cut.value)
+        assert cut.source_side == reference.source_side
+        assert cut.cut_arcs == reference.cut_arcs
+
+    def test_last_bfs_is_the_residual_reachable_set(self):
+        net = random_flow_network(40, 0.2, seed=4)
+        value, reached = dinic_array_solve(net, 0, 39)
+        reference = _scalar_min_cut(net, 0, 39, value)
+        assert set(np.flatnonzero(reached).tolist()) == reference.source_side
+
+    def test_readout_rejects_a_set_missing_a_usable_arc_head(self):
+        """The closure check does not trust the engine: dropping any vertex
+        that a usable arc joins to the reached set is caught."""
+        net = random_flow_network(30, 0.25, seed=2)
+        value, reached = dinic_array_solve(net, 0, 29)
+        assert min_cut_from_residual(net, 0, 29, value, reached).value == value
+        residual = net.caps - net.flows
+        usable = residual > RESIDUAL_EPS
+        inner = reached[net.tails] & reached[net.heads] & usable
+        joined = {int(v) for v in net.heads[inner]} - {0}
+        assert joined
+        for vertex in sorted(joined):
+            partial = reached.copy()
+            partial[vertex] = False
+            with pytest.raises(AssertionError, match="flow is not maximum"):
+                min_cut_from_residual(net, 0, 29, value, partial)
+
+    def test_readout_rejects_a_set_holding_the_sink(self):
+        net = random_flow_network(12, 0.4, seed=3)
+        value, reached = dinic_array_solve(net, 0, 11)
+        reached[11] = True
+        with pytest.raises(AssertionError, match="flow is not maximum"):
+            min_cut_from_residual(net, 0, 11, value, reached)

@@ -181,6 +181,7 @@ class TestStructureCheck:
 
         original_peel = chains._peel_mask
         original_prune = array._sink_reaching
+        original_reverse = array._reverse_adjacency
         original_dominance = classifier.pairwise_weak_dominance
         original_box = pairwise._box_candidates
         original_red = sparse.transitive_reduction
@@ -205,6 +206,9 @@ class TestStructureCheck:
         with apply_mutant("dinic_prune_off_by_one"):
             assert array._sink_reaching is not original_prune
             assert pairwise._box_candidates is original_box
+        with apply_mutant("dinic_reverse_arc_dropped"):
+            assert array._reverse_adjacency is not original_reverse
+            assert array._sink_reaching is original_prune
         with apply_mutant("patience_peel_strict"):
             assert chains._peel_mask is not original_peel
             assert bitset._greedy_first_phase is original_greedy
@@ -220,6 +224,7 @@ class TestStructureCheck:
         assert classifier.pairwise_weak_dominance is original_dominance
         assert pairwise._box_candidates is original_box
         assert array._sink_reaching is original_prune
+        assert array._reverse_adjacency is original_reverse
 
     def test_unknown_mutant_rejected(self):
         with pytest.raises(ValueError, match="unknown mutant"):
@@ -386,6 +391,40 @@ class TestMutantSelfTest:
         assert not report.ok, "mutant was not detected"
         assert any("flow is not maximum" in d.detail
                    for _family, _run, d in report.findings)
+
+    def test_reverse_arc_mutant_is_detected(self):
+        # Dinic runs to the end with one flow-carrying reverse arc missing
+        # from its BFS, so the reached set it hands over is not closed;
+        # the cut readout's closure check must reject it.
+        report = run_fuzz(runs=8, seed=3, mutant="dinic_reverse_arc_dropped",
+                          shrink=False)
+        assert not report.ok, "mutant was not detected"
+        assert any("flow is not maximum" in d.detail
+                   for _family, _run, d in report.findings)
+
+    def test_reverse_arc_mutant_escapes_the_engine(self):
+        # The flow 0 -> 2 -> 3 -> 1 saturates 0 -> 2, so 2 (and 4 past
+        # it) is reachable only back across 2 -> 3, the last edge carrying
+        # flow.  Without that reverse arc the engine ends without error on
+        # the reached set {0, 3}; only the readout's closure check can
+        # tell.
+        from repro.flow import FlowNetwork, min_cut_from_residual
+        from repro.flow.array import dinic_array_solve
+
+        net = FlowNetwork(5)
+        net.add_edge(0, 3, 2.0)
+        into_two = net.add_edge(0, 2, 1.0)
+        into_sink = net.add_edge(3, 1, 1.0)
+        across = net.add_edge(2, 3, 5.0)
+        net.add_edge(2, 4, 1.0)
+        for arc in (into_two, across, into_sink):
+            net.push(arc, 1.0)
+        with apply_mutant("dinic_reverse_arc_dropped"):
+            value, reached = dinic_array_solve(net, 0, 1)
+        assert value == 1.0
+        assert np.flatnonzero(reached).tolist() == [0, 3]
+        with pytest.raises(AssertionError, match="flow is not maximum"):
+            min_cut_from_residual(net, 0, 1, value, reached)
 
     def test_preflow_over_accept_mutant_is_detected(self):
         # Targets that take every offer in full break conservation in the
