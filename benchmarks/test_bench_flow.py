@@ -1,4 +1,5 @@
-"""Benchmark E10: max-flow backend agreement and runtime (Lemmas 7-8)."""
+"""Max-flow benchmarks: the loop-Dinic reference against the production
+array Dinic, and the min-cut stage (Lemmas 7-8)."""
 
 from __future__ import annotations
 
@@ -7,29 +8,25 @@ import pytest
 
 from repro.core.passive import SINK, SOURCE, greedy_preflow, passive_network
 from repro.datasets import planted_monotone
-from repro.experiments.flow_backends import random_flow_network
 from repro.flow import (
     dinic_array_max_flow,
     dinic_max_flow,
     min_cut_from_residual,
-    push_relabel_array_max_flow,
-    solve_max_flow,
     solve_min_cut,
 )
+from repro.fuzz.generators import random_flow_network
 
-#: The loop-Dinic reference plus the two production engines, keyed by
-#: function name (``FLOW_BACKENDS`` serves the latter two as ``"dinic"``
-#: and ``"push_relabel"``).
+#: The loop-Dinic reference plus the production engine, keyed by function
+#: name.
 _ENGINES = {
     "dinic": dinic_max_flow,
     "dinic_array": dinic_array_max_flow,
-    "push_relabel_array": push_relabel_array_max_flow,
 }
 
 
-@pytest.mark.parametrize("backend", sorted(_ENGINES))
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
 @pytest.mark.parametrize("size", [200, 600])
-def test_flow_backend_runtime(benchmark, backend, size):
+def test_flow_backend_runtime(benchmark, engine, size):
     reference = dinic_max_flow(random_flow_network(size, 0.08, seed=7),
                                0, size - 1)
     for solver in _ENGINES.values():
@@ -39,7 +36,7 @@ def test_flow_backend_runtime(benchmark, backend, size):
 
     def job():
         net = random_flow_network(size, 0.08, seed=7)
-        return _ENGINES[backend](net, 0, size - 1)
+        return _ENGINES[engine](net, 0, size - 1)
 
     value = benchmark(job)
     assert value == pytest.approx(reference, rel=1e-9)
@@ -61,7 +58,7 @@ def test_flow_against_networkx(benchmark):
 
     def job():
         fresh = random_flow_network(size, 0.08, seed=8)
-        return solve_max_flow(fresh, 0, size - 1, backend="dinic")
+        return dinic_array_max_flow(fresh, 0, size - 1)
 
     value = benchmark(job)
     assert value == pytest.approx(expected, rel=1e-9)
@@ -86,7 +83,7 @@ def test_min_cut_extraction(benchmark):
 # Reference-vs-production pairs.
 #
 # Same instance, same seed: the loop-Dinic reference vs the production
-# engines behind FLOW_BACKENDS, at a size below the kernels' full-scale
+# engine behind solve_min_cut, at a size below the kernels' full-scale
 # runs so the pairs fit the bench-smoke gate.  Max-flow plus cut
 # extraction is benchmarked, not bare max-flow, to match the passive
 # solver's min-cut stage.
@@ -118,18 +115,15 @@ def test_flow_solver_loop(benchmark, engine, size):
     benchmark.extra_info.update({"V": size, "flow_value": round(cut.value, 4)})
 
 
-@pytest.mark.parametrize("engine", ["dinic", "push_relabel"])
+@pytest.mark.parametrize("engine", ["dinic"])
 @pytest.mark.parametrize("size", _PAIR_SIZES)
 def test_flow_solver_array(benchmark, engine, size):
     def job():
         net = random_flow_network(size, _PAIR_DENSITY, seed=13)
-        return solve_min_cut(net, 0, size - 1, backend=engine)
+        return solve_min_cut(net, 0, size - 1)
 
     cut = benchmark(job)
-    if engine == "dinic":
-        assert cut.value == _pair_value(size)  # bit-identical by contract
-    else:
-        assert cut.value == pytest.approx(_pair_value(size), rel=1e-9, abs=1e-12)
+    assert cut.value == _pair_value(size)  # bit-identical by contract
     benchmark.extra_info.update({"V": size, "flow_value": round(cut.value, 4)})
 
 

@@ -38,12 +38,10 @@ def test_passive_scaling_d_n1000(benchmark, d):
                                  "optimal_error": result.optimal_error})
 
 
-@pytest.mark.parametrize("backend", ["dinic", "push_relabel"])
-def test_passive_backend_comparison(benchmark, backend):
+def test_passive_d3_n1500(benchmark):
     points = planted_monotone(1_500, 3, noise=0.15, rng=2, weights="random")
-    result = benchmark(solve_passive, points, backend=backend)
-    benchmark.extra_info.update({"backend": backend,
-                                 "optimal_error": result.optimal_error})
+    result = benchmark(solve_passive, points)
+    benchmark.extra_info.update({"optimal_error": result.optimal_error})
 
 
 def test_passive_1d_fast_path(benchmark):

@@ -35,8 +35,7 @@ def main() -> None:
     # --- Passive (Problem 2): all labels known, exact optimum via min-cut.
     passive = solve_passive(points)
     print(f"\npassive optimum k* = {passive.optimal_error:.0f} "
-          f"({passive.num_contending} contending points, "
-          f"backend={passive.backend})")
+          f"({passive.num_contending} contending points)")
 
     # --- Active (Problem 1): labels hidden, pay per probe.
     oracle = LabelOracle(points)

@@ -10,8 +10,8 @@ The package provides:
   (Theorem 1);
 * :mod:`repro.poset` — dominance digraphs, Hopcroft–Karp matching, Dilworth
   chain decompositions, and dominance width (Lemma 6);
-* :mod:`repro.flow` — Dinic and Goldberg–Tarjan push-relabel max-flow with
-  min-cut extraction (Lemmas 7-8);
+* :mod:`repro.flow` — Dinic max-flow with min-cut extraction
+  (Lemmas 7-8);
 * :mod:`repro.stats` — Lemma 5 sampling machinery;
 * :mod:`repro.baselines` — probe-everything, Tao'18-style, A²-style,
   isotonic (PAVA), and trivial baselines;

@@ -46,7 +46,6 @@ from typing import List, Optional
 
 from . import __version__
 from ._util import format_table
-from .flow import FLOW_BACKENDS
 
 __all__ = ["main", "build_parser"]
 
@@ -88,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     passive = sub.add_parser("passive", help="solve Problem 2 exactly (Theorem 4)")
     passive.add_argument("input", help="point-set file (.csv or .json)")
-    passive.add_argument("--backend", choices=sorted(FLOW_BACKENDS),
-                         default="dinic")
 
     active = sub.add_parser("active", help="run the Theorem 2 active algorithm")
     active.add_argument("input", help="fully-labeled point-set file (ground truth)")
@@ -130,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("input", help="fully-labeled point-set file (.csv or .json)")
     fit.add_argument("artifact", help="output artifact file (.json)")
     fit.add_argument("--mode", choices=["passive", "active"], default="passive")
-    fit.add_argument("--backend", choices=sorted(FLOW_BACKENDS),
-                     default="dinic", help="flow backend (passive mode)")
     fit.add_argument("--epsilon", type=float, default=0.5,
                      help="approximation parameter (active mode)")
     fit.add_argument("--seed", type=int, default=0,
@@ -186,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser(
         "audit", help="solve passively and machine-check the result")
     audit.add_argument("input", help="fully-labeled point-set file")
-    audit.add_argument("--backend", choices=sorted(FLOW_BACKENDS),
-                       default="dinic")
 
     repair = sub.add_parser(
         "repair", help="minimum-weight monotone label repair (data cleaning)")
@@ -316,13 +309,12 @@ def _cmd_passive(args: argparse.Namespace) -> int:
     from .core.passive import solve_passive
 
     points = _load(args.input)
-    result = solve_passive(points, backend=args.backend)
+    result = solve_passive(points)
     print(format_table([{
         "n": points.n,
         "d": points.dim,
         "contending": result.num_contending,
         "optimal_weighted_error": result.optimal_error,
-        "backend": result.backend,
     }]))
     return 0
 
@@ -387,7 +379,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     points = _load(args.input)
     artifact = fit_artifact(points, args.mode,
                             epsilon=args.epsilon, seed=args.seed,
-                            backend=args.backend,
                             decomposition=args.decomposition,
                             include_certificate=not args.no_certificate)
     digest = save_artifact(artifact, args.artifact)
@@ -588,7 +579,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from .core.validation import audit_passive_result, conflict_matching_lower_bound
 
     points = _load(args.input)
-    result = solve_passive(points, backend=args.backend)
+    result = solve_passive(points)
     report = audit_passive_result(points, result)
     rows = [{"check": name,
              "status": "FAIL" if name in report.failures else "pass"}

@@ -13,7 +13,7 @@ classifier of minimum weighted error.  Section 5 solves it exactly:
    points are exactly the endpoints of those pairs, so for ``d >= 3`` one
    dominance pass yields steps 1 and 2 together (:func:`contending_pairs`).
 3. Seed the network with a greedy flow along the infinite edges
-   (:func:`greedy_preflow`) and let the max-flow backend finish from it.
+   (:func:`greedy_preflow`) and let array Dinic finish from it.
 4. A minimum cut-edge set (Lemma 8) *is* an optimal classifier: cut source
    edges flip their label-0 point to 1; cut sink edges flip their label-1
    point to 0 (Lemmas 16, 17).  The residual source side is the minimal
@@ -77,18 +77,18 @@ def _effective_infinity(total_weight: float, min_weight: float) -> float:
     choice but loses meaning at extreme scales: above ~1e16 the ``+ 1.0`` is
     absorbed by rounding (the "infinite" edges become exactly as cheap as
     cutting everything finite), and near 1e308 doubling overflows to ``inf``
-    (which breaks residual arithmetic in the backends).  Detect both and use
+    (which breaks residual arithmetic in the max flow).  Detect both and use
     ``2 * total`` — a margin rounding cannot erase — or raise a clean
     ``ValueError`` telling the caller to rescale.
 
-    The flow backends themselves also carry absolute rounding error on the
-    order of ``ulp(total_weight)`` (e.g. push-relabel briefly saturates the
-    whole source side, so a tiny final flow is a difference of huge
-    intermediates).  The optimal error can be as small as ``min_weight``
-    (the lightest contending point), so when ``ulp(total)`` approaches that
-    scale the min-cut certificate check would trip on pure noise.  Reject
-    such ill-conditioned weight mixes up front with a clean ``ValueError``
-    instead of failing deep inside a backend-dependent assertion.
+    The max flow itself also carries absolute rounding error on the order
+    of ``ulp(total_weight)``: flows on shared arcs are sums and differences
+    of augmentations as large as the whole weight.  The optimal error can
+    be as small as ``min_weight`` (the lightest contending point), so when
+    ``ulp(total)`` approaches that scale the min-cut certificate check
+    would trip on pure noise.  Reject such ill-conditioned weight mixes up
+    front, before any max flow runs, with a clean ``ValueError`` instead of
+    failing deep inside the solver with an ``AssertionError``.
     """
     if not np.isfinite(total_weight):
         raise ValueError(
@@ -136,10 +136,7 @@ class PassiveResult:
         Capacity of the minimum cut (its arcs' capacities summed in arc
         order) = max-flow value = optimal weighted error on ``P^con``.
         Read off the cut, not the flow, so it is the same bit for bit
-        whichever maximum flow the backend finds.
-    backend:
-        Max-flow backend used (a key of :data:`repro.flow.FLOW_BACKENDS`);
-        the same engine runs at every network size.
+        whichever maximum flow the engine finds.
     """
 
     classifier: MonotoneClassifier
@@ -147,7 +144,6 @@ class PassiveResult:
     optimal_error: float
     num_contending: int
     flow_value: float
-    backend: str
 
 
 def contending_mask(points: PointSet) -> np.ndarray:
@@ -416,25 +412,21 @@ def greedy_preflow(passive: PassiveNetwork) -> int:
     return rounds
 
 
-def solve_passive(points: PointSet, backend: str = "dinic",
+def solve_passive(points: PointSet,
                   use_contending_reduction: bool = True) -> PassiveResult:
     """Solve Problem 2 exactly (Theorem 4).
 
     Builds the min-cut instance (:func:`passive_network`), seeds it with
-    :func:`greedy_preflow`, lets the max-flow backend finish, and reads
-    the assignment off the residual source side.  That side is the
-    minimal minimum cut, the same for every maximum flow, so the
-    assignment and classifier do not depend on which maximum flow the
-    backend ends on; the per-arc flows do.
+    :func:`greedy_preflow`, lets array Dinic finish, and reads the
+    assignment off the residual source side.  That side is the minimal
+    minimum cut, the same for every maximum flow, so the assignment and
+    classifier do not depend on which maximum flow the engine ends on;
+    the per-arc flows do.
 
     Parameters
     ----------
     points:
         Fully-labeled weighted point set.
-    backend:
-        Max-flow backend: ``"dinic"`` or ``"push_relabel"`` (the keys of
-        :data:`repro.flow.FLOW_BACKENDS`).  Both yield the same
-        assignment.
     use_contending_reduction:
         When False, the min-cut instance is built over *all* points instead
         of just ``P^con`` (still correct, since non-contending points have
@@ -452,7 +444,7 @@ def solve_passive(points: PointSet, backend: str = "dinic",
 
     if n == 0:
         classifier = UpsetClassifier([], dim=max(1, points.dim))
-        return PassiveResult(classifier, assignment, 0.0, 0, 0.0, backend)
+        return PassiveResult(classifier, assignment, 0.0, 0, 0.0)
 
     rec = recorder()
 
@@ -464,13 +456,12 @@ def solve_passive(points: PointSet, backend: str = "dinic",
             rec.gauge("passive.num_contending", num_contending)
             passive_span.set_attr("n", n)
             passive_span.set_attr("num_contending", num_contending)
-            passive_span.set_attr("backend", backend)
 
         if num_contending == 0:
             # Labeling already monotone: zero error, keep every label.
             with rec.span("classifier_build"):
                 classifier = UpsetClassifier.from_positive_points(points, assignment)
-            return PassiveResult(classifier, assignment, 0.0, 0, 0.0, backend)
+            return PassiveResult(classifier, assignment, 0.0, 0, 0.0)
 
         network = passive.network
         with rec.span("preflow"):
@@ -480,7 +471,7 @@ def solve_passive(points: PointSet, backend: str = "dinic",
             rec.gauge("passive.preflow_value", network.flow_value(SOURCE))
 
         with rec.span("min_cut"):
-            cut = solve_min_cut(network, SOURCE, SINK, backend=backend)
+            cut = solve_min_cut(network, SOURCE, SINK)
         # The cut's capacity, summed in arc order: any maximum flow leaves
         # the same cut, so this certificate is the same bit for bit.
         flow_value = cut.weight(network)
@@ -528,7 +519,6 @@ def solve_passive(points: PointSet, backend: str = "dinic",
             optimal_error=float(optimal_error),
             num_contending=num_contending,
             flow_value=flow_value,
-            backend=backend,
         )
 
 

@@ -13,7 +13,6 @@ from . import (
     confidence,
     entity_matching_exp,
     figure1,
-    flow_backends,
     lowerbound_exp,
     passive_scaling,
     poset_scaling,
@@ -32,7 +31,6 @@ __all__ = [
     "baseline_comparison",
     "lowerbound_exp",
     "poset_scaling",
-    "flow_backends",
     "entity_matching_exp",
     "confidence",
     "robustness",

@@ -23,8 +23,7 @@ __all__ = ["run", "TITLE"]
 
 def run(ns: Sequence[int] = (100, 200, 400, 800, 1600),
         ds: Sequence[int] = (1, 2, 4, 8),
-        noise: float = 0.1, backend: str = "dinic",
-        seed: int = 0) -> List[dict]:
+        noise: float = 0.1, seed: int = 0) -> List[dict]:
     """Time the Theorem 4 solver across input sizes and dimensionalities."""
     rows: List[dict] = []
     for d in ds:
@@ -36,7 +35,7 @@ def run(ns: Sequence[int] = (100, 200, 400, 800, 1600),
                 points = planted_monotone(n, d, noise=noise, rng=seed,
                                           weights="random")
             start = time.perf_counter()
-            result = solve_passive(points, backend=backend)
+            result = solve_passive(points)
             elapsed = time.perf_counter() - start
 
             check: Optional[str] = None

@@ -42,8 +42,7 @@ def _registry() -> Dict[str, Callable[..., List[dict]]]:
         confidence,
         entity_matching_exp,
         figure1,
-        flow_backends,
-        lowerbound_exp,
+            lowerbound_exp,
         passive_scaling,
         poset_scaling,
         recursion_geometry,
@@ -58,7 +57,6 @@ def _registry() -> Dict[str, Callable[..., List[dict]]]:
         "baseline_comparison": baseline_comparison.run,
         "lowerbound": lowerbound_exp.run,
         "poset_scaling": poset_scaling.run,
-        "flow_backends": flow_backends.run,
         "entity_matching": entity_matching_exp.run,
         "confidence": confidence.run,
         "robustness": robustness.run,

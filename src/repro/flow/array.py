@@ -1,46 +1,34 @@
-"""Array-native max-flow engines.
+"""Array-native max-flow engine.
 
 A loop engine spends almost all of its time iterating Python adjacency
 lists arc by arc; above a few thousand vertices that per-arc interpreter
-cost dominates the whole passive solve.  This module holds the two
-production backends:
+cost dominates the whole passive solve.  :func:`dinic_array_max_flow`,
+the production engine, is Dinic with a *vectorized frontier BFS* over a
+split residual adjacency: a static CSR of the forward arcs, built once
+per solve, plus a per-phase CSR of just the reverse arcs with usable
+residual, so the dead zero-capacity reverse arcs are never gathered.  A
+scaled-down Python DFS then walks only the level-graph *survivors* (arcs
+on shortest source-sink paths), merged into (tail, arc id) order.  The
+survivor DFS replays the reference engine's traversal exactly — same
+levels, same per-node candidate order, same pointer/retreat semantics —
+and the per-push writeback applies the identical ``+b`` / ``-b``
+sequences with ``np.ufunc.at`` (unbuffered, in index order), so values
+*and* final flows are bit-identical to the loop reference
+:func:`~repro.flow.dinic.dinic_max_flow`.  Its last BFS, the one that
+cannot reach the sink, is the residual-reachable set:
+:func:`dinic_array_solve` returns it for the cut readout.
 
-* :func:`dinic_array_max_flow` — Dinic with a *vectorized frontier BFS*
-  over a split residual adjacency: a static CSR of the forward arcs,
-  built once per solve, plus a per-phase CSR of just the reverse arcs
-  with usable residual, so the dead zero-capacity reverse arcs are never
-  gathered.  A scaled-down Python DFS then walks only the level-graph
-  *survivors* (arcs on shortest source-sink paths), merged into (tail,
-  arc id) order.  The survivor DFS replays the reference engine's
-  traversal exactly — same levels, same per-node candidate order, same
-  pointer/retreat semantics — and the per-push writeback applies the
-  identical ``+b`` / ``-b`` sequences with ``np.ufunc.at`` (unbuffered,
-  in index order), so values *and* final flows are bit-identical to the
-  loop reference :func:`~repro.flow.dinic.dinic_max_flow`.  Its last BFS,
-  the one that cannot reach the sink, is the residual-reachable set:
-  :func:`dinic_array_solve` returns it for the cut readout.
-
-* :func:`push_relabel_array_max_flow` — Goldberg–Tarjan FIFO push-relabel
-  with the gap heuristic plus the *global-relabeling* heuristic: a
-  periodic backward BFS from the sink, run as a vectorized distance sweep
-  over a :class:`CSRFlowSnapshot`, replaces height labels with exact
-  residual distances.  Heights are updated monotonically (``max`` of old
-  label and BFS distance; sink-disconnected nodes lift to ``n + 1``),
-  which keeps the distance-labeling valid, so correctness is untouched
-  while useless relabel chains collapse.
-
-Both solvers share the epsilon-boundary contract of
-:data:`~repro.flow.graph.RESIDUAL_EPS` with the reference engine and leave
-their flow in the mutable network, so
+The engine shares the epsilon-boundary contract of
+:data:`~repro.flow.graph.RESIDUAL_EPS` with the reference and leaves its
+flow in the mutable network, so
 :func:`~repro.flow.mincut.min_cut_from_residual` reads the residual graph
-of the maximum flow.  They run at every network size; see
+of the maximum flow.  It runs at every network size; see
 ``docs/algorithms.md`` for the small-network cost.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -48,69 +36,9 @@ import numpy as np
 from ..obs import recorder
 from .graph import RESIDUAL_EPS, FlowNetwork, tail_order
 
-__all__ = [
-    "CSRFlowSnapshot",
-    "dinic_array_max_flow",
-    "dinic_array_solve",
-    "push_relabel_array_max_flow",
-]
+__all__ = ["dinic_array_max_flow", "dinic_array_solve"]
 
 _EPS = RESIDUAL_EPS
-
-#: Relabels between global-relabeling sweeps in ``push_relabel_array``,
-#: as a fraction of the vertex count.  The vectorized backward BFS makes
-#: a sweep so cheap (~0.015 s on an 8192-vertex passive network) that
-#: the optimum sits far below the classic one-sweep-per-n-relabels
-#: cadence: measured on passive networks at n = 8192, the min-cut span
-#: falls monotonically from scale 1.0 (2.20 s, 23.5 k relabels) to
-#: 1/32 (1.36 s, 2.4 k relabels) and climbs again by 1/128 (1.72 s,
-#: 24 sweeps) as sweep cost overtakes the relabels saved.
-GLOBAL_RELABEL_INTERVAL_SCALE = 0.03125
-
-
-class CSRFlowSnapshot:
-    """Frozen CSR view of a :class:`FlowNetwork`.
-
-    Layout
-    ------
-    ``indptr`` (int64, ``num_nodes + 1``) and ``csr_arcs`` (int64) encode
-    the per-vertex adjacency: ``csr_arcs[indptr[u]:indptr[u + 1]]`` are the
-    arc ids leaving ``u`` in ascending arc-id order, forward and reverse
-    alike, i.e. a stable argsort of the arc tails, memoized on the network
-    by :meth:`FlowNetwork.csr`.  ``arc_heads`` (int64), ``caps`` and
-    ``flows`` (float64) are indexed by *arc id*, so the ``arc ^ 1``
-    reverse-arc pairing of the storage format is preserved and residual
-    pushes stay O(1) (``flows[a] += x; flows[a ^ 1] -= x``).
-    ``csr_tails`` / ``csr_heads`` mirror tail and head per CSR *position*
-    for vectorized admissibility passes.  Push-relabel and the cut
-    readout's own reachability sweep use it; array Dinic builds its split
-    adjacency instead.
-
-    The snapshot is frozen: ``arc_heads`` and ``caps`` are the network's
-    own arrays (arcs are append-only, and an append replaces rather than
-    grows them), and ``flows`` is a copy of the flow at snapshot time.
-    The engines leave their flow in the network itself.
-    """
-
-    __slots__ = (
-        "num_nodes",
-        "num_arcs",
-        "indptr",
-        "csr_arcs",
-        "csr_tails",
-        "csr_heads",
-        "arc_heads",
-        "caps",
-        "flows",
-    )
-
-    def __init__(self, network: FlowNetwork) -> None:
-        self.num_nodes = network.num_nodes
-        self.arc_heads = network.heads
-        self.caps = network.caps
-        self.flows = network.flows.copy()
-        self.num_arcs = len(self.arc_heads)
-        self.indptr, self.csr_arcs, self.csr_tails, self.csr_heads = network.csr()
 
 
 def _frontier_positions(
@@ -420,200 +348,3 @@ def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
     reports the total: the flow it started from plus its augmentations.
     """
     return dinic_array_solve(network, source, sink)[0]
-
-
-def _distances_to_sink(
-    snap: CSRFlowSnapshot, residual: np.ndarray, source: int, sink: int
-) -> np.ndarray:
-    """Backward BFS from the sink over usable residual arcs (vectorized).
-
-    ``dist[v]`` is the length of a shortest residual path ``v -> sink``,
-    or ``-1`` when none exists.  A vertex ``u`` can take a step to a
-    frontier vertex ``v`` iff the arc ``u -> v`` has usable residual —
-    which is the residual of the *pair* (``arc ^ 1``) of each arc ``v ->
-    u`` in ``v``'s CSR slice, so the sweep never needs a reverse-adjacency
-    structure.  The source is pinned at height ``n`` and is never expanded.
-    """
-    dist = np.full(snap.num_nodes, -1, dtype=np.int64)
-    dist[sink] = 0
-    frontier = np.array([sink], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        positions = _frontier_positions(snap.indptr, frontier)
-        if positions.size == 0:
-            break
-        arcs = snap.csr_arcs[positions]
-        admissible = positions[residual[arcs ^ 1] > _EPS]
-        candidates = snap.csr_heads[admissible]
-        candidates = candidates[dist[candidates] < 0]
-        candidates = candidates[candidates != source]
-        if candidates.size == 0:
-            break
-        frontier = np.unique(candidates)
-        depth += 1
-        dist[frontier] = depth
-    return dist
-
-
-def push_relabel_array_max_flow(
-    network: FlowNetwork, source: int, sink: int
-) -> float:
-    """FIFO push-relabel with gap heuristic plus global relabeling.
-
-    Discharges active vertices in FIFO order with current-arc pointers;
-    every ``max(GLOBAL_RELABEL_INTERVAL_SCALE * n, 16)`` relabels a
-    vectorized backward BFS from the sink recomputes exact residual
-    distances and lifts heights to ``max(height, distance)`` (sink-
-    disconnected vertices to at least ``n + 1``).  Exact distances are an
-    upper bound for any valid labeling and ``max`` keeps updates
-    monotone, so the relabeling is always sound; in exchange, stair-step
-    relabel chains (the dominant cost on deep networks) collapse into one
-    O(E) sweep.
-    """
-    network._check_node(source)
-    network._check_node(sink)
-    if source == sink:
-        raise ValueError("source and sink must differ")
-
-    rec = recorder()
-    with rec.span("csr_snapshot"):
-        snap = CSRFlowSnapshot(network)
-    if rec.enabled:
-        rec.incr("flow.array.snapshots")
-        rec.gauge("flow.array.snapshot_arcs", snap.num_arcs)
-
-    # The discharge loop runs on Python-list mirrors of the arc arrays;
-    # the flows are written back once at the end.
-    n = network.num_nodes
-    heads, caps, flows = network.list_mirrors()
-    adjacency = network.adjacency
-
-    height = [0] * n
-    excess = [0.0] * n
-    count_at_height = [0] * (2 * n + 1)
-    pointer = [0] * n
-    active: "deque[int]" = deque()
-    in_queue = [False] * n
-
-    height[source] = n
-    count_at_height[0] = n - 1
-    count_at_height[n] += 1
-
-    num_pushes = 0
-    num_relabels = 0
-    num_gap_lifts = 0
-    num_global_relabels = 0
-    relabels_since_sweep = 0
-    sweep_interval = max(int(GLOBAL_RELABEL_INTERVAL_SCALE * n), 16)
-
-    def push(arc: int) -> None:
-        nonlocal num_pushes
-        u, v = heads[arc ^ 1], heads[arc]
-        amount = min(excess[u], caps[arc] - flows[arc])
-        if amount <= _EPS:
-            # A sub-epsilon push moves no usable flow: it would deposit
-            # excess at v without ever activating it (activation requires
-            # amount > _EPS), stranding invisible excess at interior
-            # nodes, and it would inflate the push counter.  Reachable on
-            # warm-started networks whose source arcs carry sub-epsilon
-            # residuals; skip the push entirely.
-            return
-        flows[arc] += amount
-        flows[arc ^ 1] -= amount
-        num_pushes += 1
-        excess[u] -= amount
-        excess[v] += amount
-        if v not in (source, sink) and not in_queue[v]:
-            active.append(v)
-            in_queue[v] = True
-
-    def global_relabel() -> None:
-        nonlocal height, count_at_height, pointer
-        nonlocal num_global_relabels, relabels_since_sweep
-        residual = snap.caps - np.asarray(flows, dtype=np.float64)
-        dist = _distances_to_sink(snap, residual, source, sink)
-        lifted = np.where(dist >= 0, dist, n + 1)
-        new_heights = np.maximum(np.asarray(height, dtype=np.int64), lifted)
-        new_heights[source] = n
-        height = new_heights.tolist()
-        count_at_height = np.bincount(
-            new_heights.clip(max=2 * n), minlength=2 * n + 1
-        ).tolist()
-        pointer = [0] * n
-        num_global_relabels += 1
-        relabels_since_sweep = 0
-
-    def relabel(u: int) -> None:
-        nonlocal num_relabels, num_gap_lifts, relabels_since_sweep
-        old = height[u]
-        best = 2 * n
-        for arc in adjacency[u]:
-            if caps[arc] - flows[arc] > _EPS:
-                candidate = height[heads[arc]] + 1
-                if candidate < best:
-                    best = candidate
-        count_at_height[old] -= 1
-        height[u] = best
-        count_at_height[best] += 1
-        pointer[u] = 0
-        num_relabels += 1
-        relabels_since_sweep += 1
-        # Gap heuristic: height `old` emptied below n => everything strictly
-        # between old and n is disconnected from the sink; lift it to n + 1.
-        if count_at_height[old] == 0 and old < n:
-            for v in range(n):
-                if old < height[v] < n and v != source:
-                    count_at_height[height[v]] -= 1
-                    height[v] = n + 1
-                    count_at_height[n + 1] += 1
-                    num_gap_lifts += 1
-
-    # Saturate all source arcs, then start from exact distance labels.
-    for arc in adjacency[source]:
-        if caps[arc] > _EPS:
-            excess[source] += caps[arc]
-            push(arc)
-    if active:
-        global_relabel()
-
-    while active:
-        u = active.popleft()
-        in_queue[u] = False
-        adj_u = adjacency[u]
-        deg_u = len(adj_u)
-        while excess[u] > _EPS:
-            if height[u] >= 2 * n:
-                break
-            if pointer[u] == deg_u:
-                relabel(u)
-                if height[u] >= 2 * n:
-                    break
-                continue
-            arc = adj_u[pointer[u]]
-            v = heads[arc]
-            if caps[arc] - flows[arc] > _EPS and height[u] == height[v] + 1:
-                push(arc)
-            else:
-                pointer[u] += 1
-        if relabels_since_sweep >= sweep_interval and active:
-            global_relabel()
-
-    network.flows[:] = flows
-    if rec.enabled:
-        rec.incr("flow.push_relabel_array.calls")
-        rec.incr("flow.push_relabel_array.pushes", num_pushes)
-        rec.incr("flow.push_relabel_array.relabels", num_relabels)
-        rec.incr("flow.push_relabel_array.gap_lifts", num_gap_lifts)
-        rec.incr(
-            "flow.push_relabel_array.global_relabels", num_global_relabels
-        )
-        rec.observe("flow.push_relabel_array.pushes_per_call", num_pushes)
-    # Measure the delivered flow at the sink.  The strict push/discharge
-    # guards may strand sub-epsilon excess at interior nodes; the
-    # source-side sum counts that stranded excess as if it had reached
-    # the sink (e.g. reporting ~1e-12 on a network whose sink is
-    # unreachable), while the sink-side sum is exactly the flow the
-    # preflow actually delivered — matching the path-based Dinic.
-    # ``0.0 - x`` rather than ``-x``: a zero inflow negates to -0.0,
-    # which json.dumps would emit as "-0.0".
-    return 0.0 - network.flow_value(sink)

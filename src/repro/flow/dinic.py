@@ -5,9 +5,8 @@ the passive reduction (source -> label-0 -> label-1 -> sink) it behaves like
 bipartite matching, ``O(E sqrt(V))``.  The blocking-flow DFS is iterative to
 avoid recursion limits.
 
-This plain-loop engine is the *reference*, not a backend: it is absent
-from :data:`repro.flow.FLOW_BACKENDS`, and the differential tests and the
-fuzzer require the production ``"dinic"`` engine
+This plain-loop engine is the *reference*, not a production engine: the
+differential tests and the fuzzer require the production engine
 (:func:`~repro.flow.array.dinic_array_max_flow`) to reproduce its values
 and per-arc flows bit for bit.
 """

@@ -1,4 +1,4 @@
-"""Residual flow-network representation shared by all max-flow backends.
+"""Residual flow-network representation shared by the max-flow engines.
 
 Arcs are stored in flat numpy arrays where each arc and its reverse arc
 occupy adjacent slots (``arc ^ 1`` is the reverse), the classic competitive-
@@ -16,15 +16,15 @@ import numpy as np
 
 __all__ = ["FlowNetwork", "Arc", "RESIDUAL_EPS", "has_residual"]
 
-#: Shared residual tolerance for every max-flow backend.  A residual
+#: Shared residual tolerance for every max-flow engine.  A residual
 #: capacity is *usable* iff it strictly exceeds this value; anything at or
-#: below it is treated as saturated.  All backends (and the min-cut
+#: below it is treated as saturated.  The engines (and the min-cut
 #: extraction) must route their admissibility decisions through this one
-#: constant/predicate pair: a backend that admits residual exactly
+#: constant/predicate pair: an engine that admits residual exactly
 #: ``RESIDUAL_EPS`` while another rejects it makes the two disagree on
 #: boundary-capacity arcs, which the differential fuzzer flags as a
-#: finding (historically: capacity-scaling's exactness pass used ``>=``
-#: where the other backends used ``>``).
+#: finding (historically: a capacity-scaling engine's exactness pass used
+#: ``>=`` where the others used ``>``).
 RESIDUAL_EPS = 1e-12
 
 
@@ -49,7 +49,7 @@ def tail_order(tails: np.ndarray, num_nodes: int) -> np.ndarray:
 def has_residual(value: float) -> bool:
     """True iff ``value`` is usable residual capacity (strictly above eps).
 
-    The single admissibility predicate shared by every backend.  Hot loops
+    The single admissibility predicate shared by every engine.  Hot loops
     inline the equivalent ``value > RESIDUAL_EPS`` comparison against the
     imported constant; this function is the readable form for the
     non-critical call sites and the documentation anchor for the contract.
@@ -77,9 +77,9 @@ class FlowNetwork:
     Notes
     -----
     ``add_edge(u, v, cap)`` creates a forward arc with capacity ``cap`` and a
-    reverse arc with capacity 0.  Backends mutate ``flows`` in place (or
+    reverse arc with capacity 0.  Engines mutate ``flows`` in place (or
     through :meth:`push`); :meth:`reset_flow` restores the zero flow so one
-    network can be solved by several backends (used by the cross-check
+    network can be solved by several engines (used by the cross-check
     tests).
 
     Storage is four numpy arrays indexed by arc id: ``heads``, ``tails``
@@ -148,7 +148,7 @@ class FlowNetwork:
 
         Returns the ``m`` forward arc ids.  The arc arrays end up
         **exactly** as if :meth:`add_edge` had been called once per edge
-        in array order, so flow backends (whose traversal order follows
+        in array order, so flow engines (whose traversal order follows
         the derived adjacency) produce bit-identical results either way.
         This is the construction path the Theorem 4 solver uses; per-pair
         Python appends were the dominant cost of building dense instances.
@@ -338,7 +338,7 @@ class FlowNetwork:
 
         Sums the source's arcs left to right in arc-id order, as a scalar
         loop would: numpy's pairwise summation can round differently, and
-        ``push_relabel`` reports ``0.0 - flow_value(sink)`` bit for bit.
+        both Dinic engines start their reported value from it bit for bit.
         """
         total = 0.0
         for value in self.flows[self.tails == source].tolist():
@@ -349,7 +349,7 @@ class FlowNetwork:
                                 tol: float = 1e-9) -> bool:
         """Verify capacity and conservation constraints of the current flow.
 
-        Used by property tests: every flow a backend produces must be
+        Used by property tests: every flow an engine produces must be
         feasible regardless of its value.  Excess accumulates per vertex
         in arc-id order (``np.add.at`` is unbuffered), the order of a
         scalar loop over the forward arcs.

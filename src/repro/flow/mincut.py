@@ -6,9 +6,10 @@ is exactly the saturated forward arcs crossing to the sink side.  Lemma 8
 (and the max-flow min-cut theorem) guarantee its weight equals the max-flow
 value, which :func:`solve_min_cut` asserts numerically.
 
-The readout takes the reachable set from array Dinic's last BFS when it
-has one, and sweeps the residual graph itself otherwise; either way it
-checks the set is closed under usable residual arcs before trusting it.
+:func:`solve_min_cut` takes the reachable set from array Dinic's last
+BFS; :func:`min_cut_from_residual` called without one sweeps the residual
+graph itself.  Either way the readout checks the set is closed under
+usable residual arcs before trusting it.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from ..obs import recorder
-from .array import (
-    CSRFlowSnapshot,
-    _frontier_positions,
-    dinic_array_max_flow,
-    dinic_array_solve,
-)
+from .array import _frontier_positions, dinic_array_solve
 from .graph import RESIDUAL_EPS, FlowNetwork
 
 __all__ = ["MinCut", "min_cut_from_residual", "solve_min_cut"]
@@ -68,19 +64,19 @@ class MinCut:
 
 def _residual_reach(network: FlowNetwork, source: int) -> np.ndarray:
     """Boolean mask of the vertices reachable from ``source`` over usable
-    residual arcs: vectorized frontier sweeps over a CSR snapshot."""
-    snap = CSRFlowSnapshot(network)
-    usable = snap.caps - snap.flows > RESIDUAL_EPS
-    seen = np.zeros(snap.num_nodes, dtype=bool)
+    residual arcs: vectorized frontier sweeps over the network's CSR."""
+    indptr, csr_arcs, _csr_tails, csr_heads = network.csr()
+    usable = network.caps - network.flows > RESIDUAL_EPS
+    seen = np.zeros(network.num_nodes, dtype=bool)
     seen[source] = True
-    slot = np.empty(snap.num_nodes, dtype=np.int64)
+    slot = np.empty(network.num_nodes, dtype=np.int64)
     frontier = np.array([source], dtype=np.int64)
     while frontier.size:
-        positions = _frontier_positions(snap.indptr, frontier)
+        positions = _frontier_positions(indptr, frontier)
         if positions.size == 0:
             break
-        admissible = positions[usable[snap.csr_arcs[positions]]]
-        candidates = snap.csr_heads[admissible]
+        admissible = positions[usable[csr_arcs[positions]]]
+        candidates = csr_heads[admissible]
         candidates = candidates[~seen[candidates]]
         if candidates.size == 0:
             break
@@ -138,27 +134,20 @@ def min_cut_from_residual(network: FlowNetwork, source: int, sink: int,
 
 
 def solve_min_cut(network: FlowNetwork, source: int, sink: int,
-                  backend: str = "dinic", check: bool = True) -> MinCut:
+                  check: bool = True) -> MinCut:
     """Run max-flow and return a minimum cut, verifying Lemma 7/8 numerically.
 
     Array Dinic hands its last BFS's reached set to the cut readout, which
-    checks it rather than sweeping the residual graph again; other engines
-    leave the sweep to the readout.  ``check=True`` asserts that the
-    cut-edge weight matches the flow value up to floating-point tolerance
-    — a cheap certificate of optimality.
+    checks it rather than sweeping the residual graph again.
+    ``check=True`` asserts that the cut-edge weight matches the flow value
+    up to floating-point tolerance — a cheap certificate of optimality.
     """
-    from . import FLOW_BACKENDS, solve_max_flow  # local import to avoid a cycle
-
     rec = recorder()
     if rec.enabled:
         rec.gauge("flow.network.nodes", network.num_nodes)
         rec.gauge("flow.network.edges", network.num_edges)
-    reached: Optional[np.ndarray] = None
     with rec.span("max_flow"):
-        if FLOW_BACKENDS.get(backend) is dinic_array_max_flow:
-            value, reached = dinic_array_solve(network, source, sink)
-        else:
-            value = solve_max_flow(network, source, sink, backend=backend)
+        value, reached = dinic_array_solve(network, source, sink)
     with rec.span("extract_cut"):
         cut = min_cut_from_residual(network, source, sink, value, reached)
     if rec.enabled:

@@ -9,11 +9,10 @@ family).  Four pieces:
   hard inputs, duplicate-coordinate floods, maximal chains/antichains,
   near-float-limit coordinates and weights, plus byte-level mutation of
   serialized datasets;
-* :mod:`.engine` — the differential engine: every passive configuration
-  (both flow backends, plus brute force for small ``n``), every flow
-  backend against the loop-Dinic reference, and the active pipeline at
-  workers 1 and 2 must agree exactly and pass the
-  :mod:`repro.core.validation` certificates;
+* :mod:`.engine` — the differential engine: the passive solver against
+  brute force for small ``n``, array Dinic against the loop-Dinic
+  reference, and the active pipeline at workers 1 and 2 must agree
+  exactly and pass the :mod:`repro.core.validation` certificates;
 * :mod:`.shrink` / :mod:`.corpus` — ddmin shrinking of any disagreement
   to a 1-minimal reproducer, archived in a replayable regression corpus
   under ``tests/corpus/``;
@@ -32,9 +31,7 @@ from .corpus import (
     save_reproducer,
 )
 from .engine import (
-    ALL_PASSIVE_CONFIGS,
     Disagreement,
-    PassiveConfig,
     check_poset_structure,
     run_active_differential,
     run_flow_differential,
@@ -49,8 +46,6 @@ __all__ = [
     "FAMILIES",
     "generate",
     "mutate_bytes",
-    "PassiveConfig",
-    "ALL_PASSIVE_CONFIGS",
     "Disagreement",
     "run_passive_differential",
     "run_active_differential",

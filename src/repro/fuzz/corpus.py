@@ -3,7 +3,7 @@
 Every disagreement the fuzzer finds and shrinks is serialized into a
 small, self-describing JSON file under ``tests/corpus/``.  Corpus entries
 are the fuzzer's long-term memory: tier-1 tests replay every entry through
-the full differential grid on each run, so a bug found once by a nightly
+the passive differential on each run, so a bug found once by a nightly
 campaign can never silently return.
 
 The format is deliberately dumb — schema version, provenance (family,
@@ -113,7 +113,7 @@ def iter_corpus(corpus_dir: PathLike) -> Iterator[Path]:
 
 
 def replay_corpus(corpus_dir: PathLike) -> List[Tuple[Path, List[Disagreement]]]:
-    """Re-run the full differential grid on every corpus entry.
+    """Re-run the passive differential on every corpus entry.
 
     Returns ``(path, findings)`` pairs for entries that still disagree —
     on a healthy tree the list is empty (every archived bug stays fixed).

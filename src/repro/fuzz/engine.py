@@ -1,30 +1,28 @@
-"""The differential engine: one instance, every solver configuration.
+"""The differential engine: one instance, every independent check.
 
 Differential testing in the query-engine-fuzzer style: run the same
-instance through every interchangeable implementation and treat *any*
-divergence as a finding.  For the passive problem the configuration grid
-is both max-flow backends (exact solvers that must agree to the last
-certificate), plus brute force for small ``n``.
-For max-flow alone, every backend is checked against the loop-Dinic
-reference, and the production Dinic must reproduce its per-arc flows
-bit for bit.  For the active problem, ``workers=1`` versus ``workers=2``
-must be bit-for-bit identical and the Theorem 2/3 accounting must audit
-clean.
+instance through interchangeable implementations and treat *any*
+divergence as a finding.  The passive solver's optimum is checked
+against brute force for small ``n``.  For max-flow alone, the production
+engine (array Dinic) is checked against the loop-Dinic reference, whose
+per-arc flows it must reproduce bit for bit.  For the active problem,
+``workers=1`` versus ``workers=2`` must be bit-for-bit identical and the
+Theorem 2/3 accounting must audit clean.
 Every result is additionally cross-checked against the machine-checkable
 certificates in :mod:`repro.core.validation` and the flow-feasibility
 check of :class:`~repro.flow.FlowNetwork`, and the greedy preflow the
 passive solver starts from must be feasible and lead to the source side
 loop Dinic finds from zero flow (:func:`check_preflow`).
 
-A configuration that *raises* is also a finding (kind ``"error"``): the
-strict validation boundary means hostile instances either solve
-identically everywhere or fail identically everywhere with ``ValueError``.
+A solve that *raises* is also a finding (kind ``"error"``) unless it
+raises ``ValueError``: the strict validation boundary means hostile
+instances either solve or are cleanly rejected with ``ValueError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +37,8 @@ from ..core.passive import (
 from ..core.points import PointSet
 from ..core.validation import audit_active_result, audit_passive_result
 from ..flow import (
-    FLOW_BACKENDS,
     FlowNetwork,
+    dinic_array_max_flow,
     dinic_max_flow,
     min_cut_from_residual,
     solve_min_cut,
@@ -51,8 +49,6 @@ if TYPE_CHECKING:
     from ..poset import ChainDecomposition
 
 __all__ = [
-    "PassiveConfig",
-    "ALL_PASSIVE_CONFIGS",
     "Disagreement",
     "run_passive_differential",
     "check_preflow",
@@ -67,26 +63,12 @@ VALUE_RTOL = 1e-6
 #: Default ceiling for including the exponential brute-force oracle.
 BRUTE_FORCE_MAX_N = 12
 
-#: Label of the loop-Dinic reference in flow findings (not a backend).
+#: Label of the loop-Dinic reference in flow findings.
 FLOW_REFERENCE = "loop_dinic"
 
-
-@dataclass(frozen=True)
-class PassiveConfig:
-    """One passive solver configuration in the differential grid."""
-
-    backend: str
-
-    @property
-    def label(self) -> str:
-        """Human-readable configuration name used in findings."""
-        return self.backend
-
-
-#: The full grid: every flow backend.
-ALL_PASSIVE_CONFIGS: Tuple[PassiveConfig, ...] = tuple(
-    PassiveConfig(backend) for backend in sorted(FLOW_BACKENDS)
-)
+#: Label of the production max-flow engine, and of the passive solver
+#: that runs it, in findings.
+ENGINE_LABEL = "dinic"
 
 
 @dataclass(frozen=True)
@@ -96,12 +78,14 @@ class Disagreement:
     Attributes
     ----------
     kind:
-        ``"value_mismatch"`` (configurations report different optima),
+        ``"value_mismatch"`` (the solver and brute force, or two active
+        worker counts, report different optima),
         ``"certificate"`` (an optimality/accounting audit failed),
-        ``"error"`` (a configuration raised where others succeeded),
+        ``"error"`` (a solver raised something other than a clean
+        ``ValueError`` rejection),
         ``"structure"`` (the transitive reduction is not
         minimal/complete, or the Lemma 6 matching or chains are off), or
-        ``"flow"`` (max-flow backends diverge or produced infeasible flow).
+        ``"flow"`` (max-flow engines diverge or produced infeasible flow).
     config:
         Label of the configuration(s) involved.
     detail:
@@ -116,86 +100,57 @@ class Disagreement:
         return f"[{self.kind}] {self.config}: {self.detail}"
 
 
-@dataclass
-class DifferentialOutcome:
-    """Raw per-config observations backing a list of findings (debugging aid)."""
-
-    values: Dict[str, float] = field(default_factory=dict)
-    errors: Dict[str, str] = field(default_factory=dict)
-
-
 def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def run_passive_differential(
     points: PointSet,
-    configs: Sequence[PassiveConfig] = ALL_PASSIVE_CONFIGS,
     brute_force_max_n: int = BRUTE_FORCE_MAX_N,
     check_structure: bool = True,
     structure_max_n: int = 1024,
 ) -> List[Disagreement]:
-    """Run one instance through the passive grid and cross-check everything.
+    """Solve one instance passively and cross-check everything.
 
-    Returns the (possibly empty) list of findings.  ``ValueError`` raised
-    uniformly by *all* configurations is treated as a clean rejection by
-    the validation boundary, not a finding; divergent acceptance is.
+    The solve is audited, compared with brute force for ``n <=
+    brute_force_max_n``, and its greedy preflow checked
+    (:func:`check_preflow`); the poset structure checks run for ``n <=
+    structure_max_n``.  Returns the (possibly empty) list of findings.  A
+    ``ValueError`` from the solver is a clean rejection by the validation
+    boundary, not a finding; any other exception is.
     """
     rec = recorder()
     findings: List[Disagreement] = []
-    outcome = DifferentialOutcome()
 
-    for config in configs:
-        if rec.enabled:
-            rec.incr("fuzz.configs_run")
-        try:
-            result = solve_passive(points, backend=config.backend)
-        except Exception as exc:  # noqa: BLE001 - every escape is data here
-            outcome.errors[config.label] = f"{type(exc).__name__}: {exc}"
-            continue
-        outcome.values[config.label] = float(result.optimal_error)
+    if rec.enabled:
+        rec.incr("fuzz.configs_run")
+    try:
+        result = solve_passive(points)
+    except ValueError:
+        return findings  # clean rejection by the validation boundary
+    except Exception as exc:  # noqa: BLE001 - every escape is data here
+        findings.append(Disagreement(
+            kind="error", config=ENGINE_LABEL,
+            detail=f"raised {type(exc).__name__}: {exc} where a clean "
+                   "solve or ValueError was expected",
+        ))
+    else:
         audit = audit_passive_result(points, result)
         if not audit.ok:
             findings.append(Disagreement(
                 kind="certificate",
-                config=config.label,
+                config=ENGINE_LABEL,
                 detail=f"audit failed: {', '.join(audit.failures)}",
             ))
-
-    # Uniform clean rejection (every config raised ValueError) is the
-    # validation boundary working as designed.
-    if not outcome.values and outcome.errors:
-        if all(msg.startswith("ValueError") for msg in outcome.errors.values()):
-            return findings
-    # Divergence between raising and succeeding configs (or any non-ValueError
-    # escape) is a finding per raising config.
-    for label, msg in outcome.errors.items():
-        if outcome.values or not msg.startswith("ValueError"):
-            findings.append(Disagreement(
-                kind="error", config=label,
-                detail=f"raised {msg} while other configs solved",
-            ))
-
-    if outcome.values:
-        items = sorted(outcome.values.items())
-        ref_label, ref_value = items[0]
-        for label, value in items[1:]:
-            if _relative_gap(value, ref_value) > VALUE_RTOL:
-                findings.append(Disagreement(
-                    kind="value_mismatch",
-                    config=f"{ref_label} vs {label}",
-                    detail=f"optimal error {ref_value!r} != {value!r}",
-                ))
+        value = float(result.optimal_error)
         if points.n <= brute_force_max_n:
             brute = brute_force_passive(points, max_n=brute_force_max_n)
-            if _relative_gap(brute, ref_value) > VALUE_RTOL:
+            if _relative_gap(brute, value) > VALUE_RTOL:
                 findings.append(Disagreement(
                     kind="value_mismatch",
-                    config=f"brute_force vs {ref_label}",
-                    detail=f"brute force {brute!r} != solver {ref_value!r}",
+                    config=f"brute_force vs {ENGINE_LABEL}",
+                    detail=f"brute force {brute!r} != solver {value!r}",
                 ))
-
-    if outcome.values:
         findings.extend(check_preflow(points))
 
     if check_structure and points.n <= structure_max_n:
@@ -385,19 +340,18 @@ def _check_patience(points: PointSet, order: np.ndarray) -> List[Disagreement]:
 
 def run_flow_differential(network: FlowNetwork, source: int,
                           sink: int) -> List[Disagreement]:
-    """Every backend against loop Dinic on one network.
+    """Array Dinic against loop Dinic on one network.
 
-    Each engine — the reference included — must produce a feasible flow
-    whose reported value is its net source flow.  Every backend's value
-    must match the reference's, and the production ``"dinic"`` engine must
-    reproduce the reference's per-arc flows exactly.
+    Each engine must produce a feasible flow whose reported value is its
+    net source flow.  Array Dinic's value must match the reference's, and
+    its per-arc flows must reproduce the reference's exactly.
     """
     rec = recorder()
     findings: List[Disagreement] = []
     values: Dict[str, float] = {}
     flows: Dict[str, List[float]] = {}
-    engines = [(FLOW_REFERENCE, dinic_max_flow)]
-    engines += [(name, FLOW_BACKENDS[name]) for name in sorted(FLOW_BACKENDS)]
+    engines = [(FLOW_REFERENCE, dinic_max_flow),
+               (ENGINE_LABEL, dinic_array_max_flow)]
     for label, solver in engines:
         network.reset_flow()
         if rec.enabled:
@@ -432,9 +386,10 @@ def run_flow_differential(network: FlowNetwork, source: int,
                     kind="flow", config=f"{FLOW_REFERENCE} vs {label}",
                     detail=f"max-flow {ref_value!r} != {value!r}",
                 ))
-        if "dinic" in flows and flows["dinic"] != flows[FLOW_REFERENCE]:
+        if (ENGINE_LABEL in flows
+                and flows[ENGINE_LABEL] != flows[FLOW_REFERENCE]):
             findings.append(Disagreement(
-                kind="flow", config=f"{FLOW_REFERENCE} vs dinic",
+                kind="flow", config=f"{FLOW_REFERENCE} vs {ENGINE_LABEL}",
                 detail="per-arc flows are not bit-identical",
             ))
     network.reset_flow()

@@ -15,6 +15,9 @@ Byte-level corruption of serialized datasets lives here too
 mutated file with either a valid :class:`~repro.core.points.PointSet` or a
 clean ``ValueError`` — never a ``TypeError`` traceback or a silently
 corrupt set.
+
+:func:`random_flow_network` builds the seeded random flow networks the
+max-flow tests and benchmarks solve.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
+from .._util import as_generator
 from ..core.lowerbound import adversarial_input
 from ..core.points import PointSet
+from ..flow import FlowNetwork
 
 __all__ = [
     "FAMILIES",
@@ -39,6 +44,7 @@ __all__ = [
     "generate",
     "mutate_bytes",
     "serialized_corpus_texts",
+    "random_flow_network",
 ]
 
 GeneratorFn = Callable[[np.random.Generator, int], PointSet]
@@ -122,7 +128,7 @@ def antichain(rng: np.random.Generator, size: int) -> PointSet:
 def near_equal_weights(rng: np.random.Generator, size: int) -> PointSet:
     """Weights separated by a few ulps — cut comparisons on a knife edge.
 
-    Near-ties between alternative minimum cuts expose any backend whose
+    Near-ties between alternative minimum cuts expose any solver whose
     cut extraction depends on accumulated floating-point error.
     """
     n = max(2, size)
@@ -248,3 +254,18 @@ def serialized_corpus_texts(points: PointSet) -> List[str]:
         texts.append(csv_path.read_text())
         texts.append(json_path.read_text())
     return texts
+
+
+def random_flow_network(num_nodes: int, density: float, seed: int,
+                        max_capacity: float = 10.0) -> FlowNetwork:
+    """A random DAG-ish flow network with designated source 0 / sink last."""
+    gen = as_generator(seed)
+    network = FlowNetwork(num_nodes)
+    source, sink = 0, num_nodes - 1
+    for u in range(num_nodes - 1):
+        for v in range(u + 1, num_nodes):
+            if v == source or u == sink:
+                continue
+            if gen.random() < density:
+                network.add_edge(u, v, float(gen.random() * max_capacity))
+    return network

@@ -169,10 +169,13 @@ def _capacity_plus_one() -> Iterator[None]:
     Strips *every* scale check at once: the ill-conditioning rejection, the
     overflow detection and the absorbed-``+ 1.0`` fallback — the naive
     implementation the guard replaced.  At extreme weight scales the mutant
-    either feeds the backends numerically meaningless capacities (tripping
-    a backend-dependent assertion where healthy code raises a uniform
-    ``ValueError``) or silently makes "infinite" edges cuttable — the
-    extreme-weights family exists to catch precisely this.
+    makes "infinite" edges cuttable or feeds the max flow numerically
+    meaningless capacities, so one of ``solve_passive``'s self-checks
+    (Lemma 16 monotonicity, the min-cut and Lemma 17 certificates) raises
+    ``AssertionError`` where healthy code raises a clean ``ValueError``
+    before any max flow runs.  The differential reports that as an
+    ``error`` finding; the extreme-weights family exists to catch
+    precisely this.
     """
     from ..core import passive
 

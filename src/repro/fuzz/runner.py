@@ -3,7 +3,7 @@
 :func:`run_fuzz` is the driver behind ``repro fuzz`` and the CI jobs.  Per
 run it draws a hostile instance from a registered family (child seed
 ``i`` of the campaign seed, so any single run can be replayed in
-isolation), pushes it through the passive differential grid, a random
+isolation), pushes it through the passive differential, a random
 max-flow cross-check, periodically the active workers-1-vs-2 differential,
 and — for the ``io`` family — byte-mutates serialized datasets against the
 loader boundary.  Any disagreement is shrunk with ddmin to a 1-minimal
@@ -31,7 +31,6 @@ from ..obs import recorder
 from ..parallel.seeds import spawn_seed_sequences
 from .corpus import save_reproducer
 from .engine import (
-    ALL_PASSIVE_CONFIGS,
     Disagreement,
     check_poset_structure,
     run_active_differential,
@@ -203,7 +202,7 @@ def fuzz_artifact_roundtrip(
 
 def _random_network(rng: np.random.Generator, max_nodes: int = 24
                     ) -> Tuple[FlowNetwork, int, int]:
-    """A small random capacitated digraph for backend cross-checking."""
+    """A small random capacitated digraph for the max-flow differential."""
     n = int(rng.integers(2, max_nodes + 1))
     network = FlowNetwork(n)
     num_edges = int(rng.integers(1, 4 * n))
@@ -304,8 +303,7 @@ def run_fuzz(
 
         points = generate(family, rng, size)
         with mutant_context():
-            findings = run_passive_differential(points,
-                                                configs=ALL_PASSIVE_CONFIGS)
+            findings = run_passive_differential(points)
         findings.extend(run_flow_differential(*_random_network(rng)))
         if active_every and index % active_every == 0 and points.n:
             capped = (points if points.n <= active_max_n
@@ -321,7 +319,7 @@ def run_fuzz(
         shrunk = points
         if shrink and points.n > 1:
             # Structure-only findings (a broken Hasse reduction, say) can be
-            # re-checked without re-solving the whole differential grid —
+            # re-checked without re-running the whole passive differential —
             # ddmin runs hundreds of predicate evaluations, so the cheap
             # predicate is the difference between seconds and minutes.
             structure_only = all(f.kind == "structure" for f in findings)
@@ -330,8 +328,7 @@ def run_fuzz(
                 with mutant_context():
                     if structure_only:
                         return bool(check_poset_structure(candidate))
-                    return bool(run_passive_differential(
-                        candidate, configs=ALL_PASSIVE_CONFIGS))
+                    return bool(run_passive_differential(candidate))
 
             with_passive = still_fails(points)
             if with_passive:

@@ -1,6 +1,6 @@
 """Delta-debugging shrinker: minimize a disagreeing instance.
 
-A 500-point instance that splits two backends is evidence; a 4-point one
+A 500-point instance that breaks a certificate is evidence; a 4-point one
 is a bug report.  :func:`shrink_instance` is classic ddmin over the point
 set: repeatedly try dropping chunks of points (halves, then quarters, …,
 then single points) while the caller's predicate — "the differential

@@ -36,7 +36,7 @@ overhead (``benchmarks/test_bench_obs.py``).
 
 Metric-name conventions (see docs/observability.md for the full catalog):
 dotted names group by subsystem (``oracle.*``, ``active.*``, ``poset.*``,
-``flow.<backend>.*``, ``passive.*``); span paths are slash-joined phase
+``flow.<engine>.*``, ``passive.*``); span paths are slash-joined phase
 stacks (``active/chain_decompose/matching``).
 """
 

@@ -7,10 +7,9 @@ Implements the combinatorial machinery the paper relies on:
   (:mod:`.matching`), the engine behind Lemma 6;
 * minimum chain decomposition via Dilworth's theorem (:mod:`.chains`);
 * dominance width and maximum-antichain certificates (:mod:`.width`);
-* the sparse engine (:mod:`.sparse`): block-streamed dominance in
-  ``O(block * n)`` memory and packed-bitset transitive reduction, sharing
-  the order-matrix cache on :class:`~repro.core.points.PointSet`
-  (see ``docs/poset.md``);
+* the sparse engine (:mod:`.sparse`): block-streamed order panels in
+  ``O(block * n)`` memory and packed-bitset transitive reduction (see
+  ``docs/poset.md``);
 * the packed-bitset order engine (:mod:`.bitset`): the whole order matrix
   as ``uint8`` bitset rows and a Hopcroft–Karp whose BFS layering is
   bitset frontier expansion — the one substrate of the order queries,
@@ -41,11 +40,7 @@ from .dominance import (
 from .hasse import covers, hasse_edges
 from .matching import hopcroft_karp, maximum_bipartite_matching
 from .mirsky import heights, longest_chain_length, mirsky_antichain_partition
-from .sparse import (
-    order_matrix_blocks,
-    transitive_reduction,
-    weak_dominance_blocks,
-)
+from .sparse import transitive_reduction
 from .width import (
     brute_force_width,
     dominance_width,
@@ -74,8 +69,6 @@ __all__ = [
     "heights",
     "longest_chain_length",
     "mirsky_antichain_partition",
-    "weak_dominance_blocks",
-    "order_matrix_blocks",
     "transitive_reduction",
     "PackedOrder",
     "packed_order",

@@ -4,22 +4,15 @@ The dense dominance machinery (``PointSet.weak_dominance_matrix`` and the
 cached :meth:`~repro.core.points.PointSet.order_matrix`) materializes all
 ``n^2`` booleans at once.  This module is the streamed counterpart:
 
-* :func:`order_matrix_blocks` / :func:`weak_dominance_blocks` stream the
-  (tie-broken) order and weak-dominance matrices in row blocks, accumulating
-  one dimension at a time so peak scratch memory is ``O(block_size * n)``
-  booleans — never the ``(n, n, d)`` (or even ``(block, n, d)``) broadcast
-  intermediate; :func:`coordinate_order_blocks` is the cache-free order
-  computation behind them, in either orientation (the packed engine of
-  :mod:`repro.poset.bitset` packs its panels);
+* :func:`coordinate_order_blocks` streams the tie-broken order matrix
+  (or its transpose) from coordinates in row blocks, in ``O(block_size *
+  n)`` scratch memory — never the ``(n, n, d)`` broadcast intermediate
+  (the packed engine of :mod:`repro.poset.bitset` packs its panels);
 * :func:`transitive_reduction` computes the Hasse (covering) relation of an
   explicit boolean order matrix with packed-bitset row unions — exact
   boolean reachability, immune to the mod-256 wraparound that an integer
   matrix product suffers (see :mod:`repro.poset.hasse`), and ``O(m n / 8)``
   bytes of work for ``m`` order pairs instead of an ``O(n^3)`` product.
-
-When a :class:`~repro.core.points.PointSet` has already materialized its
-cached order matrix, the block iterators serve slices of the shared cache
-(counted by the ``poset.order_cache_hits`` metric) instead of recomputing.
 """
 
 from __future__ import annotations
@@ -30,65 +23,13 @@ import numpy as np
 
 from ..core.pairwise import DEFAULT_BLOCK_SIZE, pairwise_weak_dominance
 from ..core.points import PointSet
-from ..obs import recorder
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "weak_dominance_blocks",
-    "order_matrix_blocks",
     "coordinate_order_blocks",
     "transitive_reduction",
     "hasse_edges_sparse",
 ]
-
-
-def weak_dominance_blocks(points: PointSet,
-                          block_size: int = DEFAULT_BLOCK_SIZE
-                          ) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Yield ``(start, stop, block)`` row blocks of the weak-dominance matrix.
-
-    ``block[i - start, j]`` is true iff point ``i`` weakly dominates point
-    ``j``.  If the full matrix is already cached on ``points`` the blocks
-    are views of the cache; otherwise each block is computed by
-    per-dimension accumulation in ``O(block_size * n)`` scratch memory.
-    """
-    n = points.n
-    if n == 0:
-        return
-    cached = points._weak_dom
-    for start in range(0, n, block_size):
-        stop = min(n, start + block_size)
-        if cached is not None:
-            yield start, stop, cached[start:stop]
-        else:
-            yield start, stop, pairwise_weak_dominance(
-                points.coords[start:stop], points.coords)
-
-
-def order_matrix_blocks(points: PointSet,
-                        block_size: int = DEFAULT_BLOCK_SIZE
-                        ) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Yield ``(start, stop, block)`` row blocks of the tie-broken order matrix.
-
-    Semantics match :meth:`PointSet.order_matrix` exactly — strict dominance
-    plus the index tie-break on identical coordinate vectors — but without
-    requiring the ``O(n^2)`` cache.  When the cache *is* already populated
-    its slices are served instead (a ``poset.order_cache_hits`` increment),
-    so dense and sparse callers share work rather than duplicating it.
-    """
-    n = points.n
-    if n == 0:
-        return
-    cached_order = points._order
-    if cached_order is not None:
-        rec = recorder()
-        if rec.enabled:
-            rec.incr("poset.order_cache_hits")
-        for start in range(0, n, block_size):
-            stop = min(n, start + block_size)
-            yield start, stop, cached_order[start:stop]
-        return
-    yield from coordinate_order_blocks(points.coords, block_size)
 
 
 def coordinate_order_blocks(coords: np.ndarray,

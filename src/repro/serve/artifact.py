@@ -324,7 +324,6 @@ def fit_artifact(
     *,
     epsilon: float = 0.5,
     seed: int = 0,
-    backend: str = "dinic",
     decomposition: str = "exact",
     include_certificate: bool = True,
 ) -> ModelArtifact:
@@ -351,15 +350,18 @@ def fit_artifact(
     if mode == "passive":
         from ..core.passive import solve_passive
 
-        passive_result = solve_passive(points, backend=backend)
+        passive_result = solve_passive(points)
         classifier = passive_result.classifier
-        fit_meta["backend"] = passive_result.backend
+        # ``"backend"`` names the max-flow engine, always array Dinic; the
+        # key stays so artifacts and their digests are unchanged, and the
+        # loader never reads it.
+        fit_meta["backend"] = "dinic"
         if include_certificate:
             certificate = {
                 "optimal_error": float(passive_result.optimal_error),
                 "flow_value": float(passive_result.flow_value),
                 "num_contending": int(passive_result.num_contending),
-                "backend": passive_result.backend,
+                "backend": "dinic",
             }
     elif mode == "active":
         from ..core.active import active_classify

@@ -121,9 +121,9 @@ def boundary_flow_networks(draw, max_nodes: int = 8, max_edges: int = 20
     """Networks whose capacities sit at the ``RESIDUAL_EPS`` boundary.
 
     Regression strategy for the epsilon-boundary unification: every
-    backend must make the *same* admissibility decision on residuals at
-    exactly ``RESIDUAL_EPS`` (historically capacity-scaling's exactness
-    pass admitted them while the other backends rejected them).
+    engine must make the *same* admissibility decision on residuals at
+    exactly ``RESIDUAL_EPS`` (historically a capacity-scaling engine's
+    exactness pass admitted them while the others rejected them).
     """
     n = draw(st.integers(2, max_nodes))
     network = FlowNetwork(n)

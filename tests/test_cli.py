@@ -57,9 +57,6 @@ class TestSolveCommands:
         out = capsys.readouterr().out
         assert "optimal_weighted_error" in out
 
-    def test_passive_push_relabel(self, data_file, capsys):
-        assert main(["passive", str(data_file), "--backend", "push_relabel"]) == 0
-
     def test_active(self, data_file, capsys):
         assert main(["active", str(data_file), "--epsilon", "0.8"]) == 0
         out = capsys.readouterr().out

@@ -17,7 +17,6 @@ from repro.experiments import (
     confidence,
     entity_matching_exp,
     figure1,
-    flow_backends,
     lowerbound_exp,
     passive_scaling,
     poset_scaling,
@@ -103,12 +102,6 @@ class TestPosetScaling:
     def test_small_run(self):
         rows = poset_scaling.run(controlled=((60, 3),), random_ns=(40,), seed=6)
         assert all(row["exact"] for row in rows)
-
-
-class TestFlowBackends:
-    def test_agreement(self):
-        rows = flow_backends.run(sizes=(20, 40), passive_ns=(100,), seed=7)
-        assert all(row["agree"] for row in rows)
 
 
 class TestEntityMatching:
@@ -197,7 +190,7 @@ class TestRunner:
         assert set(EXPERIMENTS) == {
             "figure1", "passive_scaling", "active_scaling",
             "baseline_comparison", "lowerbound", "poset_scaling",
-            "flow_backends", "entity_matching", "confidence", "robustness",
+            "entity_matching", "confidence", "robustness",
             "recursion_geometry", "width_profile", "ablations", "chaos",
         }
 

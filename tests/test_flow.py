@@ -9,19 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.flow_backends import random_flow_network
 from repro.flow import (
-    FLOW_BACKENDS,
     RESIDUAL_EPS,
     FlowNetwork,
     dinic_array_max_flow,
     dinic_max_flow,
     has_residual,
     min_cut_from_residual,
-    push_relabel_array_max_flow,
-    solve_max_flow,
     solve_min_cut,
 )
+from repro.fuzz.generators import random_flow_network
 from repro.obs import metrics_session
 
 from .conftest import FLOW_ENGINES
@@ -127,9 +124,9 @@ class TestFlowNetwork:
     def test_flow_value_sums_left_to_right(self):
         """flow_value keeps the scalar loop's summation order.
 
-        numpy's pairwise sum rounds these flows differently, and
-        push_relabel reports ``0.0 - flow_value(sink)``, so the order is
-        part of its bit-for-bit contract.
+        numpy's pairwise sum rounds these flows differently, and both
+        Dinic engines start their reported value from ``flow_value``, so
+        the order is part of their bit-for-bit contract.
         """
         amounts = [1.0] + [2.0 ** -53] * 16
         net = FlowNetwork(len(amounts) + 1)
@@ -264,15 +261,6 @@ class TestMinCut:
         with pytest.raises(AssertionError):
             min_cut_from_residual(net, 0, 3, 0.0)
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            solve_max_flow(_diamond(), 0, 3, backend="bogus")
-
-    def test_backends_are_the_production_engines(self):
-        """One production engine per algorithm; loop Dinic is no backend."""
-        assert FLOW_BACKENDS == {"dinic": dinic_array_max_flow,
-                                 "push_relabel": push_relabel_array_max_flow}
-
 
 class TestEpsilonBoundary:
     """Regressions for the shared ``RESIDUAL_EPS`` admissibility contract."""
@@ -283,47 +271,47 @@ class TestEpsilonBoundary:
         assert has_residual(2 * RESIDUAL_EPS)
 
     def test_sub_epsilon_push_skipped_on_warm_start(self):
-        """push-relabel must not perform sub-epsilon pushes.
+        """No engine pushes a sub-epsilon residual on a warm start.
 
-        A warm-started network can leave a source arc with capacity above
-        the tolerance but *residual* below it.  Pre-fix, the push closure
-        moved that sub-epsilon residual anyway: the push counter counted a
-        push that moved no usable flow, and the amount was stranded as
-        invisible excess at the interior node (its discharge guard is
-        strict, so it never drains), breaking exact conservation.
+        Every production solve is warm-started (the passive solver's
+        greedy preflow), and a warm start can leave a source arc with
+        capacity above the tolerance but *residual* below it.  A push of
+        that residual would move no usable flow, count a push, and, in
+        an engine with per-vertex excess, strand the amount at the
+        interior node, breaking exact conservation.
         """
         tiny = RESIDUAL_EPS / 2
-        net = FlowNetwork(3)
-        a = net.add_edge(0, 1, 1.0)
-        b = net.add_edge(1, 2, 1.0)
-        # Warm start with a feasible flow leaving sub-epsilon residual on
-        # the source arc.
-        net.push(a, 1.0 - tiny)
-        net.push(b, 1.0 - tiny)
-        with metrics_session() as reg:
-            value = push_relabel_array_max_flow(net, 0, 2)
-        assert value == 1.0 - tiny
-        # No usable augmenting path exists, so not a single push happens
-        # (pre-fix: one sub-epsilon push, counter == 1).
-        assert reg.counters["flow.push_relabel_array.pushes"].value == 0
-        # Conservation holds *exactly*, not merely within the default
-        # 1e-9 slack that hid the stranded excess.
-        assert net.check_flow_conservation(0, 2, tol=0.0)
+        for engine, solver in sorted(FLOW_ENGINES.items()):
+            net = FlowNetwork(3)
+            a = net.add_edge(0, 1, 1.0)
+            b = net.add_edge(1, 2, 1.0)
+            # Warm start with a feasible flow leaving sub-epsilon residual
+            # on the source arc.
+            net.push(a, 1.0 - tiny)
+            net.push(b, 1.0 - tiny)
+            with metrics_session() as reg:
+                value = solver(net, 0, 2)
+            assert value == 1.0 - tiny, engine
+            # No usable augmenting path exists, so not a single push
+            # happens.
+            assert reg.counter_value(f"flow.{engine}.pushes") == 0, engine
+            # Conservation holds *exactly*, not merely within the default
+            # 1e-9 slack.
+            assert net.check_flow_conservation(0, 2, tol=0.0), engine
 
-    def test_push_relabel_value_measured_at_sink(self):
-        """Stranded sub-epsilon preflow excess must not count as flow.
+    def test_unreachable_sink_reads_positive_zero(self):
+        """Sub-epsilon residual around the source must not count as flow.
 
-        With the sink unreachable the max flow is exactly 0.  Pre-fix the
-        value was read source-side, so excess parked at an interior node
-        by the strict discharge guard (here ~1e-12 of it) was reported as
-        delivered flow.  The zero must also be +0.0: negating an empty
-        sink inflow gives -0.0, which json.dumps emits as ``-0.0``.
+        With the sink unreachable the max flow is exactly 0, although the
+        source's arcs carry residual just above the tolerance.  The zero
+        must also be +0.0: ``json.dumps`` emits -0.0 as ``-0.0``.
         """
-        net = FlowNetwork(3)
-        net.add_edge(0, 1, 2 * RESIDUAL_EPS)
-        net.add_edge(1, 0, 1.0000000000000002e-12)  # nextafter(eps, 1)
-        value = push_relabel_array_max_flow(net, 0, 2)
-        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        for engine, solver in sorted(FLOW_ENGINES.items()):
+            net = FlowNetwork(3)
+            net.add_edge(0, 1, 2 * RESIDUAL_EPS)
+            net.add_edge(1, 0, 1.0000000000000002e-12)  # nextafter(eps, 1)
+            value = solver(net, 0, 2)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, engine
 
     def test_backends_agree_at_exact_epsilon_capacity(self):
         """A capacity of exactly ``RESIDUAL_EPS`` is unusable for everyone.
@@ -391,7 +379,7 @@ def test_backends_agree_with_each_other(size, density, seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(4, 25), st.floats(0.1, 0.5), st.integers(0, 100_000))
 def test_backends_agree_with_networkx(size, density, seed):
-    """Property: our backends match networkx's preflow-push."""
+    """Property: the production engine matches networkx's preflow-push."""
     nx = pytest.importorskip("networkx")
     net = random_flow_network(size, density, seed)
     graph = nx.DiGraph()
@@ -402,7 +390,7 @@ def test_backends_agree_with_networkx(size, density, seed):
         else:
             graph.add_edge(arc.tail, arc.head, capacity=arc.capacity)
     expected = nx.maximum_flow_value(graph, 0, size - 1)
-    ours = solve_max_flow(net, 0, size - 1, backend="dinic")
+    ours = dinic_array_max_flow(net, 0, size - 1)
     assert ours == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 

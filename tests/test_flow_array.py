@@ -1,10 +1,11 @@
-"""Tests for the array-native flow engines (repro.flow.array).
+"""Tests for the array-native flow engine (repro.flow.array).
 
-Covers the CSR snapshot contract, bit-identity of ``dinic_array`` with
-the loop-Dinic reference, the solver-equivalence suite of both production
-engines against that reference (random and epsilon-boundary instances
-plus the replayable corpus), and the cut readout — from its own sweep or
-from array Dinic's last BFS — against a scalar reference BFS.
+Covers the ``FlowNetwork.csr`` layout contract, bit-identity of
+``dinic_array`` with the loop-Dinic reference, the solver-equivalence
+suite of the production engine against that reference (random and
+epsilon-boundary instances plus the replayable corpus), and the cut
+readout — from its own sweep or from array Dinic's last BFS — against a
+scalar reference BFS.
 """
 
 from __future__ import annotations
@@ -24,23 +25,19 @@ from repro.core.passive import (
     solve_passive,
 )
 from repro.datasets import planted_monotone
-from repro.experiments.flow_backends import random_flow_network
 from repro.flow import (
-    FLOW_BACKENDS,
     RESIDUAL_EPS,
-    CSRFlowSnapshot,
     FlowNetwork,
     MinCut,
     dinic_array_max_flow,
     dinic_max_flow,
     has_residual,
     min_cut_from_residual,
-    push_relabel_array_max_flow,
-    solve_max_flow,
     solve_min_cut,
 )
 from repro.flow.array import dinic_array_solve
 from repro.fuzz.corpus import iter_corpus, load_reproducer
+from repro.fuzz.generators import random_flow_network
 from repro.obs import metrics_session
 from tests.conftest import FLOW_ENGINES
 from tests.strategies import (
@@ -87,32 +84,32 @@ def _scalar_min_cut(network: FlowNetwork, source: int, sink: int,
     return MinCut(flow_value, reachable, cut_arcs)
 
 
-class TestCSRFlowSnapshot:
+class TestFlowNetworkCSR:
     def test_indptr_matches_adjacency(self):
         net = random_flow_network(12, 0.3, seed=0)
-        snap = CSRFlowSnapshot(net)
-        assert snap.indptr[0] == 0
-        assert snap.indptr[-1] == snap.num_arcs == len(net.heads)
+        indptr, csr_arcs, _tails, _heads = net.csr()
+        assert indptr[0] == 0
+        assert indptr[-1] == len(csr_arcs) == len(net.heads)
         for u in range(net.num_nodes):
-            sl = snap.csr_arcs[snap.indptr[u]:snap.indptr[u + 1]]
+            sl = csr_arcs[indptr[u]:indptr[u + 1]]
             assert sl.tolist() == net.adjacency[u]
 
     def test_position_mirrors_consistent(self):
         net = random_flow_network(10, 0.4, seed=1)
-        snap = CSRFlowSnapshot(net)
-        assert snap.csr_heads.tolist() == [net.heads[a] for a in snap.csr_arcs]
-        assert snap.csr_tails.tolist() == [net.tail(a) for a in snap.csr_arcs]
+        _indptr, csr_arcs, csr_tails, csr_heads = net.csr()
+        assert csr_heads.tolist() == [net.heads[a] for a in csr_arcs]
+        assert csr_tails.tolist() == [net.tail(a) for a in csr_arcs]
 
     def test_reverse_arc_pairing_preserved(self):
         net = random_flow_network(10, 0.4, seed=2)
-        snap = CSRFlowSnapshot(net)
-        arcs = np.arange(snap.num_arcs, dtype=np.int64)
+        num_arcs = len(net.heads)
+        arcs = np.arange(num_arcs, dtype=np.int64)
         # arc ^ 1 still addresses the paired reverse arc on the arrays:
         # each pair's heads are swapped tails and capacities of reverse
         # arcs are zero.
-        assert (snap.caps[arcs[1::2]] == 0.0).all()
-        for a in range(0, snap.num_arcs, 2):
-            assert snap.arc_heads[a ^ 1] == net.tail(a)
+        assert (net.caps[arcs[1::2]] == 0.0).all()
+        for a in range(0, num_arcs, 2):
+            assert net.heads[a ^ 1] == net.tail(a)
 
     @settings(max_examples=60, deadline=None)
     @given(network_build_scripts())
@@ -148,12 +145,12 @@ class TestCSRFlowSnapshot:
             else:
                 net.csr()  # flush and memoize mid-build
         expected = [arc for arcs in adjacency for arc in arcs]
-        snap = CSRFlowSnapshot(net)
-        assert snap.csr_arcs.tolist() == expected
-        assert snap.indptr.tolist() == np.cumsum(
+        indptr, csr_arcs, csr_tails, csr_heads = net.csr()
+        assert csr_arcs.tolist() == expected
+        assert indptr.tolist() == np.cumsum(
             [0] + [len(arcs) for arcs in adjacency]).tolist()
-        assert snap.csr_tails.tolist() == [tails[a] for a in expected]
-        assert snap.csr_heads.tolist() == [heads[a] for a in expected]
+        assert csr_tails.tolist() == [tails[a] for a in expected]
+        assert csr_heads.tolist() == [heads[a] for a in expected]
         assert net.adjacency == adjacency
         assert net.heads.tolist() == heads
         assert net.tails.tolist() == tails
@@ -162,9 +159,9 @@ class TestCSRFlowSnapshot:
 
     def test_empty_network(self):
         net = FlowNetwork(3)
-        snap = CSRFlowSnapshot(net)
-        assert snap.num_arcs == 0
-        assert snap.indptr.tolist() == [0, 0, 0, 0]
+        indptr, csr_arcs, _tails, _heads = net.csr()
+        assert len(csr_arcs) == 0
+        assert indptr.tolist() == [0, 0, 0, 0]
         assert dinic_array_max_flow(net, 0, 2) == 0.0
 
 
@@ -240,45 +237,8 @@ class TestDinicArrayBitIdentity:
             assert array_net.flows.tolist() == loop_net.flows.tolist()
 
 
-class TestPushRelabelArray:
-    def test_agrees_and_is_feasible(self):
-        for seed in range(15):
-            net = random_flow_network(40, 0.2, seed=seed)
-            expected = dinic_max_flow(_clone(net), 0, 39)
-            value = push_relabel_array_max_flow(net, 0, 39)
-            assert value == pytest.approx(expected, rel=1e-9, abs=1e-9)
-            assert net.check_flow_conservation(0, 39)
-
-    def test_global_relabel_counter_recorded(self):
-        net = random_flow_network(30, 0.2, seed=7)
-        with metrics_session() as reg:
-            push_relabel_array_max_flow(net, 0, 29)
-        counters = reg.counters
-        assert counters["flow.push_relabel_array.calls"].value == 1
-        # The initial sweep after source saturation always runs.
-        assert counters["flow.push_relabel_array.global_relabels"].value >= 1
-        assert counters["flow.array.snapshots"].value == 1
-
-    def test_warm_start_sub_epsilon_residual_skipped(self):
-        """The sub-epsilon push guard also holds behind the backend name.
-
-        Same warm start as the engine-level regression in test_flow, run
-        through ``solve_max_flow(backend="push_relabel")``.
-        """
-        tiny = RESIDUAL_EPS / 2
-        net = FlowNetwork(3)
-        a = net.add_edge(0, 1, 1.0)
-        b = net.add_edge(1, 2, 1.0)
-        net.push(a, 1.0 - tiny)
-        net.push(b, 1.0 - tiny)
-        with metrics_session() as reg:
-            value = solve_max_flow(net, 0, 2, backend="push_relabel")
-        assert value == 1.0 - tiny
-        assert reg.counters["flow.push_relabel_array.pushes"].value == 0
-        assert net.check_flow_conservation(0, 2, tol=0.0)
-
 class TestSolverEquivalence:
-    """Both production engines agree with the loop-Dinic reference on
+    """The production engine agrees with the loop-Dinic reference on
     value, feasibility and cuts."""
 
     @settings(max_examples=40, deadline=None)
@@ -295,22 +255,15 @@ class TestSolverEquivalence:
             assert value == pytest.approx(reference, rel=1e-9, abs=1e-9), \
                 engine
 
-    # Augmenting-path engines move per-path bottlenecks, so their values
-    # are sums of identical > RESIDUAL_EPS augmentations and must agree
-    # below the tolerance itself.  Push-relabel aggregates excess per node
-    # and may legitimately deliver up to ~RESIDUAL_EPS more per saturating
-    # arc than a bottleneck-at-a-time search admits, so its slack scales
-    # with the instance.
-    PATH_ENGINES = ("dinic", "dinic_array")
-
     @settings(max_examples=40, deadline=None)
     @given(boundary_flow_networks())
     def test_boundary_capacities_differential(self, case):
         """Epsilon-boundary differential.
 
-        The path-engine tolerance is *below* ``RESIDUAL_EPS``: the
-        historical bug was a disagreement of exactly 1e-12, invisible to
-        the usual 1e-9 slack.
+        Both engines move per-path bottlenecks, so their values are sums
+        of identical > RESIDUAL_EPS augmentations.  The tolerance is
+        *below* ``RESIDUAL_EPS``: the historical bug was a disagreement of
+        exactly 1e-12, invisible to the usual 1e-9 slack.
         """
         network, source, sink = case
         values = {}
@@ -319,13 +272,9 @@ class TestSolverEquivalence:
             values[engine] = solver(net, source, sink)
             assert net.check_flow_conservation(source, sink)
         reference = values["dinic"]
-        for engine in self.PATH_ENGINES:
-            assert values[engine] == pytest.approx(
-                reference, rel=1e-9, abs=RESIDUAL_EPS / 2), engine
-        loose = (network.num_edges + 2) * RESIDUAL_EPS
         for engine, value in values.items():
-            assert value == pytest.approx(reference, rel=1e-9,
-                                          abs=loose), engine
+            assert value == pytest.approx(
+                reference, rel=1e-9, abs=RESIDUAL_EPS / 2), engine
 
     @settings(max_examples=25, deadline=None)
     @given(flow_networks())
@@ -349,37 +298,38 @@ class TestSolverEquivalence:
             assert cut.cut_arcs == reference.cut_arcs, engine
 
     def test_corpus_replay_machine_precision(self):
-        """Every corpus entry solves identically under both backends.
+        """Every corpus entry solves as loop Dinic does from zero flow.
 
-        Values match within float tolerance and the assignments are
-        identical.
+        ``solve_passive`` runs array Dinic from the greedy preflow; loop
+        Dinic from zero flow on the same network must leave the same
+        source side, hence the same assignment, and a value equal within
+        float tolerance.
         """
         paths = list(iter_corpus(CORPUS_DIR))
         assert paths, "replay corpus is empty"
         solved_one = False
         for path in paths:
             points, _meta = load_reproducer(path)
-            results = {}
-            rejected = {}
-            for backend in sorted(FLOW_BACKENDS):
-                try:
-                    results[backend] = solve_passive(points, backend=backend)
-                except ValueError as exc:
-                    rejected[backend] = str(exc)
-            if rejected:
-                # Input validation happens before any backend runs, so a
-                # rejected instance must be rejected for every backend.
-                assert not results, (path.name, sorted(results))
+            try:
+                result = solve_passive(points)
+            except ValueError:
+                continue  # rejected by the validation boundary
+            if result.num_contending == 0:
                 continue
             solved_one = True
-            reference = results["dinic"]
-            for backend, result in results.items():
-                assert result.optimal_error == pytest.approx(
-                    reference.optimal_error, rel=1e-9, abs=1e-12), \
-                    (path.name, backend)
-                assert np.array_equal(result.assignment,
-                                      reference.assignment), \
-                    (path.name, backend)
+            passive = passive_network(points)
+            net = passive.network
+            value = dinic_max_flow(net, SOURCE, SINK)
+            cold = min_cut_from_residual(net, SOURCE, SINK, value)
+            assert result.optimal_error == pytest.approx(
+                value, rel=1e-9, abs=1e-12), path.name
+            assignment = points.labels.astype(np.int8).copy()
+            reached = np.zeros(net.num_nodes, dtype=bool)
+            reached[list(cold.source_side)] = True
+            zeros, ones, vid = passive.zeros, passive.ones, passive.vid
+            assignment[zeros[~reached[vid[zeros]]]] = 1
+            assignment[ones[reached[vid[ones]]]] = 0
+            assert np.array_equal(result.assignment, assignment), path.name
         assert solved_one, "every corpus entry was rejected"
 
 

@@ -1,5 +1,5 @@
 """Additional max-flow coverage: degenerate networks, structural stress
-cases for the gap heuristic and long paths."""
+cases (a saturating bridge, long paths, the passive-reduction shape)."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.experiments.flow_backends import random_flow_network
 from repro.flow import FlowNetwork, solve_min_cut
+from repro.fuzz.generators import random_flow_network
 
 from .conftest import FLOW_ENGINES
 
@@ -54,7 +54,7 @@ class TestStructuralStress:
 
     @pytest.mark.parametrize("engine", sorted(FLOW_ENGINES))
     def test_long_path(self, engine):
-        """Hundreds of vertices in series: exercises relabeling depth."""
+        """Hundreds of vertices in series: exercises BFS depth."""
         net = self._long_path(300)
         assert FLOW_ENGINES[engine](net, 0, 300) == 1.0
 
@@ -82,7 +82,7 @@ class TestStructuralStress:
         assert values[engine] == pytest.approx(values["dinic"])
 
     def test_gap_heuristic_network(self):
-        """A network whose middle layer disconnects mid-run (gap trigger)."""
+        """A network whose middle layer disconnects mid-run (the bridge)."""
         net = FlowNetwork(8)
         # Two layers with a single fragile bridge.
         net.add_edge(0, 1, 5.0)

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 
 from repro import PointSet
 from repro.fuzz import (
-    ALL_PASSIVE_CONFIGS,
     FAMILIES,
     apply_mutant,
     check_poset_structure,
@@ -101,11 +100,22 @@ class TestFlowDifferential:
     def test_flags_dinic_flows_that_differ_from_reference(self, monkeypatch):
         """A production Dinic with the right value but different per-arc
         flows than loop Dinic is a finding."""
-        from repro.experiments.flow_backends import random_flow_network
-        from repro.flow import FLOW_BACKENDS, push_relabel_array_max_flow
+        from repro.flow import FlowNetwork
+        from repro.fuzz import engine
 
-        monkeypatch.setitem(FLOW_BACKENDS, "dinic", push_relabel_array_max_flow)
-        findings = run_flow_differential(random_flow_network(30, 0.3, 0), 0, 29)
+        # s -> m splits to a and b, both of which reach t: one unit of
+        # flow, through m -> a for loop Dinic (m's first arc).
+        network = FlowNetwork(5)
+        for tail, head in ((0, 1), (1, 2), (1, 3), (2, 4), (3, 4)):
+            network.add_edge(tail, head, 1.0)
+
+        def via_b(net, source, sink):
+            for arc in (0, 4, 8):  # s -> m -> b -> t
+                net.push(arc, 1.0)
+            return 1.0
+
+        monkeypatch.setattr(engine, "dinic_array_max_flow", via_b)
+        findings = run_flow_differential(network, 0, 4)
         assert [f.config for f in findings] == ["loop_dinic vs dinic"]
         assert "bit-identical" in findings[0].detail
 
@@ -334,10 +344,16 @@ class TestMutantSelfTest:
         assert report.reproducers
         points, _meta = load_reproducer(report.reproducers[0])
         with apply_mutant("duplicate_edges_dropped"):
-            assert run_passive_differential(
-                points, configs=ALL_PASSIVE_CONFIGS), \
+            assert run_passive_differential(points), \
                 "shrunk reproducer no longer triggers the mutant"
 
+    def test_capacity_guard_mutant_is_detected(self):
+        # Without the effective-infinity guard, extreme weights reach the
+        # max flow and trip the solver's self-checks (AssertionError)
+        # where the guard raises a clean ValueError: "error" findings.
+        report = run_fuzz(runs=16, seed=3, families=["extreme_weights"],
+                          mutant="capacity_plus_one")
+        assert not report.ok, "mutant was not detected"
 
     def test_classify_kernel_mutant_is_detected(self):
         # Only the served classifier's dominance test is broken; the

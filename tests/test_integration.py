@@ -143,9 +143,7 @@ class TestConsistencyAcrossSolvers:
         lifted = PointSet(np.hstack([points.coords, np.zeros((points.n, 1))]),
                           points.labels, points.weights)
         answers = {
-            "dinic": solve_passive(points, backend="dinic").optimal_error,
-            "push_relabel": solve_passive(points,
-                                          backend="push_relabel").optimal_error,
+            "dinic": solve_passive(points).optimal_error,
             "lifted_3d": solve_passive(lifted).optimal_error,
             "no_reduction": solve_passive(
                 points, use_contending_reduction=False).optimal_error,

@@ -180,14 +180,6 @@ class TestSolvePassiveBlockwise:
         flipped = result.assignment != ps.labels
         assert result.optimal_error == pytest.approx(ps.weights[flipped].sum())
 
-    def test_blockwise_with_push_relabel(self):
-        for dim in (2, 3):
-            ps = planted_monotone(200, dim, noise=0.2, rng=8)
-            a = solve_passive(ps, backend="push_relabel")
-            b = solve_passive(ps)
-            assert a.optimal_error == pytest.approx(b.optimal_error)
-            assert np.array_equal(a.assignment, b.assignment)
-
     def test_blockwise_without_reduction(self):
         for dim in (2, 3):
             ps = planted_monotone(150, dim, noise=0.2, rng=9)

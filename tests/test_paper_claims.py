@@ -172,8 +172,8 @@ class TestLemma6:
 
 class TestLemmas7And8:
     def test_maxflow_equals_mincut_weight(self):
-        from repro.experiments.flow_backends import random_flow_network
         from repro.flow import solve_min_cut
+        from repro.fuzz.generators import random_flow_network
 
         for seed in range(10):
             net = random_flow_network(30, 0.2, seed=seed)

@@ -26,7 +26,6 @@ from repro.core.passive import (
 )
 from repro.datasets.synthetic import planted_monotone
 from repro.flow import (
-    FLOW_BACKENDS,
     RESIDUAL_EPS,
     MinCut,
     dinic_max_flow,
@@ -35,7 +34,6 @@ from repro.flow import (
 )
 
 from .conftest import FLOW_ENGINES
-from .strategies import point_sets
 
 
 class TestContendingMask:
@@ -97,12 +95,6 @@ class TestSolvePassive:
         result = solve_passive(figure1_weighted_point_set())
         assert result.optimal_error == 104.0
         assert result.flow_value == pytest.approx(104.0)
-
-    def test_backends_agree(self, rng):
-        ps = planted_monotone(150, 3, noise=0.2, rng=1, weights="random")
-        dinic = solve_passive(ps, backend="dinic")
-        push = solve_passive(ps, backend="push_relabel")
-        assert dinic.optimal_error == pytest.approx(push.optimal_error)
 
     def test_without_contending_reduction_same_answer(self, rng):
         ps = planted_monotone(120, 2, noise=0.2, rng=2, weights="random")
@@ -173,19 +165,14 @@ class TestSolvePassive:
 
     def test_straddles_default_block_size(self):
         """n = 2049 = DEFAULT_BLOCK_SIZE + 1, d = 3: the streamed path
-        must match the dense contending mask and monotonicity check, and
-        both backends must return the same assignment."""
+        must match the dense contending mask and monotonicity check."""
         ps = planted_monotone(2049, 3, noise=0.1, rng=2049, weights="random")
         assert ps.n == DEFAULT_BLOCK_SIZE + 1
-        dinic = solve_passive(ps, backend="dinic")
-        push = solve_passive(ps, backend="push_relabel")
-        assert 0 < dinic.num_contending == int(contending_mask(ps).sum())
-        assert is_monotone_assignment(ps, dinic.assignment)
-        assert weighted_error(ps, dinic.assignment) == \
-            pytest.approx(dinic.optimal_error)
-        assert np.array_equal(push.assignment, dinic.assignment)
-        assert push.optimal_error == pytest.approx(dinic.optimal_error,
-                                                   rel=1e-9)
+        result = solve_passive(ps)
+        assert 0 < result.num_contending == int(contending_mask(ps).sum())
+        assert is_monotone_assignment(ps, result.assignment)
+        assert weighted_error(ps, result.assignment) == \
+            pytest.approx(result.optimal_error)
 
 
 def _left_at_vertices(passive):
@@ -242,8 +229,6 @@ class TestGreedyPreflow:
         result = solve_passive(ps)
         assert result.flow_value == sum(
             passive.network.caps[cut.cut_arcs].tolist())
-        assert result.flow_value == solve_passive(
-            ps, backend="push_relabel").flow_value
 
     def test_targets_accept_in_arc_order_up_to_demand(self):
         # One label-1 point under three label-0 points: all three offer
@@ -303,53 +288,32 @@ def test_solver_matches_brute_force(n, dim, seed):
     assert weighted_error(ps, result.assignment) == pytest.approx(result.optimal_error)
 
 
-@settings(max_examples=40, deadline=None)
-@given(point_sets())
-def test_backends_give_identical_assignment(points):
-    """Dinic and push-relabel yield the same labels, not just the same
-    error: the residual-reachable source side, which the assignment is
-    read from, is the same for every maximum flow."""
-    dinic = solve_passive(points, backend="dinic")
-    push = solve_passive(points, backend="push_relabel")
-    assert np.array_equal(push.assignment, dinic.assignment)
-    assert push.optimal_error == pytest.approx(dinic.optimal_error,
-                                               rel=1e-9, abs=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 9), st.integers(0, 100_000))
-def test_both_backends_match_brute_force(n, seed):
-    """Property: push-relabel solves the reduction exactly, too."""
-    gen = np.random.default_rng(seed)
-    coords = gen.integers(0, 3, size=(n, 2)).astype(float)
-    labels = gen.integers(0, 2, size=n)
-    ps = PointSet(coords, labels)
-    expected = brute_force_passive(ps)
-    assert solve_passive(ps, backend="push_relabel").optimal_error == \
-        pytest.approx(expected)
-
-
 class TestWeightScaleGuard:
     """The effective-infinity / conditioning guard on extreme weights.
 
     Found by the differential fuzzer: a min-cut of ~1e-4 computed among
-    ~1e11-scale capacities drowns in flow rounding noise (push-relabel
-    briefly saturates the whole source side), tripping a backend-dependent
-    assertion.  The guard turns that into a uniform, actionable ValueError.
+    ~1e11-scale capacities drowns in flow rounding noise, tripping the
+    solver's certificate assertions.  The guard turns that into an
+    actionable ValueError.
     """
 
-    @pytest.mark.parametrize("backend",
-                             sorted(FLOW_BACKENDS.keys() | FLOW_ENGINES.keys()))
-    def test_ill_conditioned_weights_rejected_uniformly(self, backend,
+    @pytest.mark.parametrize("engine", sorted(FLOW_ENGINES))
+    def test_ill_conditioned_weights_rejected_uniformly(self, engine,
                                                         monkeypatch):
-        # The production backends, plus each test engine registered under
-        # its own name for the duration: the guard fires whichever engine
-        # the cut would run on.
-        if backend not in FLOW_BACKENDS:
-            monkeypatch.setitem(FLOW_BACKENDS, backend, FLOW_ENGINES[backend])
+        """The guard fires while the network is built, before any max flow
+        runs, so the rejection cannot depend on the engine: each engine
+        under test takes the cut's place in turn, and none may run."""
+        ran = []
+
+        def substitute(network, source, sink):
+            ran.append(engine)
+            return FLOW_ENGINES[engine](network, source, sink), None
+
+        monkeypatch.setattr("repro.flow.mincut.dinic_array_solve", substitute)
         ps = PointSet([(0.1,), (0.8,)], [1, 0], [1e-4, 1e11])
         with pytest.raises(ValueError, match="rescale the weights"):
-            solve_passive(ps, backend=backend)
+            solve_passive(ps)
+        assert ran == []
 
     def test_overflowing_total_rejected(self):
         ps = PointSet([(0.1,), (0.8,)], [1, 0], [1e308, 1e308])

@@ -16,11 +16,7 @@ from repro.poset.dominance import (
     minimal_points,
 )
 from repro.poset.hasse import covers, hasse_edges
-from repro.poset.sparse import (
-    order_matrix_blocks,
-    transitive_reduction,
-    weak_dominance_blocks,
-)
+from repro.poset.sparse import transitive_reduction
 
 
 def _random_set(n, dim, seed, cardinality=5):
@@ -29,39 +25,14 @@ def _random_set(n, dim, seed, cardinality=5):
                     [0] * n)
 
 
-class TestBlockIterators:
-    @pytest.mark.parametrize("n,dim,block", [(1, 1, 4), (37, 2, 8), (64, 3, 16),
-                                             (100, 2, 7), (50, 1, 100)])
-    def test_order_blocks_match_dense(self, n, dim, block):
-        ps = _random_set(n, dim, seed=n + dim)
-        stacked = np.vstack([b for _, _, b in order_matrix_blocks(ps, block)])
-        assert (stacked == ps.order_matrix()).all()
-
-    @pytest.mark.parametrize("block", [3, 16, 1000])
-    def test_weak_blocks_match_dense(self, block):
-        ps = _random_set(45, 3, seed=0)
-        stacked = np.vstack([b for _, _, b in weak_dominance_blocks(ps, block)])
-        assert (stacked == ps.weak_dominance_matrix()).all()
+class TestSparseConsumers:
+    """The packed order queries, packed in streamed row blocks."""
 
     def test_empty_set(self):
         ps = PointSet.from_points([])
-        assert list(order_matrix_blocks(ps)) == []
         assert minimal_points(ps) == []
         assert maximal_points(ps) == []
         assert dominance_pair_count(ps) == 0
-
-    def test_blocks_serve_cache_when_materialized(self):
-        ps = _random_set(30, 2, seed=1)
-        dense = ps.order_matrix()
-        with obs.metrics_session() as reg:
-            blocks = [b for _, _, b in order_matrix_blocks(ps, 8)]
-        assert reg.counter_value("poset.order_cache_hits") == 1
-        # Served as views of the shared cache, not recomputed copies.
-        assert all(b.base is dense for b in blocks)
-
-
-class TestSparseConsumers:
-    """The packed order queries, packed in streamed row blocks."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_minimal_maximal_match_dense(self, seed):
