@@ -1,18 +1,16 @@
 """Blockwise pairwise dominance computations for the Theorem 4 pipeline.
 
-The Theorem 4 pipeline needs two ``O(d n^2)``-time pairwise facts:
-
-* the dominance pairs between label-0 and label-1 points: the type-3
-  edges of the flow network, whose endpoints are the *contending* points
-  (Section 5.1), so one stream yields both;
-* whether a final assignment is monotone (Lemma 16's certificate).
+The Theorem 4 pipeline needs one ``O(d n^2)``-time pairwise fact: the
+dominance pairs between label-0 and label-1 points.  They are the type-3
+edges of the flow network, and their endpoints are the *contending*
+points (Section 5.1), so one stream yields both.  Lemma 16's certificate
+needs no pairwise scan: ``solve_passive`` replays the classifier it
+builds, ``O(d n k)`` for ``k`` anchors.
 
 The cached ``PointSet.weak_dominance_matrix`` materializes all ``n^2``
-booleans at once.  The functions here compute the same facts in row
+booleans at once.  The edge stream computes the same pairs in row
 blocks, keeping memory at ``O(n * block_size)`` while preserving the
-time bound.  ``solve_passive`` uses the edge stream for every ``d`` (for
-``d >= 3`` over all label-0 x label-1 points, once) and the monotonicity
-check for ``d >= 3``; the dense matrix survives as the test reference.
+time bound; the dense matrix survives as the test reference.
 
 The edge stream is output-sensitive: it sweeps the sources in ascending
 first coordinate and compares each block only against the targets inside
@@ -22,15 +20,16 @@ the positional row-major order the flow network's arc layout depends on.
 
 :func:`pairwise_weak_dominance` is also the package's one row-vs-anchor
 dominance kernel: ``UpsetClassifier.classify_matrix`` (queries against
-anchors) and ``_minimal_anchors`` (the anchor prune) call it, so no
-code path builds an ``(m, k, d)`` boolean broadcast.  Any layout of its
-arguments gives the same answer; it reads anchor column ``k`` as
-``cols.T[k]``, contiguous when column-major, as ``UpsetClassifier`` stores them.
+anchors), ``_minimal_anchors`` (the anchor prune) and ``solve_passive``'s
+Lemma 16 replay call it, so no code path builds an ``(m, k, d)`` boolean
+broadcast.  Any layout of its arguments gives the same answer; it reads
+anchor column ``k`` as ``cols.T[k]``, contiguous when column-major, as
+``UpsetClassifier`` stores them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "pairwise_weak_dominance",
     "blocked_dominance_pair_arrays",
-    "blocked_is_monotone_assignment",
 ]
 
 #: Rows per block: 2048 rows x n columns of booleans stays in tens of MB
@@ -53,11 +51,6 @@ DEFAULT_BLOCK_SIZE = 2048
 #: measured fastest on a 2-D staircase of ~9k x 9k points (1024 and 2048
 #: were slower).
 EDGE_BLOCK = 256
-
-
-def _blocks(n: int, block_size: int) -> Iterator[Tuple[int, int]]:
-    for start in range(0, n, block_size):
-        yield start, min(n, start + block_size)
 
 
 def pairwise_weak_dominance(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -126,8 +119,8 @@ def blocked_dominance_pair_arrays(points: PointSet, sources: np.ndarray,
     sweep = np.argsort(source_coords[:, 0], kind="stable")
     keys: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
     compares = 0
-    for start, stop in _blocks(len(sweep), block_size):
-        rows_pos = sweep[start:stop]
+    for start in range(0, len(sweep), block_size):
+        rows_pos = sweep[start:start + block_size]
         rows = source_coords[rows_pos]
         candidates = _box_candidates(target_coords,
                                      np.fmax.reduce(rows, axis=0))
@@ -140,24 +133,3 @@ def blocked_dominance_pair_arrays(points: PointSet, sources: np.ndarray,
         rec.incr("passive.edge_candidates", compares)
     key = np.sort(np.concatenate(keys))
     return sources[key // num_targets], targets[key % num_targets]
-
-
-def blocked_is_monotone_assignment(points: PointSet, predictions: np.ndarray,
-                                   block_size: int = DEFAULT_BLOCK_SIZE) -> bool:
-    """Monotonicity check of an assignment without the full matrix.
-
-    Violated iff some 0-assigned point weakly dominates a 1-assigned point.
-    """
-    pred = np.asarray(predictions, dtype=np.int8)
-    if pred.shape != (points.n,):
-        raise ValueError(f"expected {points.n} predictions, got {pred.shape}")
-    zero_idx = np.flatnonzero(pred == 0)
-    one_idx = np.flatnonzero(pred == 1)
-    if len(zero_idx) == 0 or len(one_idx) == 0:
-        return True
-    one_coords = points.coords[one_idx]
-    for start, stop in _blocks(len(zero_idx), block_size):
-        rows = points.coords[zero_idx[start:stop]]
-        if np.any(pairwise_weak_dominance(rows, one_coords)):
-            return False
-    return True

@@ -20,9 +20,10 @@ classifier of minimum weighted error.  Section 5 solves it exactly:
    minimum cut, the same for every maximum flow, so the seed changes the
    flows but not the assignment.
 
-Total cost ``O(d n^2) + T_maxflow(n)``.  Steps 1 and 2 and the Lemma 16
-check stream the pairwise facts in row blocks (:mod:`.pairwise`), or use
-the ``O(n log n)`` sweeps of :mod:`repro.poset.dominance2d` for ``d <= 2``,
+Total cost ``O(d n^2) + T_maxflow(n)``.  Steps 1 and 2 stream the
+dominance pairs in row blocks (:mod:`.pairwise`), and the Lemma 16 check
+replays the classifier (:func:`_check_replay`), or both use the
+``O(n log n)`` sweeps of :mod:`repro.poset.dominance2d` for ``d <= 2``,
 so no ``n x n`` matrix is ever materialized.
 
 This module also carries :func:`brute_force_passive`, the exponential test
@@ -46,9 +47,10 @@ from ..poset.dominance2d import (
 from .classifier import MonotoneClassifier, UpsetClassifier
 from .errors import prediction_weighted_error
 from .pairwise import (
+    DEFAULT_BLOCK_SIZE,
     EDGE_BLOCK,
     blocked_dominance_pair_arrays,
-    blocked_is_monotone_assignment,
+    pairwise_weak_dominance,
 )
 from .points import PointSet
 
@@ -412,6 +414,32 @@ def greedy_preflow(passive: PassiveNetwork) -> int:
     return rounds
 
 
+_LEMMA16_VIOLATED = ("min-cut produced a non-monotone assignment (Lemma 16 "
+                     "violated); this indicates a solver bug")
+
+
+def _check_replay(points: PointSet, assignment: np.ndarray,
+                  anchors: np.ndarray) -> None:
+    """Lemma 16's check: replay the classifier built from ``assignment``.
+
+    Every assigned-1 point dominates one of ``anchors`` (the minimal
+    assigned-1 points), so an assigned-0 point replays 1 iff it weakly
+    dominates an assigned-1 point, and an assigned-1 point replays 0 only
+    if the build dropped a needed anchor.  ``O(n k d)`` time for ``k``
+    anchors; row blocks keep scratch at ``O(DEFAULT_BLOCK_SIZE k)``.
+    """
+    replay = np.concatenate([
+        pairwise_weak_dominance(points.coords[i:i + DEFAULT_BLOCK_SIZE],
+                                anchors).any(axis=1)
+        for i in range(0, points.n, DEFAULT_BLOCK_SIZE)])
+    if replay[assignment == 0].any():
+        raise AssertionError(_LEMMA16_VIOLATED)
+    if not replay[assignment == 1].all():
+        raise AssertionError("classifier build dropped a needed anchor: an "
+                             "assigned-1 point replays 0; this indicates a "
+                             "solver bug")
+
+
 def solve_passive(points: PointSet,
                   use_contending_reduction: bool = True) -> PassiveResult:
     """Solve Problem 2 exactly (Theorem 4).
@@ -476,28 +504,25 @@ def solve_passive(points: PointSet,
         # the same cut, so this certificate is the same bit for bit.
         flow_value = cut.weight(network)
 
-        with rec.span("verify"):
-            # A source edge (s, p) is cut iff p is NOT reachable from the
-            # source in the residual graph: label-0 p flips to 1.  A sink
-            # edge (q, t) is cut iff q IS reachable (t never is): label-1
-            # q flips to 0.
-            zeros, ones, vid = passive.zeros, passive.ones, passive.vid
-            reached = np.zeros(network.num_nodes, dtype=bool)
-            reached[list(cut.source_side)] = True
-            assignment[zeros[~reached[vid[zeros]]]] = 1
-            assignment[ones[reached[vid[ones]]]] = 0
+        # A source edge (s, p) is cut iff p is NOT reachable from the
+        # source in the residual graph: label-0 p flips to 1.  A sink edge
+        # (q, t) is cut iff q IS reachable (t never is): label-1 q flips
+        # to 0.
+        zeros, ones, vid = passive.zeros, passive.ones, passive.vid
+        reached = np.zeros(network.num_nodes, dtype=bool)
+        reached[list(cut.source_side)] = True
+        assignment[zeros[~reached[vid[zeros]]]] = 1
+        assignment[ones[reached[vid[ones]]]] = 0
 
+        with rec.span("classifier_build"):
+            classifier = UpsetClassifier.from_positive_points(points, assignment)
+
+        with rec.span("verify"):
             if points.dim <= 2:
-                assignment_monotone = is_monotone_assignment_low_dim(
-                    points, assignment)
+                if not is_monotone_assignment_low_dim(points, assignment):
+                    raise AssertionError(_LEMMA16_VIOLATED)
             else:
-                assignment_monotone = blocked_is_monotone_assignment(
-                    points, assignment)
-            if not assignment_monotone:
-                raise AssertionError(
-                    "min-cut produced a non-monotone assignment (Lemma 16 "
-                    "violated); this indicates a solver bug"
-                )
+                _check_replay(points, assignment, classifier.anchors)
             optimal_error = prediction_weighted_error(labels, assignment,
                                                       weights)
             if abs(optimal_error - flow_value) > 1e-6 * max(1.0, abs(flow_value)):
@@ -511,8 +536,6 @@ def solve_passive(points: PointSet,
             rec.gauge("passive.flow_value", flow_value)
             rec.gauge("passive.optimal_error", float(optimal_error))
 
-        with rec.span("classifier_build"):
-            classifier = UpsetClassifier.from_positive_points(points, assignment)
         return PassiveResult(
             classifier=classifier,
             assignment=assignment,

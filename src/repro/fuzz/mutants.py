@@ -17,11 +17,23 @@ path can be exercised end to end by hand.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, ContextManager, Dict, Iterator
+from types import ModuleType
+from typing import Any, Callable, ContextManager, Dict, Iterator
 
 import numpy as np
 
 __all__ = ["MUTANTS", "apply_mutant"]
+
+
+@contextmanager
+def _rebound(module: ModuleType, name: str, replacement: Any) -> Iterator[None]:
+    """Rebind ``module.name`` to ``replacement`` for the block, then restore it."""
+    original = getattr(module, name)
+    setattr(module, name, replacement)
+    try:
+        yield
+    finally:
+        setattr(module, name, original)
 
 
 def _uint8_transitive_reduction(order: np.ndarray) -> np.ndarray:
@@ -39,20 +51,13 @@ def _uint8_transitive_reduction(order: np.ndarray) -> np.ndarray:
     return order & (between_count == 0)
 
 
-@contextmanager
-def _hasse_uint8_overflow() -> Iterator[None]:
+def _hasse_uint8_overflow() -> ContextManager[None]:
     from ..poset import sparse
 
-    original = sparse.transitive_reduction
-    sparse.transitive_reduction = _uint8_transitive_reduction  # type: ignore[assignment]
-    try:
-        yield
-    finally:
-        sparse.transitive_reduction = original  # type: ignore[assignment]
+    return _rebound(sparse, "transitive_reduction", _uint8_transitive_reduction)
 
 
-@contextmanager
-def _duplicate_edges_dropped() -> Iterator[None]:
+def _duplicate_edges_dropped() -> ContextManager[None]:
     """Make the streamed edge builder skip pairs with identical coordinates.
 
     Weak dominance holds both ways between equal coordinate vectors, and
@@ -70,15 +75,10 @@ def _duplicate_edges_dropped() -> Iterator[None]:
         keep = (points.coords[srcs] != points.coords[tgts]).any(axis=1)
         return srcs[keep], tgts[keep]
 
-    passive.blocked_dominance_pair_arrays = strict_pairs  # type: ignore[assignment]
-    try:
-        yield
-    finally:
-        passive.blocked_dominance_pair_arrays = original  # type: ignore[assignment]
+    return _rebound(passive, "blocked_dominance_pair_arrays", strict_pairs)
 
 
-@contextmanager
-def _edge_box_strict() -> Iterator[None]:
+def _edge_box_strict() -> ContextManager[None]:
     """Make the edge stream's bounding-box prefilter strict (``<``).
 
     A target tied with its block's per-coordinate maximum on any
@@ -90,20 +90,13 @@ def _edge_box_strict() -> Iterator[None]:
     """
     from ..core import pairwise
 
-    original = pairwise._box_candidates
-
     def strict_box(target_coords, box_max):  # type: ignore[no-untyped-def]
         return np.flatnonzero(np.all(target_coords < box_max, axis=1))
 
-    pairwise._box_candidates = strict_box  # type: ignore[assignment]
-    try:
-        yield
-    finally:
-        pairwise._box_candidates = original  # type: ignore[assignment]
+    return _rebound(pairwise, "_box_candidates", strict_box)
 
 
-@contextmanager
-def _dinic_prune_off_by_one() -> Iterator[None]:
+def _dinic_prune_off_by_one() -> ContextManager[None]:
     """Make Dinic's shortest-path prune skip the last tail of each layer.
 
     The backward sweep marks the tails of all but the last live arc in
@@ -117,8 +110,6 @@ def _dinic_prune_off_by_one() -> Iterator[None]:
     """
     from ..flow import array
 
-    original = array._sink_reaching
-
     def off_by_one(tails, layers, num_nodes, sink):  # type: ignore[no-untyped-def]
         live = np.zeros(num_nodes, dtype=bool)
         live[sink] = True
@@ -130,15 +121,10 @@ def _dinic_prune_off_by_one() -> Iterator[None]:
             kept.extend(hits)
         return kept
 
-    array._sink_reaching = off_by_one  # type: ignore[assignment]
-    try:
-        yield
-    finally:
-        array._sink_reaching = original  # type: ignore[assignment]
+    return _rebound(array, "_sink_reaching", off_by_one)
 
 
-@contextmanager
-def _dinic_reverse_arc_dropped() -> Iterator[None]:
+def _dinic_reverse_arc_dropped() -> ContextManager[None]:
     """Drop one flow-carrying reverse arc from Dinic's per-phase adjacency.
 
     The arc of the highest-numbered edge whose reverse is usable goes
@@ -155,15 +141,10 @@ def _dinic_reverse_arc_dropped() -> Iterator[None]:
     def dropped(network, pairs):  # type: ignore[no-untyped-def]
         return original(network, pairs[:-1])
 
-    array._reverse_adjacency = dropped  # type: ignore[assignment]
-    try:
-        yield
-    finally:
-        array._reverse_adjacency = original  # type: ignore[assignment]
+    return _rebound(array, "_reverse_adjacency", dropped)
 
 
-@contextmanager
-def _capacity_plus_one() -> Iterator[None]:
+def _capacity_plus_one() -> ContextManager[None]:
     """Revert the effective-infinity guard to the bare ``total + 1.0``.
 
     Strips *every* scale check at once: the ill-conditioning rejection, the
@@ -179,17 +160,11 @@ def _capacity_plus_one() -> Iterator[None]:
     """
     from ..core import passive
 
-    original = passive._effective_infinity
-    passive._effective_infinity = (  # type: ignore[assignment]
-        lambda total, min_weight: total + 1.0)
-    try:
-        yield
-    finally:
-        passive._effective_infinity = original  # type: ignore[assignment]
+    return _rebound(passive, "_effective_infinity",
+                    lambda total, min_weight: total + 1.0)
 
 
-@contextmanager
-def _matching_last_free() -> Iterator[None]:
+def _matching_last_free() -> ContextManager[None]:
     """Make Hopcroft–Karp's first phase take each left's *last* free right.
 
     The matching stays maximum — later phases augment from any start — so
@@ -198,8 +173,6 @@ def _matching_last_free() -> Iterator[None]:
     structure check must flag.
     """
     from ..poset import bitset
-
-    original = bitset._greedy_first_phase
 
     def last_free(adjacency, free, lefts, rights):  # type: ignore[no-untyped-def]
         size = 0
@@ -213,15 +186,10 @@ def _matching_last_free() -> Iterator[None]:
                 size += 1
         return size
 
-    bitset._greedy_first_phase = last_free  # type: ignore[assignment]
-    try:
-        yield
-    finally:
-        bitset._greedy_first_phase = original  # type: ignore[assignment]
+    return _rebound(bitset, "_greedy_first_phase", last_free)
 
 
-@contextmanager
-def _classify_strict_ties() -> Iterator[None]:
+def _classify_strict_ties() -> ContextManager[None]:
     """Make the classifier's dominance test strict on the last coordinate.
 
     Rebinds only the name :mod:`repro.core.classifier` calls, so
@@ -240,15 +208,28 @@ def _classify_strict_ties() -> Iterator[None]:
         np.logical_and(out, rows[:, -1, None] > cols[None, :, -1], out=out)
         return out
 
-    classifier.pairwise_weak_dominance = strict_last  # type: ignore[assignment]
-    try:
-        yield
-    finally:
-        classifier.pairwise_weak_dominance = original  # type: ignore[assignment]
+    return _rebound(classifier, "pairwise_weak_dominance", strict_last)
 
 
-@contextmanager
-def _patience_peel_strict() -> Iterator[None]:
+def _anchor_dropped() -> ContextManager[None]:
+    """Make the classifier build drop its highest-sorted minimal anchor.
+
+    The cut stays optimal; only the classifier built from it loses the
+    points above that anchor alone, which ``solve_passive``'s replay
+    (``d >= 3``) or the certificate audit must flag.
+    """
+    from ..core import classifier
+
+    original = classifier._minimal_anchors
+
+    def dropped(matrix):  # type: ignore[no-untyped-def]
+        kept = original(matrix)
+        return kept[:-1] if len(kept) >= 2 else kept
+
+    return _rebound(classifier, "_minimal_anchors", dropped)
+
+
+def _patience_peel_strict() -> ContextManager[None]:
     """Make the patience peel strict: ``y >`` the running max of earlier ``y``.
 
     First fit's first chain takes every point whose ``y`` is *at least*
@@ -259,21 +240,14 @@ def _patience_peel_strict() -> Iterator[None]:
     """
     from ..poset import chains
 
-    original = chains._peel_mask
-
     def strict(ys):  # type: ignore[no-untyped-def]
         earlier = np.maximum.accumulate(np.concatenate(([-np.inf], ys[:-1])))
         return ys > earlier
 
-    chains._peel_mask = strict  # type: ignore[assignment]
-    try:
-        yield
-    finally:
-        chains._peel_mask = original  # type: ignore[assignment]
+    return _rebound(chains, "_peel_mask", strict)
 
 
-@contextmanager
-def _preflow_over_accept() -> Iterator[None]:
+def _preflow_over_accept() -> ContextManager[None]:
     """Make the greedy preflow's targets accept every offer in full.
 
     A target then takes flow past its remaining demand: more flow enters
@@ -284,16 +258,10 @@ def _preflow_over_accept() -> Iterator[None]:
     """
     from ..core import passive
 
-    original = passive._accept
-
     def over_accept(offers, before, demand):  # type: ignore[no-untyped-def]
         return offers
 
-    passive._accept = over_accept  # type: ignore[assignment]
-    try:
-        yield
-    finally:
-        passive._accept = original  # type: ignore[assignment]
+    return _rebound(passive, "_accept", over_accept)
 
 
 #: Named mutants: context managers that break one solver invariant each.
@@ -306,6 +274,7 @@ MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "capacity_plus_one": _capacity_plus_one,
     "matching_last_free": _matching_last_free,
     "classify_strict_ties": _classify_strict_ties,
+    "anchor_dropped": _anchor_dropped,
     "patience_peel_strict": _patience_peel_strict,
     "preflow_over_accept": _preflow_over_accept,
 }

@@ -199,6 +199,7 @@ class TestStructureCheck:
         original_greedy = bitset._greedy_first_phase
         original_pairs = passive.blocked_dominance_pair_arrays
         original_accept = passive._accept
+        original_anchors = classifier._minimal_anchors
         with apply_mutant("hasse_uint8_overflow"):
             assert sparse.transitive_reduction is not original_red
         with apply_mutant("capacity_plus_one"):
@@ -225,6 +226,9 @@ class TestStructureCheck:
         with apply_mutant("preflow_over_accept"):
             assert passive._accept is not original_accept
             assert array._sink_reaching is original_prune
+        with apply_mutant("anchor_dropped"):
+            assert classifier._minimal_anchors is not original_anchors
+            assert classifier.pairwise_weak_dominance is original_dominance
         assert passive._accept is original_accept
         assert chains._peel_mask is original_peel
         assert sparse.transitive_reduction is original_red
@@ -235,6 +239,7 @@ class TestStructureCheck:
         assert pairwise._box_candidates is original_box
         assert array._sink_reaching is original_prune
         assert array._reverse_adjacency is original_reverse
+        assert classifier._minimal_anchors is original_anchors
 
     def test_unknown_mutant_rejected(self):
         with pytest.raises(ValueError, match="unknown mutant"):
@@ -362,6 +367,15 @@ class TestMutantSelfTest:
                           mutant="classify_strict_ties", shrink=False)
         assert not report.ok, "mutant was not detected"
         assert any("classifier extension agrees with assignment" in d.detail
+                   for _family, _run, d in report.findings)
+
+    def test_anchor_dropped_mutant_is_detected(self):
+        # The cut is still optimal; only the classifier built from it
+        # loses an anchor.  solve_passive's replay must name the build.
+        report = run_fuzz(runs=8, seed=3, mutant="anchor_dropped",
+                          shrink=False)
+        assert not report.ok, "mutant was not detected"
+        assert any("classifier build" in d.detail
                    for _family, _run, d in report.findings)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])

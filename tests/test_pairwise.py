@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro import PointSet, is_monotone_assignment, solve_passive
 from repro.core.pairwise import (
     blocked_dominance_pair_arrays,
-    blocked_is_monotone_assignment,
     pairwise_weak_dominance,
 )
 from repro.core.passive import contending_mask, contending_pairs
@@ -147,25 +146,6 @@ def test_dominance_kernel_is_layout_independent(data):
             assert got.dtype == bool
             assert got.shape == (len(rows), len(cols))
             assert np.array_equal(got, want)
-
-
-class TestBlockedMonotoneCheck:
-    @pytest.mark.parametrize("block_size", [1, 2, 128])
-    def test_matches_matrix_version(self, block_size):
-        gen = np.random.default_rng(0)
-        for seed in range(10):
-            ps = _random_labeled(seed + 100, 25, 2)
-            pred = gen.integers(0, 2, size=25).astype(np.int8)
-            assert blocked_is_monotone_assignment(ps, pred, block_size) == \
-                is_monotone_assignment(ps, pred)
-
-    def test_all_same_prediction_is_monotone(self, tiny_2d):
-        assert blocked_is_monotone_assignment(tiny_2d, np.zeros(4, dtype=np.int8))
-        assert blocked_is_monotone_assignment(tiny_2d, np.ones(4, dtype=np.int8))
-
-    def test_shape_validation(self, tiny_2d):
-        with pytest.raises(ValueError):
-            blocked_is_monotone_assignment(tiny_2d, np.zeros(3, dtype=np.int8))
 
 
 class TestSolvePassiveBlockwise:

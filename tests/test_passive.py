@@ -15,6 +15,7 @@ from repro import (
     solve_passive_1d,
     weighted_error,
 )
+from repro.core import classifier as classifier_module
 from repro.core import passive as passive_module
 from repro.core.pairwise import DEFAULT_BLOCK_SIZE
 from repro.core.passive import (
@@ -131,9 +132,9 @@ class TestSolvePassive:
     @pytest.mark.parametrize("weight", [None, 1])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_non_monotone_cut_trips_lemma16(self, monkeypatch, dim, weight):
-        """Both verifies (the d <= 2 sweep and the d >= 3 blockwise check)
-        catch a cut that keeps both labels, with unit (``None``) or
-        explicit non-uniform weights."""
+        """Both verifies (the d <= 2 sweep and the d >= 3 classifier
+        replay) catch a cut that keeps both labels, with unit (``None``)
+        or explicit non-uniform weights."""
         # Label-1 point 0 lies below label-0 point 1 (vertices 2 and 3).
         weights = None if weight is None else [weight, 2.0]
         ps = PointSet([(0.0,) * dim, (1.0,) * dim], [1, 0], weights)
@@ -173,6 +174,76 @@ class TestSolvePassive:
         assert is_monotone_assignment(ps, result.assignment)
         assert weighted_error(ps, result.assignment) == \
             pytest.approx(result.optimal_error)
+
+
+def _replay_verdict(ps: PointSet, assignment: np.ndarray) -> bool:
+    """Whether the d >= 3 Lemma 16 replay accepts ``assignment``.
+
+    The anchors come from the classifier's own prune, which (unlike the
+    ``UpsetClassifier`` constructor) accepts ``±inf`` rows.
+    """
+    anchors = classifier_module._minimal_anchors(ps.coords[assignment == 1])
+    try:
+        passive_module._check_replay(ps, assignment, anchors)
+    except AssertionError as exc:
+        # A correct build never drops an anchor: only Lemma 16 can trip.
+        assert "Lemma 16" in str(exc)
+        return False
+    return True
+
+
+@st.composite
+def _tie_heavy_3d(draw):
+    """3-D points on a tiny grid (signed zeros and infinities included),
+    with duplicate rows given opposing assignments, and an arbitrary
+    assignment."""
+    value = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf])
+    rows = draw(st.lists(st.tuples(value, value, value), min_size=1,
+                         max_size=24))
+    assignment = draw(st.lists(st.integers(0, 1), min_size=len(rows),
+                               max_size=len(rows)))
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
+        rows.append(rows[i])
+        assignment.append(1 - assignment[i])
+    ps = PointSet(np.asarray(rows), [0] * len(rows), validate=False)
+    return ps, np.asarray(assignment, dtype=np.int8)
+
+
+class TestLemma16Replay:
+    """The d >= 3 Lemma 16 check replays the classifier over all points."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tie_heavy_3d())
+    def test_verdict_matches_dense_check(self, case):
+        ps, assignment = case
+        assert _replay_verdict(ps, assignment) == \
+            is_monotone_assignment(ps, assignment)
+
+    def test_straddles_row_blocks(self):
+        """n = 2 * DEFAULT_BLOCK_SIZE + 1: the last block has one row, and
+        it duplicates row 0 with the opposing assignment."""
+        n = 2 * DEFAULT_BLOCK_SIZE + 1
+        coords = np.random.default_rng(n).integers(0, 10, size=(n, 3))
+        coords = coords.astype(float)
+        coords[-1] = coords[0]
+        ps = PointSet(coords, [0] * n)
+        assignment = (coords.sum(axis=1) > 13).astype(np.int8)
+        assert is_monotone_assignment(ps, assignment)
+        assert _replay_verdict(ps, assignment)
+        assignment[-1] = 1 - assignment[0]
+        assert not is_monotone_assignment(ps, assignment)
+        assert not _replay_verdict(ps, assignment)
+
+    def test_dropped_anchor_is_a_classifier_build_error(self, monkeypatch):
+        """A build that loses a needed anchor would return a classifier
+        that disagrees with its own assignment; the replay names it."""
+        ps = planted_monotone(300, 3, noise=0.1, rng=5, weights="random")
+        assert solve_passive(ps).classifier.num_anchors >= 2
+        original = classifier_module._minimal_anchors
+        monkeypatch.setattr(classifier_module, "_minimal_anchors",
+                            lambda matrix: original(matrix)[:-1])
+        with pytest.raises(AssertionError, match="classifier build"):
+            solve_passive(ps)
 
 
 def _left_at_vertices(passive):
