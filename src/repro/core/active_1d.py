@@ -24,8 +24,9 @@ values (plus ``-inf``), so equal values always land on the same side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -55,43 +56,118 @@ POS_INF = float("inf")
 BASE_CASE_SIZE = 15
 
 
-@dataclass
 class WeightedSample:
     """The fully-labeled weighted sample ``Σ`` of Section 3.5.
 
     Maps each probed point (by its global index) to an accumulated weight;
     ``w-err_Σ`` equals the framework's estimator ``f`` (Lemma 13).
+
+    Draws are appended as ``(indices, weights, labels)`` array chunks in
+    draw order and folded on the next read with one ``np.unique`` and one
+    ``np.add.at``.  ``np.add.at`` adds sequentially, so every point's
+    weight is the same float sum, in the same order, as adding the draws
+    one by one; a repeated index keeps its last label.  Points are kept
+    in first-draw order, which is the iteration order of the
+    :attr:`weights` / :attr:`labels` views.
     """
 
-    weights: Dict[int, float] = field(default_factory=dict)
-    labels: Dict[int, int] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self._indices = np.empty(0, dtype=np.int64)
+        self._weights = np.empty(0, dtype=float)
+        self._labels = np.empty(0, dtype=np.int8)
+        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._views: Optional[Tuple[Dict[int, float], Dict[int, int]]] = None
 
     def add(self, index: int, weight: float, label: int) -> None:
         """Accumulate ``weight`` onto point ``index`` carrying ``label``."""
-        self.weights[index] = self.weights.get(index, 0.0) + weight
-        self.labels[index] = label
+        self.add_many([index], weight, [label])
+
+    def add_many(self, indices: Sequence[int], weights: Union[float, Sequence[float]],
+                 labels: Sequence[int]) -> None:
+        """Accumulate draws in order; ``weights`` may be one per-draw scalar."""
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        lab = np.asarray(labels, dtype=np.int8).reshape(-1)
+        w = np.broadcast_to(np.asarray(weights, dtype=float), idx.shape)
+        if len(lab) != len(idx):
+            raise ValueError(
+                f"{len(idx)} indices but {len(lab)} labels in a Σ chunk")
+        if len(idx):
+            self._chunks.append((idx, w, lab))
+            self._views = None
 
     def merge(self, other: "WeightedSample") -> None:
         """Fold another weighted sample into this one."""
-        for index, weight in other.weights.items():
-            self.add(index, weight, other.labels[index])
+        other._fold()
+        self.add_many(other._indices, other._weights, other._labels)
+
+    def _fold(self) -> None:
+        """Fold pending chunks into the first-draw-ordered arrays."""
+        if not self._chunks:
+            return
+        parts = [(self._indices, self._weights, self._labels), *self._chunks]
+        self._chunks = []
+        idx = np.concatenate([p[0] for p in parts])
+        w = np.concatenate([p[1] for p in parts])
+        lab = np.concatenate([p[2] for p in parts])
+        uniq, first, inverse = np.unique(idx, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        slot = rank[inverse]
+        weights = np.zeros(len(uniq))
+        np.add.at(weights, slot, w)
+        last = np.zeros(len(uniq), dtype=np.intp)
+        np.maximum.at(last, slot, np.arange(len(idx)))
+        self._indices = uniq[order]
+        self._weights = weights
+        self._labels = lab[last]
+
+    def _dict_views(self) -> Tuple[Dict[int, float], Dict[int, int]]:
+        if self._views is None:
+            self._fold()
+            keys = self._indices.tolist()
+            self._views = (dict(zip(keys, self._weights.tolist())),
+                           dict(zip(keys, self._labels.tolist())))
+        return self._views
+
+    @property
+    def weights(self) -> Mapping[int, float]:
+        """Read-only view: point index -> accumulated weight."""
+        return MappingProxyType(self._dict_views()[0])
+
+    @property
+    def labels(self) -> Mapping[int, int]:
+        """Read-only view: point index -> label."""
+        return MappingProxyType(self._dict_views()[1])
 
     @property
     def size(self) -> int:
         """Number of distinct points in ``Σ``."""
-        return len(self.weights)
+        self._fold()
+        return len(self._indices)
 
     @property
     def total_weight(self) -> float:
-        """Total accumulated weight."""
-        return float(sum(self.weights.values()))
+        """Total accumulated weight (summed in first-draw order)."""
+        self._fold()
+        return float(sum(self._weights.tolist()))
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(indices, weights, labels)`` arrays sorted by index."""
-        indices = np.asarray(sorted(self.weights.keys()), dtype=int)
-        weights = np.asarray([self.weights[i] for i in indices], dtype=float)
-        labels = np.asarray([self.labels[i] for i in indices], dtype=np.int8)
-        return indices, weights, labels
+        self._fold()
+        order = np.argsort(self._indices)
+        return self._indices[order], self._weights[order], self._labels[order]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightedSample):
+            return NotImplemented
+        return (self._dict_views()[0] == other._dict_views()[0]
+                and self._dict_views()[1] == other._dict_views()[1])
+
+    def __repr__(self) -> str:
+        return (f"WeightedSample(size={self.size}, "
+                f"total_weight={self.total_weight!r})")
 
 
 @dataclass(frozen=True)
@@ -231,6 +307,7 @@ class _Recursion1D:
         self.sigma = WeightedSample()
         self.trace: List[LevelTrace] = []
         self.rec = recorder()
+        self._span: Any = None
 
     def _record_level(self, level: LevelTrace) -> None:
         """Append a trace entry and mirror it into the metrics session."""
@@ -238,6 +315,10 @@ class _Recursion1D:
         rec = self.rec
         if not rec.enabled:
             return
+        span = self._span
+        span.set_attr("depth", level.depth)
+        span.set_attr("kind", level.kind)
+        span.set_attr("population", level.population)
         rec.incr("active1d.levels")
         rec.incr(f"active1d.levels.{level.kind.replace('-', '_')}")
         rec.gauge_max("active.recursion_depth", level.depth + 1)
@@ -252,62 +333,104 @@ class _Recursion1D:
     def run(self) -> WeightedSample:
         """Execute the recursion over all points; returns ``Σ``.
 
+        Each level runs in its own ``active1d.level`` span, which carries
+        the ``depth``, ``kind`` and ``population`` of the level's trace
+        entry: one span per entry.
+
         With ``degrade`` set, a halting failure (see
         ``repro.resilience.errors.HALT_ERRORS``) stops the recursion where
         it stands and returns the partial ``Σ`` accumulated so far, with a
         ``"halted"`` trace entry marking the cut; anything else — a bug —
         keeps propagating.
         """
-        initial = np.argsort(self.values, kind="stable")
-        if not self.degrade:
-            self._recurse(initial, depth=0)
-            return self.sigma
-        from ..resilience.errors import HALT_ERRORS
+        halt_errors: Tuple[Type[BaseException], ...] = ()
+        if self.degrade:
+            from ..resilience.errors import HALT_ERRORS
 
-        try:
-            self._recurse(initial, depth=0)
-        except HALT_ERRORS as exc:
-            self.halted = f"{type(exc).__name__}: {exc}"
-            self._record_level(LevelTrace(
-                depth=self.levels_used, population=len(self.values),
-                sample_size=0, kind="halted", note=self.halted,
-            ))
-            if self.rec.enabled:
-                self.rec.incr("resilience.degraded_halts")
+            halt_errors = HALT_ERRORS
+        local: Optional[np.ndarray] = np.argsort(self.values, kind="stable")
+        depth = 0
+        if len(local) == 0:
+            self.levels_used = 1
+            return self.sigma
+        halt: Optional[BaseException] = None
+        while local is not None:
+            with self.rec.span("active1d.level") as span:
+                self._span = span
+                entries = len(self.trace)
+                try:
+                    local = self._level(local, depth)
+                except halt_errors as exc:
+                    # The halted entry takes this level's span unless the
+                    # level recorded its own entry before probing (base
+                    # and degenerate levels do).
+                    if len(self.trace) == entries:
+                        self._halt(exc)
+                        return self.sigma
+                    halt, local = exc, None
+            depth += 1
+        if halt is not None:
+            with self.rec.span("active1d.level") as span:
+                self._span = span
+                self._halt(halt)
         return self.sigma
 
+    def _halt(self, exc: BaseException) -> None:
+        """Record the ``"halted"`` entry of a degraded run."""
+        self.halted = f"{type(exc).__name__}: {exc}"
+        self._record_level(LevelTrace(
+            depth=self.levels_used, population=len(self.values),
+            sample_size=0, kind="halted", note=self.halted,
+        ))
+        if self.rec.enabled:
+            self.rec.incr("resilience.degraded_halts")
+
     def _probe_all(self, local: np.ndarray) -> None:
-        """Base case: probe every point, contributing weight 1 each."""
-        for loc in local:
-            label = self.oracle.probe(int(self.global_indices[loc]))
-            self.sigma.add(int(self.global_indices[loc]), 1.0, label)
+        """Base case: probe every point, contributing weight 1 each.
+
+        Probed one at a time, so a halting failure keeps every label
+        answered before it in ``Σ`` (the degraded run's partial sample).
+        """
+        indices = self.global_indices[local]
+        labels: List[int] = []
+        try:
+            for index in indices.tolist():
+                labels.append(self.oracle.probe(index))
+        finally:
+            self.sigma.add_many(indices[:len(labels)], 1.0, labels)
 
     def _probe_sample(self, local_pool: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Draw ``size`` points of ``local_pool`` with replacement and probe them."""
+        """Draw ``size`` points of ``local_pool`` with replacement and probe them.
+
+        One ``probe_many`` call per sample (a ``probe`` loop for an oracle
+        without one): a failure part-way leaves the whole sample out of
+        ``Σ``.
+        """
         draws = sample_with_replacement(local_pool, size, self.rng)
-        labels = np.asarray(
-            [self.oracle.probe(int(self.global_indices[loc])) for loc in draws],
-            dtype=np.int8,
-        )
-        return draws, labels
+        indices = self.global_indices[draws]
+        probe_many = getattr(self.oracle, "probe_many", None)
+        labels = (probe_many(indices) if probe_many is not None
+                  else [self.oracle.probe(i) for i in indices.tolist()])
+        return draws, np.asarray(labels, dtype=np.int8)
 
     def _add_scaled(self, draws: np.ndarray, labels: np.ndarray, scale: float) -> None:
         """Add a with-replacement sample to ``Σ`` with per-draw weight ``scale``."""
-        for loc, label in zip(draws, labels):
-            self.sigma.add(int(self.global_indices[loc]), scale, int(label))
+        self.sigma.add_many(self.global_indices[draws], scale, labels)
 
     # ------------------------------------------------------------------
 
-    def _recurse(self, local: np.ndarray, depth: int) -> None:
-        """One level of the Section 3.2 framework on sorted local positions."""
+    def _level(self, local: np.ndarray, depth: int) -> Optional[np.ndarray]:
+        """One level of the Section 3.2 framework on sorted local positions.
+
+        Returns the uncertainty window ``P'`` to recurse on, or ``None``
+        when the recursion ends at this level.
+        """
         m = len(local)
         self.levels_used = max(self.levels_used, depth + 1)
-        if m == 0:
-            return
         if m <= BASE_CASE_SIZE or depth >= self.levels_bound:
             self._record_level(LevelTrace(depth, m, m, "base"))
             self._probe_all(local)
-            return
+            return None
 
         # --- Estimator g1 from sample S1.
         t1 = min(self.plan.level_sample_size(self.epsilon, self.delta, m,
@@ -317,7 +440,7 @@ class _Recursion1D:
             # A sample as large as the population cannot beat probing it.
             self._record_level(LevelTrace(depth, m, m, "base"))
             self._probe_all(local)
-            return
+            return None
         draws1, labels1 = self._probe_sample(local, t1)
         sample_values = self.values[draws1]
         taus, errors = _empirical_threshold_errors(sample_values, labels1)
@@ -329,7 +452,7 @@ class _Recursion1D:
             # alpha, beta do not exist: f = g1, Σ-level = S1 scaled.
             self._record_level(LevelTrace(depth, m, t1, "no-window"))
             self._add_scaled(draws1, labels1, m / t1)
-            return
+            return None
 
         first, last = int(qualifying[0]), int(qualifying[-1])
         alpha = float(taus[first])  # -inf when the leftmost interval qualifies
@@ -349,7 +472,7 @@ class _Recursion1D:
             self._record_level(LevelTrace(depth, m, t1, "degenerate",
                                          alpha=alpha, beta=beta))
             self._probe_all(local)
-            return
+            return None
 
         # --- Estimator g2 from sample S2 ⊆ P \ P'.
         t2 = min(self.plan.level_sample_size(self.epsilon, self.delta, len(rest),
@@ -362,7 +485,7 @@ class _Recursion1D:
                                      alpha=alpha, beta=beta,
                                      shrunk_to=len(p_prime)))
         # --- Recurse on the uncertainty window.
-        self._recurse(p_prime, depth + 1)
+        return p_prime
 
 
 def build_weighted_sample_1d(values: Sequence[float], global_indices: Sequence[int],

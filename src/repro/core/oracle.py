@@ -31,7 +31,9 @@ class ProbeOracle(Protocol):
 
     Satisfied by :class:`LabelOracle`,
     :class:`~repro.core.callback_oracle.CallbackOracle`, and
-    :class:`OracleShard` — the 1-D recursion only ever calls :meth:`probe`.
+    :class:`OracleShard`.  The 1-D recursion needs only :meth:`probe`; it
+    probes each sample with one ``probe_many`` call when the oracle has
+    one.
     """
 
     def probe(self, index: int) -> int:
@@ -228,6 +230,9 @@ class LabelOracle:
         self._labels = ground_truth.labels
         self.budget = budget
         self._revealed: Dict[int, int] = {}
+        # Boolean mirror of ``_revealed``'s keys for :meth:`probe_many`;
+        # every method that reveals or forgets a label updates both.
+        self._revealed_mask = np.zeros(len(self._labels), dtype=bool)
         self._log: List[int] = []
 
     # ------------------------------------------------------------------
@@ -258,6 +263,7 @@ class LabelOracle:
             )
         label = int(self._labels[index])
         self._revealed[index] = label
+        self._revealed_mask[index] = True
         if rec.enabled:
             rec.incr("oracle.probes")
             if self.budget is not None:
@@ -266,8 +272,61 @@ class LabelOracle:
         return label
 
     def probe_many(self, indices: Iterable[int]) -> List[int]:
-        """Probe a sequence of points, returning their labels in order."""
-        return [self.probe(i) for i in indices]
+        """Probe a sequence of points, returning their labels in order.
+
+        Same outcome as ``[self.probe(i) for i in indices]`` — labels, log,
+        cost, reveal order, ``oracle.*`` counters, and on failure the same
+        exception raised with the same state — computed in a few array
+        passes.  Index sequences that are not integer arrays take the loop.
+        """
+        idx = np.asarray(indices if isinstance(indices, np.ndarray)
+                         else list(indices))
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            return [self.probe(i) for i in idx.tolist()]
+        n = len(self._labels)
+        out_of_range = np.flatnonzero((idx < 0) | (idx >= n))
+        stop = int(out_of_range[0]) if len(out_of_range) else len(idx)
+        valid = idx[:stop]
+        # Positions of first reveals, in request order.
+        fresh = np.flatnonzero(~self._revealed_mask[valid])
+        _, first = np.unique(valid[fresh], return_index=True)
+        fresh = np.sort(fresh[first])
+        error: Optional[Exception] = None
+        allowed = len(fresh) if self.budget is None else \
+            max(0, self.budget - len(self._revealed))
+        refused = len(fresh) > allowed
+        if refused:
+            # The first reveal past the budget is logged, then refused.
+            stop = int(fresh[allowed])
+            fresh = fresh[fresh < stop]
+            error = ProbeBudgetExceeded(
+                f"probe budget of {self.budget} distinct points exhausted"
+            )
+            self._log.extend(idx[:stop + 1].tolist())
+        else:
+            self._log.extend(valid.tolist())
+            if stop < len(idx):
+                error = IndexError(f"point index {int(idx[stop])} out of range")
+        charged = valid[fresh]
+        self._revealed.update(zip(charged.tolist(),
+                                  self._labels[charged].tolist()))
+        self._revealed_mask[charged] = True
+        rec = recorder()
+        if rec.enabled:
+            if stop + refused:
+                rec.incr("oracle.requests", stop + int(refused))
+            if stop > len(charged):
+                rec.incr("oracle.dedup_hits", stop - len(charged))
+            if refused:
+                rec.incr("oracle.budget_exceeded")
+            if len(charged):
+                rec.incr("oracle.probes", len(charged))
+                if self.budget is not None:
+                    rec.gauge("oracle.budget_remaining",
+                              self.budget - len(self._revealed))
+        if error is not None:
+            raise error
+        return self._labels[idx].tolist()
 
     def peek(self, index: int) -> Optional[int]:
         """Return the label of ``index`` if already revealed, else ``None``.
@@ -325,6 +384,7 @@ class LabelOracle:
     def reset(self) -> None:
         """Forget all revealed labels and reset the cost to zero."""
         self._revealed.clear()
+        self._revealed_mask[:] = False
         self._log.clear()
 
     def restore(self, revealed: Dict[int, int]) -> int:
@@ -351,6 +411,7 @@ class LabelOracle:
             if index in self._revealed:
                 continue
             self._revealed[index] = label
+            self._revealed_mask[index] = True
             restored += 1
         return restored
 
@@ -397,6 +458,9 @@ class LabelOracle:
                     f"shard label {label} for point {index} contradicts "
                     f"ground truth {truth}"
                 )
+            # Called just before the reveal is stored; nothing in between
+            # can fail, so marking it here keeps the mask in sync.
+            self._revealed_mask[index] = True
 
         _absorb_probes(self._revealed, self._log, self.budget,
                        shard_log, shard_revealed, verify)

@@ -461,7 +461,12 @@ def solve_passive(points: PointSet,
         no infinite edges forcing them; used by the A1 ablation).
 
     Raises ``ValueError`` naming the first point with a NaN coordinate
-    (reachable through ``PointSet(validate=False)``); ``±inf`` is accepted.
+    (reachable through ``PointSet(validate=False)``).  A ``±inf``
+    coordinate is accepted only on points the fit assigns label 0: the
+    classifier is built from the points assigned 1 and requires them
+    finite, so a fit that assigns 1 to a point with a ``±inf`` coordinate
+    raises ``ValueError`` ("coordinates must be finite real numbers") from
+    the classifier build.
     """
     points.require_full_labels()
     points.require_no_nan("solve_passive")

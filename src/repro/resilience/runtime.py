@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from .._util import PathLike
 from ..core.active_1d import WeightedSample
 from .checkpoint import JournaledOracle, journal_path, replay_journal
@@ -208,17 +210,33 @@ def sample_to_doc(sigma: WeightedSample) -> Dict[str, list]:
     """Serialize a weighted sample ``Σ_i`` for checkpoint storage."""
     indices, weights, labels = sigma.arrays()
     return {
-        "indices": [int(i) for i in indices],
-        "weights": [float(w) for w in weights],
-        "labels": [int(label) for label in labels],
+        "indices": indices.tolist(),
+        "weights": weights.tolist(),
+        "labels": labels.tolist(),
     }
 
 
 def sample_from_doc(doc: Dict[str, list]) -> WeightedSample:
-    """Rebuild a weighted sample from its checkpoint document."""
+    """Rebuild a weighted sample from its checkpoint document.
+
+    Raises :class:`ValueError` when the ``indices`` / ``weights`` /
+    ``labels`` lists differ in length or a label is not 0 or 1, so a
+    corrupt checkpoint fails instead of resuming from a truncated ``Σ_i``.
+    """
+    indices = np.asarray(doc["indices"], dtype=np.int64)
+    weights = np.asarray(doc["weights"], dtype=float)
+    labels = np.asarray(doc["labels"], dtype=np.int64)
+    if not len(indices) == len(weights) == len(labels):
+        raise ValueError(
+            f"checkpoint sample has {len(indices)} indices, {len(weights)} "
+            f"weights and {len(labels)} labels; the lengths must agree"
+        )
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if len(bad):
+        raise ValueError(
+            f"checkpoint sample label {int(labels[bad[0]])} for point "
+            f"{int(indices[bad[0]])} is not 0 or 1"
+        )
     sigma = WeightedSample()
-    for index, weight, label in zip(
-        doc["indices"], doc["weights"], doc["labels"]
-    ):
-        sigma.add(int(index), float(weight), int(label))
+    sigma.add_many(indices, weights, labels)
     return sigma

@@ -129,6 +129,18 @@ class TestSolvePassive:
         with pytest.raises(ValueError):
             solve_passive(tiny_2d.with_hidden_labels())
 
+    @pytest.mark.parametrize("inf", [-np.inf, np.inf])
+    def test_infinite_coordinate_only_on_points_assigned_zero(self, inf):
+        """A ``±inf`` point the fit assigns 0 is accepted; one it assigns 1
+        fails the classifier build's finiteness check."""
+        coords = [[inf, 0.0, 0.0], [1.0, 1.0, 1.0]]
+        ok = solve_passive(PointSet(coords, [0, 1], validate=False))
+        assert list(ok.assignment) == [0, 1]
+        assert ok.optimal_error == 0.0
+        with pytest.raises(ValueError,
+                           match="coordinates must be finite real numbers"):
+            solve_passive(PointSet(coords, [1, 0], validate=False))
+
     @pytest.mark.parametrize("weight", [None, 1])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_non_monotone_cut_trips_lemma16(self, monkeypatch, dim, weight):

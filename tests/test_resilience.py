@@ -16,11 +16,11 @@ import time
 import numpy as np
 import pytest
 
-from repro import LabelOracle, PointSet
-from repro.core.active_1d import build_weighted_sample_1d
+from repro import LabelOracle, active_classify
+from repro.core.active_1d import WeightedSample, build_weighted_sample_1d
 from repro.core.callback_oracle import CallbackOracle
 from repro.core.oracle import OracleShard, ProbeBudgetExceeded
-from repro.datasets.synthetic import planted_threshold_1d
+from repro.datasets.synthetic import planted_threshold_1d, width_controlled
 from repro.parallel.pool import WorkerCrashError, pool_map
 from repro.resilience import (
     CircuitBreaker,
@@ -31,12 +31,14 @@ from repro.resilience import (
     OraclePermanentError,
     OracleTransientError,
     ProbeRetriesExhausted,
+    ResilienceConfig,
     ResilientOracle,
     RetryPolicy,
     journal_path,
     read_journal,
     replay_journal,
 )
+from repro.resilience.runtime import sample_from_doc, sample_to_doc
 
 
 def _truth(n=60, seed=0):
@@ -509,3 +511,48 @@ class TestDegradedRecursion:
         assert "ProbeBudgetExceeded" in (trace[-1].note or "")
         assert 0 < sigma.size <= 40
         assert oracle.cost == 40
+
+
+class TestCheckpointSample:
+    """``sample_from_doc`` rejects a corrupt ``Σ_i`` instead of truncating."""
+
+    DOC = {"indices": [2, 5, 9], "weights": [1.0, 2.5, 0.75],
+           "labels": [0, 1, 1]}
+
+    def test_round_trip(self):
+        sigma = WeightedSample()
+        for index, weight, label in zip(*self.DOC.values()):
+            sigma.add(index, weight, label)
+        assert sample_to_doc(sigma) == self.DOC
+        assert sample_from_doc(self.DOC) == sigma
+
+    @pytest.mark.parametrize("key", ["indices", "weights", "labels"])
+    def test_length_mismatch_names_the_lengths(self, key):
+        doc = dict(self.DOC, **{key: self.DOC[key][:-1]})
+        lengths = {k: len(v) for k, v in doc.items()}
+        with pytest.raises(ValueError) as info:
+            sample_from_doc(doc)
+        message = str(info.value)
+        assert (f"{lengths['indices']} indices, {lengths['weights']} weights "
+                f"and {lengths['labels']} labels") in message
+
+    @pytest.mark.parametrize("label", [2, -1, 256])
+    def test_label_outside_zero_one_rejected(self, label):
+        doc = dict(self.DOC, labels=[0, label, 1])
+        with pytest.raises(ValueError, match=f"label {label} for point 5"):
+            sample_from_doc(doc)
+
+    def test_resume_from_corrupt_checkpoint_fails(self, tmp_path):
+        truth = width_controlled(400, 2, noise=0.1, rng=1)
+        hidden = truth.with_hidden_labels()
+        ckpt = tmp_path / "run.ckpt.json"
+        active_classify(hidden, LabelOracle(truth), epsilon=0.5, rng=1,
+                        resilience=ResilienceConfig(checkpoint=str(ckpt)))
+        payload = json.loads(ckpt.read_text(encoding="utf-8"))
+        chain = next(iter(payload["done_chains"].values()))
+        chain["weights"].pop()
+        ckpt.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="the lengths must agree"):
+            active_classify(hidden, LabelOracle(truth), epsilon=0.5, rng=1,
+                            resilience=ResilienceConfig(checkpoint=str(ckpt),
+                                                        resume=True))

@@ -16,7 +16,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro import LabelOracle, PointSet
+from repro import HIDDEN, LabelOracle, PointSet
 from repro.core.errindex import ThresholdErrorIndex
 from repro.core.passive_1d import best_threshold
 from repro.poset.fenwick import FenwickTree
@@ -101,6 +101,26 @@ class OracleMachine(RuleBasedStateMachine):
         self.asked.add(index)
         self.requests += 1
 
+    @rule(indices=st.lists(st.integers(0, 11), max_size=10))
+    def probe_many(self, indices):
+        labels = self.oracle.probe_many(np.asarray(indices, dtype=np.int64))
+        assert labels == [int(self.truth[i]) for i in indices]
+        self.asked.update(indices)
+        self.requests += len(indices)
+
+    @rule(indices=st.sets(st.integers(0, 11), max_size=4))
+    def restore(self, indices):
+        fresh = len(set(indices) - self.asked)
+        assert self.oracle.restore(
+            {i: int(self.truth[i]) for i in indices}) == fresh
+        self.asked.update(indices)
+
+    @rule()
+    def reset(self):
+        self.oracle.reset()
+        self.asked.clear()
+        self.requests = 0
+
     @invariant()
     def cost_counts_distinct(self):
         assert self.oracle.cost == len(self.asked)
@@ -111,6 +131,8 @@ class OracleMachine(RuleBasedStateMachine):
         revealed = self.oracle.revealed_labels(self.n)
         for i in self.asked:
             assert revealed[i] == self.truth[i]
+        for i in set(range(self.n)) - self.asked:
+            assert revealed[i] == HIDDEN
 
 
 TestThresholdIndexMachine = ThresholdIndexMachine.TestCase

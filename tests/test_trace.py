@@ -318,6 +318,63 @@ class TestResilienceTracing:
         assert marks[0]["args"] == {"index": 3}
 
 
+def _level_spans(registry):
+    return [e for e in _span_events(registry) if e["name"] == "active1d.level"]
+
+
+class TestActiveLevelSpans:
+    """One ``active1d.level`` span per recursion ``LevelTrace`` entry."""
+
+    def test_fit_has_one_level_span_per_trace_entry(self):
+        from repro import LabelOracle, active_classify
+        from repro.datasets.synthetic import width_controlled
+
+        points = width_controlled(3_000, 3, noise=0.1, rng=4)
+        with metrics_session(name="a", trace=True) as reg:
+            active_classify(points.with_hidden_labels(), LabelOracle(points),
+                            epsilon=0.5, rng=4)
+        levels = _level_spans(reg)
+        assert len(levels) == reg.counter_value("active1d.levels") > 3
+        chains = {e["id"]: e for e in _span_events(reg)
+                  if e["name"].startswith("chain[")}
+        for event in levels:
+            parent = chains[event["parent"]]
+            assert event["path"] == f"{parent['path']}/active1d.level"
+            assert set(event["args"]) == {"depth", "kind", "population"}
+        kinds = {}
+        for event in levels:
+            kinds[event["args"]["kind"]] = kinds.get(event["args"]["kind"], 0) + 1
+        assert kinds == {
+            kind: reg.counter_value(f"active1d.levels.{kind.replace('-', '_')}")
+            for kind in kinds}
+
+    @pytest.mark.parametrize("n,budget", [(20_000, 400), (12, 7)],
+                             ids=["halt-in-sample", "halt-in-base-case"])
+    def test_degraded_halt_is_a_level_span(self, n, budget):
+        import numpy as np
+
+        from repro import LabelOracle
+        from repro.core.active_1d import build_weighted_sample_1d
+        from repro.datasets.synthetic import planted_threshold_1d
+
+        truth = planted_threshold_1d(n, noise=0.1, rng=3)
+        with metrics_session(name="d", trace=True) as reg:
+            with reg.span("chain[0]"):
+                _sigma, _levels, trace = build_weighted_sample_1d(
+                    truth.coords[:, 0], np.arange(n),
+                    LabelOracle(truth, budget=budget),
+                    epsilon=1.0, delta=0.1, rng=0, degrade=True)
+        assert trace[-1].kind == "halted"
+        # Halting inside a sample leaves its level without an entry of its
+        # own; halting inside a base case follows the level's "base" entry.
+        assert trace[-2].kind == ("shrink" if n > 1_000 else "base")
+        assert [(e["args"]["depth"], e["args"]["kind"],
+                 e["args"]["population"]) for e in _level_spans(reg)] == \
+            [(level.depth, level.kind, level.population) for level in trace]
+        assert all(e["path"] == "chain[0]/active1d.level"
+                   for e in _level_spans(reg))
+
+
 @pytest.fixture
 def labeled_file(tmp_path):
     data = tmp_path / "pts.json"
