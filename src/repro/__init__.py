@@ -8,8 +8,8 @@ The package provides:
   ``(1+eps)``-approximation algorithm (Theorems 2-3), the exact passive
   min-cut solver (Theorem 4), and the Section 6 lower-bound harness
   (Theorem 1);
-* :mod:`repro.poset` — dominance digraphs, Hopcroft–Karp matching, Dilworth
-  chain decompositions, and dominance width (Lemma 6);
+* :mod:`repro.poset` — the packed dominance order, Hopcroft–Karp matching,
+  Dilworth chain decompositions, and dominance width (Lemma 6);
 * :mod:`repro.flow` — Dinic max-flow with min-cut extraction
   (Lemmas 7-8);
 * :mod:`repro.stats` — Lemma 5 sampling machinery;

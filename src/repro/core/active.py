@@ -344,7 +344,7 @@ class _ResilienceState:
         state.effective = state.stack.oracle
         if checkpoint is not None:
             state.done = {
-                chain_id: sample_from_doc(doc)
+                chain_id: sample_from_doc(doc, state.meta["n"])
                 for chain_id, doc in checkpoint.done_chains.items()
             }
         return state

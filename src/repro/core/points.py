@@ -298,8 +298,8 @@ class PointSet:
         ``i`` strictly dominates ``j``, or the coordinate vectors are
         identical and ``i > j`` (index tie-break), making the relation a
         strict partial order whose digraph is a DAG.  Computed once and
-        cached for the Hasse-diagram helpers and the dense test references;
-        the other poset queries read the packed rows of
+        cached for the fuzzer's structure check and the dense test
+        references; the poset queries read the packed rows of
         :func:`repro.poset.bitset.packed_order` instead.  Cache hits are
         counted in the ``poset.order_cache_hits`` metric.
         """

@@ -60,8 +60,11 @@ __all__ = [
 #: Relative tolerance for cross-implementation value agreement.
 VALUE_RTOL = 1e-6
 
-#: Default ceiling for including the exponential brute-force oracle.
+#: Ceiling for including the exponential brute-force oracle.
 BRUTE_FORCE_MAX_N = 12
+
+#: Ceiling for the poset structure checks, which build the dense order.
+STRUCTURE_MAX_N = 1024
 
 #: Label of the loop-Dinic reference in flow findings.
 FLOW_REFERENCE = "loop_dinic"
@@ -83,8 +86,7 @@ class Disagreement:
         ``"certificate"`` (an optimality/accounting audit failed),
         ``"error"`` (a solver raised something other than a clean
         ``ValueError`` rejection),
-        ``"structure"`` (the transitive reduction is not
-        minimal/complete, or the Lemma 6 matching or chains are off), or
+        ``"structure"`` (the Lemma 6 matching or chains are off), or
         ``"flow"`` (max-flow engines diverge or produced infeasible flow).
     config:
         Label of the configuration(s) involved.
@@ -104,18 +106,13 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def run_passive_differential(
-    points: PointSet,
-    brute_force_max_n: int = BRUTE_FORCE_MAX_N,
-    check_structure: bool = True,
-    structure_max_n: int = 1024,
-) -> List[Disagreement]:
+def run_passive_differential(points: PointSet) -> List[Disagreement]:
     """Solve one instance passively and cross-check everything.
 
     The solve is audited, compared with brute force for ``n <=
-    brute_force_max_n``, and its greedy preflow checked
+    BRUTE_FORCE_MAX_N``, and its greedy preflow checked
     (:func:`check_preflow`); the poset structure checks run for ``n <=
-    structure_max_n``.  Returns the (possibly empty) list of findings.  A
+    STRUCTURE_MAX_N``.  Returns the (possibly empty) list of findings.  A
     ``ValueError`` from the solver is a clean rejection by the validation
     boundary, not a finding; any other exception is.
     """
@@ -143,8 +140,8 @@ def run_passive_differential(
                 detail=f"audit failed: {', '.join(audit.failures)}",
             ))
         value = float(result.optimal_error)
-        if points.n <= brute_force_max_n:
-            brute = brute_force_passive(points, max_n=brute_force_max_n)
+        if points.n <= BRUTE_FORCE_MAX_N:
+            brute = brute_force_passive(points, max_n=BRUTE_FORCE_MAX_N)
             if _relative_gap(brute, value) > VALUE_RTOL:
                 findings.append(Disagreement(
                     kind="value_mismatch",
@@ -153,7 +150,7 @@ def run_passive_differential(
                 ))
         findings.extend(check_preflow(points))
 
-    if check_structure and points.n <= structure_max_n:
+    if points.n <= STRUCTURE_MAX_N:
         findings.extend(check_poset_structure(points))
 
     if rec.enabled and findings:
@@ -202,63 +199,19 @@ def check_preflow(points: PointSet) -> List[Disagreement]:
 
 
 def check_poset_structure(points: PointSet) -> List[Disagreement]:
-    """Verify the Hasse reduction and the Lemma 6 matching.
+    """Verify the Lemma 6 chain decompositions against the order.
 
-    Three invariants of :func:`repro.poset.sparse.transitive_reduction`
-    over the shared order matrix:
-
-    * the reduction is a subset of the order;
-    * its transitive closure reproduces the order exactly (nothing lost);
-    * it is *minimal* — no kept edge has a third point strictly between
-      its endpoints (the invariant the historical uint8 mod-256 overflow
-      violated: spurious covering pairs at 256-multiple depths).
-
-    And two of the chain decomposition (see :func:`_check_matching`),
-    plus three of the ``d <= 2`` patience decomposition (see
+    Checks the matching decomposition (see :func:`_check_matching`) and,
+    for ``d <= 2``, the patience decomposition (see
     :func:`_check_patience`).
     """
-    from ..poset.sparse import transitive_reduction
-
     findings: List[Disagreement] = []
-    n = points.n
-    if n == 0:
+    if points.n == 0:
         return findings
     order = points.order_matrix()
     findings.extend(_check_matching(points, order))
     if points.dim <= 2:
         findings.extend(_check_patience(points, order))
-    red = transitive_reduction(order)
-
-    if bool(np.any(red & ~order)):
-        findings.append(Disagreement(
-            kind="structure", config="transitive_reduction",
-            detail="reduction contains pairs outside the order",
-        ))
-        return findings
-
-    # Completeness: closure of the reduction must equal the order.
-    closure = red.copy()
-    for k in range(n):
-        closure |= np.outer(closure[:, k], closure[k, :])
-    if bool(np.any(closure != order)):
-        missing = int(np.count_nonzero(order & ~closure))
-        findings.append(Disagreement(
-            kind="structure", config="transitive_reduction",
-            detail=f"closure of reduction loses {missing} order pair(s)",
-        ))
-
-    # Minimality: a kept edge (i, j) with some k strictly between is not a
-    # covering pair.  Boolean reachability via a float matmul — no integer
-    # counter to wrap.
-    between = (order.astype(np.float32) @ order.astype(np.float32)) > 0.5
-    spurious = red & between
-    if bool(np.any(spurious)):
-        i, j = (int(x[0]) for x in np.nonzero(spurious))
-        findings.append(Disagreement(
-            kind="structure", config="transitive_reduction",
-            detail=(f"{int(np.count_nonzero(spurious))} non-covering edge(s) "
-                    f"kept, e.g. ({i}, {j})"),
-        ))
     return findings
 
 

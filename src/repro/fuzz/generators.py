@@ -5,7 +5,7 @@ break: the paper's own lower-bound construction (Theorem 1), duplicate
 coordinate vectors with opposing labels, degenerate posets (one maximal
 chain, one maximal antichain), and weight/coordinate scales at the edge of
 float64 are where dominance tie-breaks, effective-infinity capacities, and
-transitive reductions earn their keep.  Each family here is a deterministic
+chain decompositions earn their keep.  Each family here is a deterministic
 function of a ``numpy`` Generator and a target size, registered in
 :data:`FAMILIES` so campaigns (:mod:`repro.fuzz.runner`) and the CLI can
 select them by name.
@@ -99,9 +99,8 @@ def duplicate_flood(rng: np.random.Generator, size: int) -> PointSet:
 def max_chain(rng: np.random.Generator, size: int) -> PointSet:
     """A single maximal chain (totally ordered set) with noisy labels.
 
-    Width 1, Hasse diagram of ``n - 1`` edges, and the deepest possible
-    transitive closure — the regime where the uint8 reduction bug of
-    PR 3 lived (spurious covering pairs at 256-multiple depths).
+    Width 1 and the deepest possible transitive closure: the chain
+    decomposition must return the whole set as one chain.
     """
     n = max(2, size)
     dim = int(rng.integers(1, 4))

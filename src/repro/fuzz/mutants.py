@@ -36,27 +36,6 @@ def _rebound(module: ModuleType, name: str, replacement: Any) -> Iterator[None]:
         setattr(module, name, original)
 
 
-def _uint8_transitive_reduction(order: np.ndarray) -> np.ndarray:
-    """The pre-PR-3 Hasse reduction with the uint8 mod-256 overflow.
-
-    Counts the points strictly between each pair with a ``uint8`` matrix
-    product; a pair with a multiple-of-256 number of intermediates wraps
-    to zero and is falsely kept as a covering edge (a 258-point chain
-    emits a spurious ``(0, 257)`` edge).  Kept verbatim as a mutant: the
-    fuzzer's poset-structure check must flag the non-minimal reduction.
-    """
-    order = np.asarray(order, dtype=bool)
-    small = order.astype(np.uint8)
-    between_count = small @ small
-    return order & (between_count == 0)
-
-
-def _hasse_uint8_overflow() -> ContextManager[None]:
-    from ..poset import sparse
-
-    return _rebound(sparse, "transitive_reduction", _uint8_transitive_reduction)
-
-
 def _duplicate_edges_dropped() -> ContextManager[None]:
     """Make the streamed edge builder skip pairs with identical coordinates.
 
@@ -266,7 +245,6 @@ def _preflow_over_accept() -> ContextManager[None]:
 
 #: Named mutants: context managers that break one solver invariant each.
 MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
-    "hasse_uint8_overflow": _hasse_uint8_overflow,
     "duplicate_edges_dropped": _duplicate_edges_dropped,
     "edge_box_strict": _edge_box_strict,
     "dinic_prune_off_by_one": _dinic_prune_off_by_one,

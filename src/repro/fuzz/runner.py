@@ -318,7 +318,7 @@ def run_fuzz(
 
         shrunk = points
         if shrink and points.n > 1:
-            # Structure-only findings (a broken Hasse reduction, say) can be
+            # Structure-only findings (a broken matching, say) can be
             # re-checked without re-running the whole passive differential —
             # ddmin runs hundreds of predicate evaluations, so the cheap
             # predicate is the difference between seconds and minutes.

@@ -2,14 +2,13 @@
 
 Implements the combinatorial machinery the paper relies on:
 
-* dominance digraph construction in ``O(d n^2)`` (:mod:`.dominance`);
+* order queries over the dominance digraph (:mod:`.dominance`);
 * Hopcroft–Karp maximum bipartite matching in ``O(E sqrt(V))``
   (:mod:`.matching`), the engine behind Lemma 6;
 * minimum chain decomposition via Dilworth's theorem (:mod:`.chains`);
 * dominance width and maximum-antichain certificates (:mod:`.width`);
 * the sparse engine (:mod:`.sparse`): block-streamed order panels in
-  ``O(block * n)`` memory and packed-bitset transitive reduction (see
-  ``docs/poset.md``);
+  ``O(block * n)`` memory (see ``docs/poset.md``);
 * the packed-bitset order engine (:mod:`.bitset`): the whole order matrix
   as ``uint8`` bitset rows and a Hopcroft–Karp whose BFS layering is
   bitset frontier expansion — the one substrate of the order queries,
@@ -31,16 +30,13 @@ from .chains import (
     patience_chain_decomposition,
 )
 from .dominance import (
-    dominance_digraph,
     dominance_pair_count,
     maximal_points,
     minimal_points,
     topological_order,
 )
-from .hasse import covers, hasse_edges
 from .matching import hopcroft_karp, maximum_bipartite_matching
-from .mirsky import heights, longest_chain_length, mirsky_antichain_partition
-from .sparse import transitive_reduction
+from .mirsky import heights, longest_chain_length
 from .width import (
     brute_force_width,
     dominance_width,
@@ -54,7 +50,6 @@ __all__ = [
     "patience_chain_decomposition",
     "greedy_chain_decomposition",
     "is_valid_chain_decomposition",
-    "dominance_digraph",
     "topological_order",
     "maximal_points",
     "minimal_points",
@@ -64,12 +59,8 @@ __all__ = [
     "dominance_width",
     "maximum_antichain",
     "brute_force_width",
-    "hasse_edges",
-    "covers",
     "heights",
     "longest_chain_length",
-    "mirsky_antichain_partition",
-    "transitive_reduction",
     "PackedOrder",
     "packed_order",
     "popcount",

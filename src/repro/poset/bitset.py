@@ -12,7 +12,7 @@ and re-expresses the hot loops as bitwise kernels:
   scratch memory beyond the packed output stays ``O(block * n)`` booleans
   and the dense ``(n, n)`` caches are never forced;
 * the order queries of :mod:`repro.poset.dominance` (minimal/maximal
-  points, pair count, adjacency) read it with byte-wise ``any``/popcount
+  points, pair count) read it with byte-wise ``any``/popcount
   instead of per-point Python;
 * :func:`hopcroft_karp_bitset` — Hopcroft–Karp whose BFS layering is a
   *bitset frontier expansion*: one ``np.bitwise_or.reduce`` over the packed
@@ -170,10 +170,6 @@ class PackedOrder:
     def below_indices(self, i: int) -> np.ndarray:
         """Ascending indices of the points below ``i`` (``i`` above them)."""
         return _unpack_indices(self.below[i], self.n)
-
-    def above_indices(self, j: int) -> np.ndarray:
-        """Ascending indices of the points above ``j``."""
-        return _unpack_indices(self.above[j], self.n)
 
     def pair_count(self) -> int:
         """Number of ordered pairs (edges of the dominance DAG).

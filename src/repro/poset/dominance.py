@@ -1,14 +1,14 @@
-"""Dominance digraph construction and order-theoretic helpers.
+"""Order-theoretic helpers over the dominance digraph.
 
 The paper's Lemma 6 (appendix B) builds an acyclic directed graph whose
 vertices are the points of ``P`` and whose edges connect each point to the
 points it dominates.  We work with *weak* dominance restricted to distinct
 indices; ties (identical coordinate vectors) are broken by index so the
-relation stays antisymmetric and the digraph acyclic.
+relation stays antisymmetric and the digraph acyclic.  Its dense adjacency
+matrix is the cached :meth:`~repro.core.points.PointSet.order_matrix`.
 
-The order queries (adjacency, minimal/maximal points, pair count) read
-the packed bitset rows of :func:`repro.poset.bitset.packed_order`; only
-:func:`dominance_digraph` returns the dense matrix.
+The order queries (minimal/maximal points, pair count) read the packed
+bitset rows of :func:`repro.poset.bitset.packed_order`.
 """
 
 from __future__ import annotations
@@ -21,33 +21,11 @@ from ..core.points import PointSet
 from .bitset import packed_order
 
 __all__ = [
-    "dominance_digraph",
-    "dominance_adjacency",
     "topological_order",
     "minimal_points",
     "maximal_points",
     "dominance_pair_count",
 ]
-
-
-def dominance_digraph(points: PointSet) -> np.ndarray:
-    """Return the ``(n, n)`` boolean adjacency matrix of the dominance DAG.
-
-    ``A[i, j]`` is true iff there is an edge from ``j`` (dominated) to ``i``
-    (dominating) in the paper's orientation — equivalently, iff ``i`` is
-    above ``j`` in the tie-broken order.  Cost is ``O(d n^2)``; the matrix
-    is the cached :meth:`PointSet.order_matrix`.
-    """
-    return points.order_matrix()
-
-
-def dominance_adjacency(points: PointSet) -> List[List[int]]:
-    """Adjacency lists of the DAG: ``adj[j]`` lists every ``i`` above ``j``.
-
-    Unpacked row by row from the packed ``above`` rows.
-    """
-    packed = packed_order(points)
-    return [packed.above_indices(j).tolist() for j in range(points.n)]
 
 
 def topological_order(points: PointSet) -> List[int]:

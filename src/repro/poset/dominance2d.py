@@ -1,22 +1,17 @@
-"""O(n log n) dominance primitives for ``d <= 2`` (prefix extrema + Fenwick).
+"""O(n log n) dominance primitives for ``d <= 2`` (prefix extrema).
 
 The generic pipeline charges ``O(d n^2)`` for pairwise dominance facts.
 In one and two dimensions the same facts fall out of one sort by x:
 
 * :func:`contending_mask_low_dim` — the Section 5.1 contending mask;
-* :func:`is_monotone_assignment_low_dim` — the Lemma 16 check;
-* :func:`count_violations_low_dim` — the number of (label-0 ⪰ label-1)
-  conflicting pairs, whose zero-ness is exactly ``k* = 0``;
-* :func:`is_monotone_labeling_low_dim` — monotonicity of the labeling.
+* :func:`is_monotone_assignment_low_dim` — the Lemma 16 check.
 
 ``solve_passive`` uses the mask and the check for ``d <= 2``, which
 (with the patience decomposition) lets the 2-D pipeline scale to
 hundreds of thousands of points, the min-cut instance size permitting.
 
 Weak dominance (``q ⪯ p`` includes equal coordinates) is preserved
-throughout: prefix extrema read group-inclusively via ``searchsorted``,
-and the pair count inserts each equal-x group into a Fenwick tree over
-y-ranks *before* querying it.
+throughout: prefix extrema read group-inclusively via ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -26,13 +21,10 @@ from typing import Tuple
 import numpy as np
 
 from ..core.points import PointSet
-from .fenwick import FenwickTree
 
 __all__ = [
     "contending_mask_low_dim",
-    "count_violations_low_dim",
     "is_monotone_assignment_low_dim",
-    "is_monotone_labeling_low_dim",
 ]
 
 
@@ -92,43 +84,3 @@ def is_monotone_assignment_low_dim(points: PointSet, predictions: np.ndarray) ->
     x, y = _as_xy(points)
     return not bool(np.any(_weakly_below(x, y, pred == 1)[pred == 0]))
 
-
-def count_violations_low_dim(points: PointSet) -> int:
-    """Number of conflicting pairs (label-0 weakly dominating label-1).
-
-    One ascending-x sweep: insert each equal-x group's label-1 points,
-    then charge each label-0 point of the group the count of label-1
-    points with y-rank at most its own.
-    """
-    points.require_full_labels()
-    n = points.n
-    if n == 0:
-        return 0
-    x, y = _as_xy(points)
-    unique_y, ranks = np.unique(y, return_inverse=True)
-    num_ranks = len(unique_y)
-    labels = points.labels
-    order = np.lexsort((ranks, x))
-
-    tree = FenwickTree(num_ranks)
-    violations = 0
-    i = 0
-    while i < n:
-        j = i
-        while j < n and x[order[j]] == x[order[i]]:
-            j += 1
-        group = order[i:j]
-        for idx in group:
-            if labels[idx] == 1:
-                tree.add(ranks[idx])
-        for idx in group:
-            if labels[idx] == 0:
-                violations += tree.prefix_sum(ranks[idx])
-        i = j
-    return violations
-
-
-def is_monotone_labeling_low_dim(points: PointSet) -> bool:
-    """Whether the labeling is monotone (``k* = 0``), in ``O(n log n)``."""
-    points.require_full_labels()
-    return is_monotone_assignment_low_dim(points, points.labels)

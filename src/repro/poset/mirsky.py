@@ -1,4 +1,4 @@
-"""Mirsky's theorem: minimum antichain partitions and longest chains.
+"""Mirsky's theorem: heights and longest chains.
 
 Dilworth's theorem (chains vs maximum antichain) powers the paper; its
 dual — Mirsky's theorem — says the minimum number of *antichains* that
@@ -13,15 +13,13 @@ probing bounds (a set of ``n`` points satisfies ``width * height >= n``).
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..core.points import PointSet
 from .bitset import packed_order
 from .dominance import topological_order
 
-__all__ = ["heights", "longest_chain_length", "mirsky_antichain_partition"]
+__all__ = ["heights", "longest_chain_length"]
 
 
 def heights(points: PointSet) -> np.ndarray:
@@ -48,20 +46,3 @@ def longest_chain_length(points: PointSet) -> int:
         return 0
     return int(heights(points).max())
 
-
-def mirsky_antichain_partition(points: PointSet) -> List[List[int]]:
-    """Partition indices into the minimum number of antichains.
-
-    Level ``k`` collects the points of height ``k + 1``; by construction
-    two points of equal height are incomparable (a comparable pair has
-    strictly increasing heights along the order), so every level is an
-    antichain, and there are exactly ``longest_chain_length`` of them —
-    optimal, since a chain meets each antichain at most once.
-    """
-    point_heights = heights(points)
-    if points.n == 0:
-        return []
-    levels: List[List[int]] = [[] for _ in range(int(point_heights.max()))]
-    for idx, height in enumerate(point_heights):
-        levels[height - 1].append(idx)
-    return levels

@@ -1,34 +1,25 @@
-"""Sparse poset engine: memory-bounded dominance and transitive reduction.
+"""Sparse poset engine: the order matrix streamed in memory-bounded blocks.
 
 The dense dominance machinery (``PointSet.weak_dominance_matrix`` and the
 cached :meth:`~repro.core.points.PointSet.order_matrix`) materializes all
-``n^2`` booleans at once.  This module is the streamed counterpart:
-
-* :func:`coordinate_order_blocks` streams the tie-broken order matrix
-  (or its transpose) from coordinates in row blocks, in ``O(block_size *
-  n)`` scratch memory — never the ``(n, n, d)`` broadcast intermediate
-  (the packed engine of :mod:`repro.poset.bitset` packs its panels);
-* :func:`transitive_reduction` computes the Hasse (covering) relation of an
-  explicit boolean order matrix with packed-bitset row unions — exact
-  boolean reachability, immune to the mod-256 wraparound that an integer
-  matrix product suffers (see :mod:`repro.poset.hasse`), and ``O(m n / 8)``
-  bytes of work for ``m`` order pairs instead of an ``O(n^3)`` product.
+``n^2`` booleans at once.  :func:`coordinate_order_blocks` is the streamed
+counterpart: it yields the tie-broken order matrix (or its transpose) from
+coordinates in row blocks, in ``O(block_size * n)`` scratch memory — never
+the ``(n, n, d)`` broadcast intermediate.  The packed engine of
+:mod:`repro.poset.bitset` packs its panels.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from ..core.pairwise import DEFAULT_BLOCK_SIZE, pairwise_weak_dominance
-from ..core.points import PointSet
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "coordinate_order_blocks",
-    "transitive_reduction",
-    "hasse_edges_sparse",
 ]
 
 
@@ -64,49 +55,3 @@ def coordinate_order_blocks(coords: np.ndarray,
         order |= equal & ((rows < idx) if transposed else (rows > idx))
         yield start, stop, order
 
-
-def transitive_reduction(order: np.ndarray) -> np.ndarray:
-    """Covering relation (Hasse diagram) of a transitively-closed strict order.
-
-    ``order[i, j]`` must mean ``i`` is above ``j`` and must already be a
-    strict partial order (irreflexive, antisymmetric, transitive).  Returns
-    the boolean matrix keeping exactly the pairs with no third point
-    strictly between them — the unique minimal relation whose transitive
-    closure is ``order``.
-
-    Implementation: rows are packed into bitsets (``np.packbits``) and the
-    two-step reachability of row ``i`` is the OR of the packed rows of
-    everything below ``i``.  Pure boolean arithmetic — unlike a ``uint8``
-    matrix product there is no counter to wrap mod 256 — and the cost is
-    ``O(m n / 8)`` bytes of bitset unions for ``m`` order pairs.
-    """
-    order = np.asarray(order, dtype=bool)
-    n = order.shape[0]
-    if order.shape != (n, n):
-        raise ValueError(f"order matrix must be square; got {order.shape}")
-    reduction = order.copy()
-    if n == 0:
-        return reduction
-    packed = np.packbits(order, axis=1)
-    for i in range(n):
-        below = np.flatnonzero(order[i])
-        if len(below) == 0:
-            continue
-        two_step = np.bitwise_or.reduce(packed[below], axis=0)
-        reachable = np.unpackbits(two_step, count=n).astype(bool)
-        reduction[i] &= ~reachable
-    return reduction
-
-
-def hasse_edges_sparse(points: PointSet) -> List[Tuple[int, int]]:
-    """Covering pairs ``(lower, upper)`` via the shared cache + bitset reduction.
-
-    Same contract as :func:`repro.poset.hasse.hasse_edges` (which delegates
-    here); exposed separately so callers holding a precomputed order matrix
-    can call :func:`transitive_reduction` directly.
-    """
-    if points.n == 0:
-        return []
-    covering = transitive_reduction(points.order_matrix())
-    uppers, lowers = np.nonzero(covering)
-    return [(int(lo), int(up)) for up, lo in zip(uppers, lowers)]

@@ -216,12 +216,13 @@ def sample_to_doc(sigma: WeightedSample) -> Dict[str, list]:
     }
 
 
-def sample_from_doc(doc: Dict[str, list]) -> WeightedSample:
-    """Rebuild a weighted sample from its checkpoint document.
+def sample_from_doc(doc: Dict[str, list], n: int) -> WeightedSample:
+    """Rebuild a weighted sample of an ``n``-point run from its checkpoint.
 
     Raises :class:`ValueError` when the ``indices`` / ``weights`` /
-    ``labels`` lists differ in length or a label is not 0 or 1, so a
-    corrupt checkpoint fails instead of resuming from a truncated ``Σ_i``.
+    ``labels`` lists differ in length, an index lies outside ``[0, n)``
+    or a label is not 0 or 1, so a corrupt checkpoint fails instead of
+    resuming from a truncated ``Σ_i`` or reading the wrong point.
     """
     indices = np.asarray(doc["indices"], dtype=np.int64)
     weights = np.asarray(doc["weights"], dtype=float)
@@ -230,6 +231,12 @@ def sample_from_doc(doc: Dict[str, list]) -> WeightedSample:
         raise ValueError(
             f"checkpoint sample has {len(indices)} indices, {len(weights)} "
             f"weights and {len(labels)} labels; the lengths must agree"
+        )
+    bad = np.flatnonzero((indices < 0) | (indices >= n))
+    if len(bad):
+        raise ValueError(
+            f"checkpoint sample index {int(indices[bad[0]])} is outside "
+            f"[0, {n}) for a run of n = {n} points"
         )
     bad = np.flatnonzero((labels != 0) & (labels != 1))
     if len(bad):

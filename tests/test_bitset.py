@@ -38,7 +38,6 @@ from repro.poset import (
     packed_order,
     popcount,
 )
-from repro.poset.dominance import dominance_adjacency
 from repro.poset.dominance2d import contending_mask_low_dim
 
 from .conftest import (
@@ -137,7 +136,10 @@ class TestConsumerParity:
     @settings(max_examples=40, deadline=None)
     @given(ps=point_sets(max_n=20))
     def test_packed_adjacency_parity(self, ps):
-        assert dominance_adjacency(ps) == order_adjacency(_fresh(ps))
+        """The packed ``above`` rows are the Lemma 6 adjacency lists."""
+        above = [np.flatnonzero(np.unpackbits(row, count=ps.n)).tolist()
+                 for row in packed_order(ps).above]
+        assert above == order_adjacency(_fresh(ps))
 
     @settings(max_examples=60, deadline=None)
     @given(ps=point_sets(max_n=24))

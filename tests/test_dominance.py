@@ -1,4 +1,5 @@
-"""Tests for the dominance digraph helpers (repro.poset.dominance)."""
+"""Tests for the dominance digraph (``PointSet.order_matrix``) and the
+order helpers of repro.poset.dominance."""
 
 from __future__ import annotations
 
@@ -8,8 +9,6 @@ from hypothesis import strategies as st
 
 from repro import PointSet
 from repro.poset.dominance import (
-    dominance_adjacency,
-    dominance_digraph,
     maximal_points,
     minimal_points,
     topological_order,
@@ -17,32 +16,28 @@ from repro.poset.dominance import (
 
 
 class TestDominanceDigraph:
+    """The DAG's adjacency matrix is the cached ``PointSet.order_matrix``."""
+
     def test_acyclic_with_duplicates(self):
         ps = PointSet([(1.0, 1.0), (1.0, 1.0), (2.0, 2.0)], [0] * 3)
-        order = dominance_digraph(ps)
+        order = ps.order_matrix()
         # Antisymmetric: no 2-cycles even among duplicates.
         assert not (order & order.T).any()
         # Duplicate tie broken by index: 1 is "above" 0.
         assert order[1, 0] and not order[0, 1]
 
     def test_edges_follow_strict_dominance(self, tiny_2d):
-        order = dominance_digraph(tiny_2d)
+        order = tiny_2d.order_matrix()
         assert order[3, 0]  # (2,2) above (0,0)
         assert order[1, 0] and order[2, 0]
         assert not order[1, 2] and not order[2, 1]
-
-    def test_adjacency_lists_match_matrix(self, tiny_2d):
-        order = dominance_digraph(tiny_2d)
-        adjacency = dominance_adjacency(tiny_2d)
-        for j in range(tiny_2d.n):
-            assert adjacency[j] == np.flatnonzero(order[:, j]).tolist()
 
 
 class TestTopologicalOrder:
     def test_respects_dominance(self, tiny_2d):
         order = topological_order(tiny_2d)
         position = {idx: pos for pos, idx in enumerate(order)}
-        matrix = dominance_digraph(tiny_2d)
+        matrix = tiny_2d.order_matrix()
         for i in range(tiny_2d.n):
             for j in range(tiny_2d.n):
                 if matrix[i, j]:  # i above j => j earlier
@@ -56,7 +51,7 @@ class TestTopologicalOrder:
         order = topological_order(ps)
         assert sorted(order) == list(range(n))
         position = {idx: pos for pos, idx in enumerate(order)}
-        matrix = dominance_digraph(ps)
+        matrix = ps.order_matrix()
         for i in range(n):
             for j in range(n):
                 if matrix[i, j]:

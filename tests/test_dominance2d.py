@@ -11,47 +11,8 @@ from repro import PointSet, is_monotone_assignment, solve_passive
 from repro.core.passive import contending_mask
 from repro.poset.dominance2d import (
     contending_mask_low_dim,
-    count_violations_low_dim,
     is_monotone_assignment_low_dim,
-    is_monotone_labeling_low_dim,
 )
-from repro.poset.fenwick import FenwickTree
-
-
-class TestFenwickTree:
-    def test_prefix_sums(self):
-        tree = FenwickTree(8)
-        tree.add(0)
-        tree.add(3, 2)
-        tree.add(7)
-        assert tree.prefix_sum(0) == 1
-        assert tree.prefix_sum(2) == 1
-        assert tree.prefix_sum(3) == 3
-        assert tree.prefix_sum(7) == 4
-        assert tree.total() == 4
-
-    def test_bounds(self):
-        tree = FenwickTree(3)
-        with pytest.raises(IndexError):
-            tree.add(3)
-        assert tree.prefix_sum(10) == 0  # clamped
-        assert FenwickTree(0).total() == 0
-
-    def test_rejects_negative_size(self):
-        with pytest.raises(ValueError):
-            FenwickTree(-1)
-
-    def test_against_numpy_cumsum(self, rng):
-        size = 64
-        tree = FenwickTree(size)
-        reference = np.zeros(size, dtype=int)
-        for _ in range(200):
-            idx = int(rng.integers(0, size))
-            amount = int(rng.integers(1, 5))
-            tree.add(idx, amount)
-            reference[idx] += amount
-            probe = int(rng.integers(0, size))
-            assert tree.prefix_sum(probe) == reference[: probe + 1].sum()
 
 
 def _random_labeled(seed: int, n: int, dim: int, grid: int = 6) -> PointSet:
@@ -89,32 +50,6 @@ class TestContendingMaskLowDim:
     def test_requires_labels(self, tiny_2d):
         with pytest.raises(ValueError):
             contending_mask_low_dim(tiny_2d.with_hidden_labels())
-
-
-class TestViolationCounting:
-    def test_zero_on_monotone(self, monotone_2d):
-        assert count_violations_low_dim(monotone_2d) == 0
-        assert is_monotone_labeling_low_dim(monotone_2d)
-
-    def test_counts_pairs(self):
-        # label-0 at (2,2) dominates label-1 at (0,0) and (1,1): 2 pairs.
-        ps = PointSet([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], [1, 1, 0])
-        assert count_violations_low_dim(ps) == 2
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_matches_matrix_count(self, dim):
-        for seed in range(20):
-            ps = _random_labeled(seed + 50, 40, dim)
-            weak = ps.weak_dominance_matrix()
-            zeros = ps.labels == 0
-            ones = ps.labels == 1
-            expected = int(weak[np.ix_(zeros, ones)].sum())
-            assert count_violations_low_dim(ps) == expected
-
-    def test_agrees_with_is_monotone_labeling(self):
-        for seed in range(20):
-            ps = _random_labeled(seed + 100, 30, 2)
-            assert is_monotone_labeling_low_dim(ps) == ps.is_monotone_labeling()
 
 
 class TestPassiveIntegration:
@@ -159,7 +94,8 @@ def _tie_heavy_low_dim(draw) -> PointSet:
 def test_prefix_extremum_sweeps_match_dense(ps, data):
     """Property: mask and monotonicity check equal the dense versions."""
     assert (contending_mask_low_dim(ps) == contending_mask(ps)).all()
-    assert is_monotone_labeling_low_dim(ps) == ps.is_monotone_labeling()
+    assert (is_monotone_assignment_low_dim(ps, ps.labels)
+            == ps.is_monotone_labeling())
     assignment = np.asarray(data.draw(st.lists(
         st.integers(0, 1), min_size=ps.n, max_size=ps.n)), dtype=np.int8)
     assert (is_monotone_assignment_low_dim(ps, assignment)

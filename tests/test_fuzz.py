@@ -10,6 +10,7 @@ handful of points, corpus round-trips deterministically).
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from repro import PointSet
 from repro.fuzz import (
     FAMILIES,
+    MUTANTS,
     apply_mutant,
     check_poset_structure,
     fuzz_io_roundtrip,
@@ -124,19 +126,6 @@ class TestStructureCheck:
     def test_clean_reduction_passes(self, tiny_2d):
         assert check_poset_structure(tiny_2d) == []
 
-    def test_catches_uint8_overflow_on_long_chain(self):
-        # The historical mod-256 bug needs >= 258 comparable points: the
-        # (top, bottom) pair of a 258-chain has 256 points strictly
-        # between, which a uint8 counter wraps to zero.
-        n = 258
-        chain = PointSet(np.arange(n, dtype=float).reshape(-1, 1),
-                         np.zeros(n, dtype=int))
-        assert check_poset_structure(chain) == []
-        with apply_mutant("hasse_uint8_overflow"):
-            findings = check_poset_structure(chain)
-        assert findings and findings[0].kind == "structure"
-        assert "non-covering" in findings[0].detail
-
     def test_catches_matching_last_free(self, rng):
         # A maximum matching that differs from the reference's: sizes,
         # chain counts and widths all still agree, so only the
@@ -187,21 +176,18 @@ class TestStructureCheck:
     def test_mutants_restore_on_exit(self):
         from repro.core import classifier, pairwise, passive
         from repro.flow import array
-        from repro.poset import bitset, chains, sparse
+        from repro.poset import bitset, chains
 
         original_peel = chains._peel_mask
         original_prune = array._sink_reaching
         original_reverse = array._reverse_adjacency
         original_dominance = classifier.pairwise_weak_dominance
         original_box = pairwise._box_candidates
-        original_red = sparse.transitive_reduction
         original_inf = passive._effective_infinity
         original_greedy = bitset._greedy_first_phase
         original_pairs = passive.blocked_dominance_pair_arrays
         original_accept = passive._accept
         original_anchors = classifier._minimal_anchors
-        with apply_mutant("hasse_uint8_overflow"):
-            assert sparse.transitive_reduction is not original_red
         with apply_mutant("capacity_plus_one"):
             assert passive._effective_infinity is not original_inf
         with apply_mutant("matching_last_free"):
@@ -231,7 +217,6 @@ class TestStructureCheck:
             assert classifier.pairwise_weak_dominance is original_dominance
         assert passive._accept is original_accept
         assert chains._peel_mask is original_peel
-        assert sparse.transitive_reduction is original_red
         assert passive._effective_infinity is original_inf
         assert bitset._greedy_first_phase is original_greedy
         assert passive.blocked_dominance_pair_arrays is original_pairs
@@ -464,6 +449,15 @@ class TestMutantSelfTest:
         assert not report.ok, "mutant was not detected"
         assert any(d.config == "greedy_preflow" and "infeasible" in d.detail
                    for _family, _run, d in report.findings)
+
+    def test_nightly_workflow_runs_every_mutant_once(self):
+        # A mutant with no nightly step is never self-tested in CI; a step
+        # naming a deleted mutant fails the job with "unknown mutant".
+        workflow = (Path(__file__).resolve().parents[1] / ".github"
+                    / "workflows" / "nightly-fuzz.yml").read_text()
+        named = re.findall(r"--mutant\s+(\S+)", workflow)
+        assert sorted(named) == sorted(set(named)), "a mutant runs twice"
+        assert set(named) == set(MUTANTS)
 
 
 class TestIOFuzz:

@@ -1,4 +1,4 @@
-"""Tests for Mirsky partitions and heights (repro.poset.mirsky)."""
+"""Tests for heights and longest chains (repro.poset.mirsky)."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PointSet, dominance_width
-from repro.poset.mirsky import (
-    heights,
-    longest_chain_length,
-    mirsky_antichain_partition,
-)
-from repro.poset.width import is_antichain
+from repro.poset.mirsky import heights, longest_chain_length
 
 
 class TestHeights:
@@ -58,29 +53,6 @@ class TestLongestChain:
                            for a, b in combinations(combo, 2)):
                         best = max(best, size)
             assert longest_chain_length(ps) == best
-
-
-class TestMirskyPartition:
-    def test_levels_are_antichains_and_partition(self, tiny_2d):
-        levels = mirsky_antichain_partition(tiny_2d)
-        flat = [i for level in levels for i in level]
-        assert sorted(flat) == list(range(4))
-        for level in levels:
-            assert is_antichain(tiny_2d, level)
-
-    def test_level_count_equals_longest_chain(self):
-        gen = np.random.default_rng(1)
-        for _ in range(10):
-            n = int(gen.integers(1, 25))
-            ps = PointSet(gen.integers(0, 5, size=(n, 2)).astype(float),
-                          [0] * n)
-            levels = mirsky_antichain_partition(ps)
-            assert len(levels) == longest_chain_length(ps)
-            for level in levels:
-                assert is_antichain(ps, level)
-
-    def test_empty(self):
-        assert mirsky_antichain_partition(PointSet.from_points([])) == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -518,20 +518,21 @@ class TestCheckpointSample:
 
     DOC = {"indices": [2, 5, 9], "weights": [1.0, 2.5, 0.75],
            "labels": [0, 1, 1]}
+    N = 10
 
     def test_round_trip(self):
         sigma = WeightedSample()
         for index, weight, label in zip(*self.DOC.values()):
             sigma.add(index, weight, label)
         assert sample_to_doc(sigma) == self.DOC
-        assert sample_from_doc(self.DOC) == sigma
+        assert sample_from_doc(self.DOC, self.N) == sigma
 
     @pytest.mark.parametrize("key", ["indices", "weights", "labels"])
     def test_length_mismatch_names_the_lengths(self, key):
         doc = dict(self.DOC, **{key: self.DOC[key][:-1]})
         lengths = {k: len(v) for k, v in doc.items()}
         with pytest.raises(ValueError) as info:
-            sample_from_doc(doc)
+            sample_from_doc(doc, self.N)
         message = str(info.value)
         assert (f"{lengths['indices']} indices, {lengths['weights']} weights "
                 f"and {lengths['labels']} labels") in message
@@ -540,19 +541,40 @@ class TestCheckpointSample:
     def test_label_outside_zero_one_rejected(self, label):
         doc = dict(self.DOC, labels=[0, label, 1])
         with pytest.raises(ValueError, match=f"label {label} for point 5"):
-            sample_from_doc(doc)
+            sample_from_doc(doc, self.N)
 
-    def test_resume_from_corrupt_checkpoint_fails(self, tmp_path):
+    @pytest.mark.parametrize("index", [-1, N])
+    def test_index_outside_run_rejected(self, index):
+        """A negative index would silently read ``coords[-1]`` on resume."""
+        doc = dict(self.DOC, indices=[2, index, 9])
+        with pytest.raises(ValueError, match=(
+                rf"index {index} is outside \[0, {self.N}\) for a run of "
+                rf"n = {self.N} points")):
+            sample_from_doc(doc, self.N)
+
+    @staticmethod
+    def _resume_with_corrupt_chain(tmp_path, corrupt):
+        """Checkpoint a fit, ``corrupt`` one done chain's document, resume."""
         truth = width_controlled(400, 2, noise=0.1, rng=1)
         hidden = truth.with_hidden_labels()
         ckpt = tmp_path / "run.ckpt.json"
         active_classify(hidden, LabelOracle(truth), epsilon=0.5, rng=1,
                         resilience=ResilienceConfig(checkpoint=str(ckpt)))
         payload = json.loads(ckpt.read_text(encoding="utf-8"))
-        chain = next(iter(payload["done_chains"].values()))
-        chain["weights"].pop()
+        corrupt(next(iter(payload["done_chains"].values())))
         ckpt.write_text(json.dumps(payload), encoding="utf-8")
+        active_classify(hidden, LabelOracle(truth), epsilon=0.5, rng=1,
+                        resilience=ResilienceConfig(checkpoint=str(ckpt),
+                                                    resume=True))
+
+    def test_resume_from_corrupt_checkpoint_fails(self, tmp_path):
         with pytest.raises(ValueError, match="the lengths must agree"):
-            active_classify(hidden, LabelOracle(truth), epsilon=0.5, rng=1,
-                            resilience=ResilienceConfig(checkpoint=str(ckpt),
-                                                        resume=True))
+            self._resume_with_corrupt_chain(
+                tmp_path, lambda chain: chain["weights"].pop())
+
+    def test_resume_with_negative_index_fails(self, tmp_path):
+        def negative(chain):
+            chain["indices"][0] = -1
+
+        with pytest.raises(ValueError, match=r"index -1 is outside \[0, 400\)"):
+            self._resume_with_corrupt_chain(tmp_path, negative)

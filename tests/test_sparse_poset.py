@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from repro import PointSet, obs
+from repro.fuzz import check_poset_structure
 from repro.poset import packed_order
 from repro.poset.dominance import (
-    dominance_digraph,
     dominance_pair_count,
     maximal_points,
     minimal_points,
 )
-from repro.poset.hasse import covers, hasse_edges
-from repro.poset.sparse import transitive_reduction
+
+from .conftest import order_adjacency, reference_heights
 
 
 def _random_set(n, dim, seed, cardinality=5):
@@ -73,41 +73,17 @@ class TestSparseConsumers:
         assert mins and maxs
 
 
-class TestTransitiveReduction:
-    def test_diamond(self):
-        # 0 < 1, 0 < 2, 1 < 3, 2 < 3 with the transitive 0 < 3 removed.
-        order = np.zeros((4, 4), dtype=bool)
-        for up, lo in [(1, 0), (2, 0), (3, 1), (3, 2), (3, 0)]:
-            order[up, lo] = True
-        reduced = transitive_reduction(order)
-        expected = order.copy()
-        expected[3, 0] = False
-        assert (reduced == expected).all()
-
-    def test_closure_of_reduction_recovers_order(self):
-        ps = _random_set(40, 2, seed=5)
-        order = ps.order_matrix()
-        reduced = transitive_reduction(order)
-        closure = reduced.copy()
-        for k in range(ps.n):
-            closure |= np.outer(closure[:, k], closure[k, :])
-        assert (closure == order).all()
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            transitive_reduction(np.zeros((2, 3), dtype=bool))
-
-
 class TestOrderMatrixCache:
     def test_cache_shared_across_helpers(self):
-        """The dense helpers share one order matrix; the packed queries
-        share one PackedOrder and never touch the dense cache."""
+        """The structure check and the dense references share one order
+        matrix; the packed queries share one PackedOrder and never touch
+        the dense cache."""
         ps = _random_set(25, 2, seed=7)
         first = ps.order_matrix()
         with obs.metrics_session() as reg:
-            hasse_edges(ps)
-            covers(ps, 1, 0)
-            dominance_digraph(ps)
+            assert check_poset_structure(ps) == []
+            order_adjacency(ps)
+            reference_heights(ps)
             minimal_points(ps)
             maximal_points(ps)
         assert ps.order_matrix() is first

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro import HIDDEN, LabelOracle, PointSet
 from repro.core.errindex import ThresholdErrorIndex
 from repro.core.passive_1d import best_threshold
-from repro.poset.fenwick import FenwickTree
 
 CANDIDATES = [float(v) for v in range(8)]
 
@@ -54,30 +53,6 @@ class ThresholdIndexMachine(RuleBasedStateMachine):
     def accounting_consistent(self):
         assert self.index.num_inserted == len(self.values)
         assert abs(self.index.total_weight - sum(self.weights)) < 1e-9
-
-
-class FenwickMachine(RuleBasedStateMachine):
-    """Fenwick prefix sums must match a plain array at all times."""
-
-    SIZE = 16
-
-    def __init__(self):
-        super().__init__()
-        self.tree = FenwickTree(self.SIZE)
-        self.reference = [0] * self.SIZE
-
-    @rule(index=st.integers(0, SIZE - 1), amount=st.integers(1, 9))
-    def add(self, index, amount):
-        self.tree.add(index, amount)
-        self.reference[index] += amount
-
-    @rule(index=st.integers(0, SIZE - 1))
-    def check_prefix(self, index):
-        assert self.tree.prefix_sum(index) == sum(self.reference[: index + 1])
-
-    @invariant()
-    def total_matches(self):
-        assert self.tree.total() == sum(self.reference)
 
 
 class OracleMachine(RuleBasedStateMachine):
@@ -138,10 +113,6 @@ class OracleMachine(RuleBasedStateMachine):
 TestThresholdIndexMachine = ThresholdIndexMachine.TestCase
 TestThresholdIndexMachine.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None)
-
-TestFenwickMachine = FenwickMachine.TestCase
-TestFenwickMachine.settings = settings(
-    max_examples=25, stateful_step_count=40, deadline=None)
 
 TestOracleMachine = OracleMachine.TestCase
 TestOracleMachine.settings = settings(
