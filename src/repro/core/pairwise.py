@@ -12,11 +12,12 @@ booleans at once.  The edge stream computes the same pairs in row
 blocks, keeping memory at ``O(n * block_size)`` while preserving the
 time bound; the dense matrix survives as the test reference.
 
-The edge stream is output-sensitive: it sweeps the sources in ascending
-first coordinate and compares each block only against the targets inside
-the block's bounding box, so on a low-width staircase it runs a small
-fraction of the ``O(d n^2)`` compares.  It still returns every pair, in
-the positional row-major order the flow network's arc layout depends on.
+The edge stream is output-sensitive: it sweeps the sources in blocks (by
+first coordinate for ``d <= 2``, in Morton order for ``d >= 3``) and
+compares each block only against the targets inside its bounding box,
+so on a low-width staircase it runs a small fraction of the ``O(d n^2)``
+compares.  It still returns every pair, in the positional row-major
+order the flow network's arc layout depends on.
 
 :func:`pairwise_weak_dominance` is also the package's one row-vs-anchor
 dominance kernel: ``UpsetClassifier.classify_matrix`` (queries against
@@ -86,6 +87,29 @@ def _box_candidates(target_coords: np.ndarray,
     return np.flatnonzero(np.all(target_coords <= box_max, axis=1))
 
 
+def _sweep_order(source_coords: np.ndarray) -> np.ndarray:
+    """Source positions in the order the edge stream blocks them.
+
+    Ascending first coordinate for ``d <= 2``.  For ``d >= 3`` a Morton
+    (Z-order) key interleaving the high ``min(63 // d, rank bits)`` bits
+    of each per-coordinate rank (NaN ranks last), so each block's box is
+    tight in every coordinate and the key fits in 63 bits at any ``d``.
+    """
+    m, dim = source_coords.shape
+    if dim <= 2:
+        return np.argsort(source_coords[:, 0], kind="stable")
+    rank_bits = max(1, (m - 1).bit_length())
+    bits = min(63 // dim, rank_bits)
+    key = np.zeros(m, dtype=np.int64)
+    rank = np.empty(m, dtype=np.int64)
+    for k in range(dim):
+        rank[np.argsort(source_coords[:, k], kind="stable")] = np.arange(m)
+        rank >>= rank_bits - bits
+        for bit in range(bits):
+            key |= (rank >> bit & 1) << (bit * dim + k)
+    return np.argsort(key, kind="stable")
+
+
 def blocked_dominance_pair_arrays(points: PointSet, sources: np.ndarray,
                                   targets: np.ndarray,
                                   block_size: int = EDGE_BLOCK
@@ -99,13 +123,14 @@ def blocked_dominance_pair_arrays(points: PointSet, sources: np.ndarray,
     row-major order by *position*: sources in the given order, and
     targets in the given order within a source, whatever the index values.
 
-    Output-sensitive: sources are swept in ascending first coordinate in
-    blocks of ``block_size``, and each block is compared only against the
+    Output-sensitive: sources are swept in :func:`_sweep_order` in blocks
+    of ``block_size``, and each block is compared only against the
     targets inside its bounding box (:func:`_box_candidates`).  The box
     maximum is an ``np.fmax`` reduction, so a NaN row cannot empty the box
     for the rest of its block.  Each pair is kept as one int64 key
-    ``source_pos * len(targets) + target_pos``; one sort of the keys
-    restores the positional order.  When the recorder is enabled the
+    ``(source_pos << shift) | target_pos``, ``shift`` bits holding any
+    target position; one sort of the keys restores the positional order,
+    and ``>>`` / ``&`` decode it.  When the recorder is enabled the
     number of row x candidate compares run is counted as
     ``passive.edge_candidates``.
     """
@@ -116,20 +141,26 @@ def blocked_dominance_pair_arrays(points: PointSet, sources: np.ndarray,
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     source_coords = points.coords[sources]
     target_coords = points.coords[targets]
-    sweep = np.argsort(source_coords[:, 0], kind="stable")
+    sweep = _sweep_order(source_coords)
+    shift = (num_targets - 1).bit_length()
     keys: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
     compares = 0
     for start in range(0, len(sweep), block_size):
-        rows_pos = sweep[start:start + block_size]
+        # Ascending positions make each block's keys one sorted run.
+        rows_pos = np.sort(sweep[start:start + block_size])
         rows = source_coords[rows_pos]
         candidates = _box_candidates(target_coords,
                                      np.fmax.reduce(rows, axis=0))
-        compares += len(rows_pos) * len(candidates)
-        row_hit, col_hit = np.nonzero(
+        width = len(candidates)
+        compares += len(rows_pos) * width
+        hits = np.flatnonzero(
             pairwise_weak_dominance(rows, target_coords[candidates]))
-        keys.append(rows_pos[row_hit] * num_targets + candidates[col_hit])
+        row_hit = hits // width
+        keys.append((rows_pos[row_hit] << shift)
+                    | candidates[hits - row_hit * width])
     rec = recorder()
     if rec.enabled:
         rec.incr("passive.edge_candidates", compares)
-    key = np.sort(np.concatenate(keys))
-    return sources[key // num_targets], targets[key % num_targets]
+    # Timsort merges the per-block runs.
+    key = np.sort(np.concatenate(keys), kind="stable")
+    return sources[key >> shift], targets[key & ((1 << shift) - 1)]

@@ -71,9 +71,9 @@ def _tail_csr(
     """
     n = network.num_nodes
     tails = network.tails[arcs]
-    order = tail_order(tails, n)
-    indptr = np.searchsorted(tails[order], np.arange(n + 1, dtype=np.int64))
-    arcs = arcs[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    arcs = arcs[tail_order(tails, n)]
     return indptr, arcs, network.heads[arcs]
 
 

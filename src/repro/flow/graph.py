@@ -35,15 +35,35 @@ def _shared_zeros(values: np.ndarray) -> List[float]:
     return objects.tolist()
 
 
+#: ``tail_order`` merges runs averaging at least this many indices;
+#: below it a full radix sort measured faster (~3x on run-free tails).
+MIN_MEAN_RUN = 8
+
+
 def tail_order(tails: np.ndarray, num_nodes: int) -> np.ndarray:
     """Stable argsort of ``tails``: indices grouped by tail, in input order.
 
-    Vertex ids that fit in 16 bits sort as ``uint16``, where numpy's
-    stable sort is a radix sort (~4x the int64 timsort); larger networks
-    sort the int64 ids.
+    Moves whole maximal runs of equal tails: sorts only the run heads,
+    stably, then lays each run out with one ragged ``arange``.  A passive
+    network's forward tails are a few thousand runs over hundreds of
+    thousands of arcs.  Tails whose runs average under
+    :data:`MIN_MEAN_RUN` are sorted whole.  Either way the order equals
+    ``np.argsort(tails, kind="stable")``.  Vertex ids that fit in 16 bits
+    sort as ``uint16``, where numpy's stable sort is a radix sort (~4x
+    the int64 timsort).
     """
-    keys = tails.astype(np.uint16) if num_nodes <= 0x10000 else tails
-    return np.argsort(keys, kind="stable")
+    def stable_argsort(ids: np.ndarray) -> np.ndarray:
+        keys = ids.astype(np.uint16) if num_nodes <= 0x10000 else ids
+        return np.argsort(keys, kind="stable")
+
+    starts = np.flatnonzero(tails[1:] != tails[:-1]) + 1
+    if MIN_MEAN_RUN * (len(starts) + 1) > len(tails):
+        return stable_argsort(tails)
+    starts = np.concatenate(([0], starts))
+    runs = stable_argsort(tails[starts])
+    lengths = np.diff(starts, append=len(tails))[runs]
+    offsets = starts[runs] - (lengths.cumsum() - lengths)
+    return np.arange(len(tails), dtype=np.int64) + offsets.repeat(lengths)
 
 
 def has_residual(value: float) -> bool:
@@ -83,9 +103,11 @@ class FlowNetwork:
     tests).
 
     Storage is four numpy arrays indexed by arc id: ``heads``, ``tails``
-    (int64), ``caps`` and ``flows`` (float64).  Single :meth:`add_edge`
-    calls buffer in Python lists that are flushed into the arrays the next
-    time any of them is read.  Every append path hands each vertex its new
+    (int64), ``caps`` and ``flows`` (float64).  Each append grows every
+    array once, writing the new forward (even) and reverse (odd) slots
+    straight into it.  Single :meth:`add_edge` calls buffer in Python
+    lists that are flushed into the arrays the next time any of them is
+    read.  Every append path hands each vertex its new
     arcs in ascending arc-id order, so the per-vertex adjacency is always
     a *stable* grouping of the arc ids by tail; :meth:`csr` derives it
     that way instead of storing a list per vertex.
@@ -160,22 +182,21 @@ class FlowNetwork:
             raise ValueError(
                 f"tails and heads disagree on edge count: {m} vs {len(heads_arr)}"
             )
-        caps_arr = np.broadcast_to(
-            np.asarray(capacities, dtype=float), (m,)
-        )
+        caps_given = np.asarray(capacities, dtype=float)
+        caps_arr = np.broadcast_to(caps_given, (m,))
         if m == 0:
             return np.empty(0, dtype=np.int64)
         for endpoint in (tails_arr, heads_arr):
-            bad = (endpoint < 0) | (endpoint >= self.num_nodes)
-            if bad.any():
+            if endpoint.min() < 0 or endpoint.max() >= self.num_nodes:
+                bad = (endpoint < 0) | (endpoint >= self.num_nodes)
                 raise ValueError(
                     f"vertex {int(endpoint[bad][0])} outside "
                     f"[0, {self.num_nodes})"
                 )
-        bad = ~((caps_arr >= 0) & (caps_arr < np.inf))
+        bad = ~((caps_given >= 0) & (caps_given < np.inf))
         if bad.any():
             raise ValueError(
-                f"capacity must be finite and non-negative; got {caps_arr[bad][0]}")
+                f"capacity must be finite and non-negative; got {caps_given[bad][0]}")
         self._flush()
         base = len(self._heads)
         self._append(tails_arr, heads_arr, caps_arr)
@@ -187,16 +208,19 @@ class FlowNetwork:
 
         Even slots are forward arcs (tail -> head, cap), odd slots their
         reverses (head -> tail, 0), exactly as sequential add_edge calls
-        lay them out.
+        lay them out, written into one preallocated array per field.
         """
-        def interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-            return np.column_stack((even, odd)).ravel()
+        def grow(old: np.ndarray, even, odd) -> np.ndarray:
+            out = np.empty(len(old) + 2 * len(caps), dtype=old.dtype)
+            out[:len(old)] = old
+            out[len(old)::2] = even
+            out[len(old) + 1::2] = odd
+            return out
 
-        reverse_caps = np.zeros(len(caps), dtype=np.float64)
-        self._tails = np.concatenate((self._tails, interleave(tails, heads)))
-        self._heads = np.concatenate((self._heads, interleave(heads, tails)))
-        self._caps = np.concatenate((self._caps, interleave(caps, reverse_caps)))
-        self._flows = np.concatenate((self._flows, np.zeros(2 * len(caps))))
+        self._tails = grow(self._tails, tails, heads)
+        self._heads = grow(self._heads, heads, tails)
+        self._caps = grow(self._caps, caps, 0.0)
+        self._flows = grow(self._flows, 0.0, 0.0)
 
     def _flush(self) -> None:
         """Move the edges buffered by add_edge into the arc arrays."""

@@ -238,6 +238,11 @@ def sample_from_doc(doc: Dict[str, list], n: int) -> WeightedSample:
             f"checkpoint sample index {int(indices[bad[0]])} is outside "
             f"[0, {n}) for a run of n = {n} points"
         )
+    order = np.argsort(indices, kind="stable")
+    repeats = order[1:][indices[order[1:]] == indices[order[:-1]]]
+    if len(repeats):
+        raise ValueError(f"checkpoint sample index "
+                         f"{int(indices[repeats.min()])} is repeated")
     bad = np.flatnonzero((labels != 0) & (labels != 1))
     if len(bad):
         raise ValueError(

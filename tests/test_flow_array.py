@@ -15,7 +15,8 @@ from typing import Set
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.passive import (
     SINK,
@@ -36,6 +37,7 @@ from repro.flow import (
     solve_min_cut,
 )
 from repro.flow.array import dinic_array_solve
+from repro.flow.graph import MIN_MEAN_RUN, tail_order
 from repro.fuzz.corpus import iter_corpus, load_reproducer
 from repro.fuzz.generators import random_flow_network
 from repro.obs import metrics_session
@@ -163,6 +165,55 @@ class TestFlowNetworkCSR:
         assert len(csr_arcs) == 0
         assert indptr.tolist() == [0, 0, 0, 0]
         assert dinic_array_max_flow(net, 0, 2) == 0.0
+
+
+@st.composite
+def _tail_arrays(draw):
+    """``(tails, num_nodes)``: run-structured or run-free vertex ids, with
+    ``num_nodes`` on both sides of the 16-bit key boundary."""
+    num_nodes = draw(st.sampled_from([1, 6, 0x10000, 0x10001, 0x30000]))
+    vertex = st.one_of(st.integers(0, min(num_nodes, 4) - 1),
+                       st.integers(0, num_nodes - 1))
+    longest = draw(st.sampled_from([1, 3, 4 * MIN_MEAN_RUN]))
+    runs = draw(st.lists(st.tuples(vertex, st.integers(1, longest)),
+                         max_size=40))
+    tails = np.repeat(np.array([v for v, _ in runs], dtype=np.int64),
+                      [length for _, length in runs])
+    return tails, num_nodes
+
+
+_RUNS = np.repeat([3, 1, 3, 0], MIN_MEAN_RUN)
+_WIDE = 0x10000 + _RUNS
+
+
+class TestTailOrder:
+    """``tail_order`` is ``np.argsort(tails, kind="stable")`` on any input,
+    whether it merges whole runs or sorts every index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tail_arrays())
+    @example((np.empty(0, dtype=np.int64), 3))
+    @example((np.full(4 * MIN_MEAN_RUN, 7, dtype=np.int64), 8))
+    @example((_RUNS, 4))            # vertex 3 in two separate runs
+    @example((_WIDE, 0x10004))      # int64 keys: uint16 would wrap
+    @example((np.arange(5 * MIN_MEAN_RUN) % 5, 5))  # run-free
+    def test_equals_stable_argsort(self, case):
+        tails, num_nodes = case
+        got = tail_order(tails, num_nodes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.argsort(tails, kind="stable"))
+
+    def test_passive_forward_tails_take_the_run_merge(self):
+        """The forward tails of a mid-sized passive network average more
+        than ``MIN_MEAN_RUN`` arcs per run (~14 here), so the solve's
+        forward CSR skips the full sort."""
+        points = planted_monotone(2000, 3, noise=0.1, rng=[1, 0])
+        network = passive_network(points).network
+        tails = network.tails[0::2]
+        runs = 1 + np.count_nonzero(tails[1:] != tails[:-1])
+        assert len(tails) >= MIN_MEAN_RUN * runs
+        assert np.array_equal(tail_order(tails, network.num_nodes),
+                              np.argsort(tails, kind="stable"))
 
 
 class TestDinicArrayBitIdentity:

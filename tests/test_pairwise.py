@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro import PointSet, is_monotone_assignment, solve_passive
 from repro.core.pairwise import (
+    EDGE_BLOCK,
     blocked_dominance_pair_arrays,
     pairwise_weak_dominance,
 )
@@ -110,6 +111,45 @@ def test_edge_stream_equals_dense_reference(case):
     for block_size in (1, 3, m - 1, m, m + 1):
         assert _pair_list(ps, sources, targets,
                           max(1, block_size)) == expected
+
+
+def _wild_labeled(seed: int, n: int, dim: int) -> PointSet:
+    """Tie-heavy grid points with ±inf and NaN cells and label-0 rows
+    copied onto label-1 points (opposing duplicates)."""
+    gen = np.random.default_rng(seed)
+    coords = gen.integers(0, 6, size=(n, dim)).astype(float)
+    cells = gen.random((n, dim))
+    coords[cells < 0.02] = np.inf
+    coords[(cells >= 0.02) & (cells < 0.04)] = -np.inf
+    coords[(cells >= 0.04) & (cells < 0.05)] = np.nan
+    labels = gen.integers(0, 2, size=n)
+    zeros = np.flatnonzero(labels == 0)
+    ones = np.flatnonzero(labels == 1)
+    coords[ones[:n // 20]] = coords[gen.choice(zeros, n // 20)]
+    return PointSet(coords, labels, validate=False)
+
+
+@pytest.mark.parametrize("dim, n, seed", [(8, 700, 0), (8, 900, 1),
+                                          (3, 7 * EDGE_BLOCK, 2)])
+def test_multi_block_stream_equals_dense_reference(dim, n, seed):
+    """Morton sweeps that drop rank bits (d = 8, over 2^7 sources) or
+    span several ``EDGE_BLOCK`` blocks (d = 3) still list exactly the
+    dense matrix's pairs, in positional order of shuffled sources and
+    targets, at block sizes 1, 3 and the default."""
+    ps = _wild_labeled(seed, n, dim)
+    gen = np.random.default_rng(seed)
+    sources = gen.permutation(np.flatnonzero(ps.labels == 0))
+    targets = gen.permutation(np.flatnonzero(ps.labels == 1))
+    assert (len(sources) - 1).bit_length() > 63 // dim or (
+        len(sources) > 2 * EDGE_BLOCK)
+    dense = ps.weak_dominance_matrix()[np.ix_(sources, targets)]
+    rows, cols = np.nonzero(dense)
+    assert len(rows) > 0
+    for block_size in (1, 3, EDGE_BLOCK):
+        srcs, tgts = blocked_dominance_pair_arrays(ps, sources, targets,
+                                                   block_size)
+        assert np.array_equal(srcs, sources[rows])
+        assert np.array_equal(tgts, targets[cols])
 
 
 def _layouts(matrix: np.ndarray):

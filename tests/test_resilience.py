@@ -552,6 +552,15 @@ class TestCheckpointSample:
                 rf"n = {self.N} points")):
             sample_from_doc(doc, self.N)
 
+    @pytest.mark.parametrize("indices, repeated", [
+        ([2, 2, 9], 2), ([9, 5, 9], 9), ([5, 2, 2], 2), ([9, 2, 9], 9)])
+    def test_repeated_index_rejected(self, indices, repeated):
+        """A repeat would fold two entries into one point of summed weight."""
+        doc = dict(self.DOC, indices=indices)
+        with pytest.raises(ValueError,
+                           match=f"index {repeated} is repeated"):
+            sample_from_doc(doc, self.N)
+
     @staticmethod
     def _resume_with_corrupt_chain(tmp_path, corrupt):
         """Checkpoint a fit, ``corrupt`` one done chain's document, resume."""
