@@ -373,7 +373,9 @@ def greedy_preflow(passive: PassiveNetwork) -> int:
     carried = np.zeros(len(pair_tails))
     # The pair arcs come grouped by tail: run i spans [run_lo[i],
     # run_hi[i]), and ptr[i] is where its search for a live arc resumes.
-    run_lo = np.flatnonzero(np.diff(pair_tails, prepend=-1))
+    boundary = np.ones(len(pair_tails), dtype=bool)
+    np.not_equal(pair_tails[1:], pair_tails[:-1], out=boundary[1:])
+    run_lo = np.flatnonzero(boundary)
     run_hi = np.append(run_lo[1:], len(pair_tails))
     run_tail = pair_tails[run_lo]
     ptr = run_lo.copy()

@@ -58,6 +58,7 @@ __all__ = [
     "fit_artifact",
     "load_artifact",
     "quarantine_artifact",
+    "render_artifact",
     "save_artifact",
 ]
 
@@ -92,6 +93,12 @@ class ModelArtifact:
     digest:
         SHA-256 hex digest of the canonical body; filled in by
         :func:`save_artifact` / :func:`load_artifact`.
+    verified_text:
+        The file text whose digest matched ``digest``: the raw text
+        :func:`load_artifact` verified, or the text :func:`save_artifact`
+        wrote.  Copies of a verified artifact are written from it, so
+        they need no re-serialization.  It is not a constructor argument
+        and takes no part in ``body()``, equality or ``repr``.
     """
 
     classifier: AnyClassifier
@@ -100,6 +107,9 @@ class ModelArtifact:
     chains: Optional[List[List[int]]] = None
     certificate: Optional[Dict[str, Any]] = None
     digest: Optional[str] = None
+    verified_text: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def body(self) -> Dict[str, Any]:
         """The digestable body document (everything except the envelope)."""
@@ -127,11 +137,12 @@ def artifact_digest(body: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def save_artifact(artifact: ModelArtifact, path: PathLike) -> str:
-    """Write ``artifact`` to ``path`` atomically; returns the digest.
+def render_artifact(artifact: ModelArtifact) -> str:
+    """The file text of ``artifact``: its body in a fresh envelope.
 
     The envelope records the schema version and the body digest; the
-    artifact's ``digest`` field is updated in place.
+    artifact's ``digest`` and ``verified_text`` fields are updated in
+    place.
     """
     body = artifact.body()
     digest = artifact_digest(body)
@@ -141,12 +152,23 @@ def save_artifact(artifact: ModelArtifact, path: PathLike) -> str:
         "digest": digest,
         "body": body,
     }
-    atomic_write_text(path, json.dumps(envelope, indent=1))
+    text = json.dumps(envelope, indent=1)
     artifact.digest = digest
+    artifact.verified_text = text
+    return text
+
+
+def save_artifact(artifact: ModelArtifact, path: PathLike) -> str:
+    """Write ``artifact`` to ``path`` atomically; returns the digest.
+
+    The text is :func:`render_artifact`'s, which also updates the
+    artifact's ``digest`` and ``verified_text`` in place.
+    """
+    atomic_write_text(path, render_artifact(artifact))
     rec = recorder()
     if rec.enabled:
         rec.incr("serve.artifacts_written")
-    return digest
+    return str(artifact.digest)
 
 
 def load_artifact(path: PathLike) -> ModelArtifact:
@@ -204,6 +226,7 @@ def load_artifact(path: PathLike) -> ModelArtifact:
         _count_reject(rec)
         raise ValueError(f"{path}: {exc}") from None
     artifact.digest = actual
+    artifact.verified_text = raw
     if rec.enabled:
         rec.incr("serve.artifact_loads")
     return artifact

@@ -43,12 +43,17 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._util import PathLike, as_float_matrix
+from .._util import PathLike, as_float_matrix, atomic_write_text
 from ..core.classifier import ConstantClassifier, MonotoneClassifier
 from ..obs import recorder
 from ..resilience.errors import CircuitOpenError
 from ..resilience.retry import CircuitBreaker, RetryPolicy
-from .artifact import ModelArtifact, load_artifact, quarantine_artifact, save_artifact
+from .artifact import (
+    ModelArtifact,
+    load_artifact,
+    quarantine_artifact,
+    render_artifact,
+)
 
 __all__ = [
     "DEADLINE_EXCEEDED",
@@ -63,6 +68,7 @@ __all__ = [
     "last_good_path",
     "read_serve_journal",
     "rotated_journal_segments",
+    "write_verified_copy",
 ]
 
 #: Response statuses.  ``ok`` answers come from a digest-verified artifact
@@ -92,6 +98,31 @@ def last_good_path(artifact_path: PathLike) -> Path:
     """The last-good copy paired with an artifact path."""
     artifact_path = Path(artifact_path)
     return artifact_path.with_name(artifact_path.name + ".last-good")
+
+
+def write_verified_copy(artifact: ModelArtifact, path: PathLike) -> bool:
+    """Put ``artifact``'s verified text at ``path``; ``True`` if written.
+
+    The text is the one whose digest was checked (``verified_text``), or a
+    fresh :func:`~repro.serve.artifact.render_artifact` when the artifact
+    carries none (a loader hook built it in memory).  A file that already
+    holds exactly those bytes is left alone; anything else there — missing,
+    truncated, tampered with — is replaced atomically.
+    """
+    text = artifact.verified_text
+    if text is None:
+        text = render_artifact(artifact)
+    path = Path(path)
+    try:
+        if path.read_bytes() == text.encode("utf-8"):
+            return False
+    except OSError:
+        pass  # missing or unreadable: write it
+    atomic_write_text(path, text)
+    rec = recorder()
+    if rec.enabled:
+        rec.incr("serve.artifacts_written")
+    return True
 
 
 @dataclass(frozen=True)
@@ -336,7 +367,9 @@ class ServeEngine:
         a simulated clock to exercise deadlines deterministically.
     keep_last_good:
         Maintain a verified ``<artifact>.last-good`` copy after each
-        successful primary load, the second rung of the ladder.
+        successful primary load, the second rung of the ladder.  The copy
+        holds the verified primary's bytes and is rewritten only when
+        they differ from what is on disk.
     """
 
     def __init__(
@@ -509,14 +542,51 @@ class ServeEngine:
             return artifact
         return None
 
+    def _refresh_last_good(self, artifact: ModelArtifact) -> str:
+        """Make the last-good copy hold ``artifact``'s verified bytes.
+
+        Returns ``"written"``, ``"unchanged"`` (already byte-equal),
+        ``"failed"`` (the write raised ``OSError``) or ``"off"`` (no
+        last-good rung).
+        """
+        if not self.keep_last_good:
+            return "off"
+        try:
+            written = write_verified_copy(
+                artifact, last_good_path(self.artifact_path)
+            )
+        except OSError:
+            return "failed"  # a full disk must not fail the serving path
+        rec = recorder()
+        if rec.enabled:
+            rec.incr(
+                "serve.last_good_writes" if written
+                else "serve.last_good_unchanged"
+            )
+        return "written" if written else "unchanged"
+
     def reload(self) -> bool:
         """(Re)load the model, walking the degradation ladder.
 
         Returns ``True`` when a digest-verified artifact (primary or
         last-good) is serving, ``False`` when the engine degraded to a
         fallback classifier.  Never raises on corrupt artifacts — the
-        server must stay up.
+        server must stay up.  Runs inside a ``serve.reload`` span whose
+        ``rung`` attribute names the rung installed and whose
+        ``last_good`` attribute says what a primary load did to the
+        last-good copy.
         """
+        rec = recorder()
+        with rec.span("serve.reload") as span:
+            rung, last_good = self._walk_ladder()
+            if rec.enabled:
+                span.set_attr("rung", rung)
+                if last_good is not None:
+                    span.set_attr("last_good", last_good)
+        return rung != _FALLBACK
+
+    def _walk_ladder(self) -> Tuple[str, Optional[str]]:
+        """:meth:`reload`'s body: ``(rung installed, last-good outcome)``."""
         self.reloads += 1
         self._loaded_once = True
         rec = recorder()
@@ -525,21 +595,16 @@ class ServeEngine:
         artifact = self._try_load(self.artifact_path)
         if artifact is not None:
             self._install(artifact.classifier, _PRIMARY, artifact)
-            if self.keep_last_good:
-                # Persist a re-serialized (hence re-verified) copy: the
-                # second ladder rung for the next corrupt deploy.
-                try:
-                    save_artifact(artifact, last_good_path(self.artifact_path))
-                except OSError:
-                    pass  # a full disk must not fail the serving path
-            return True
+            # The second ladder rung for the next corrupt deploy: the
+            # bytes just verified, written only when the copy differs.
+            return _PRIMARY, self._refresh_last_good(artifact)
         if self.keep_last_good:
             lg = last_good_path(self.artifact_path)
             if lg.exists():
                 artifact = self._try_load(lg)
                 if artifact is not None:
                     self._install(artifact.classifier, _LAST_GOOD, artifact)
-                    return True
+                    return _LAST_GOOD, None
         self.reload_failures += 1
         if rec.enabled:
             rec.incr("serve.reload_failures")
@@ -550,7 +615,7 @@ class ServeEngine:
             self._model = None
             self._source = _FALLBACK
             self.model_digest = None
-        return False
+        return _FALLBACK, None if self.keep_last_good else "off"
 
     def install_verified(self, artifact: ModelArtifact) -> None:
         """Atomically install an already digest-verified artifact as primary.
@@ -560,7 +625,8 @@ class ServeEngine:
         and canary-checks it against the incumbent, then promotes the
         in-memory object directly — no second disk read, no window where
         a half-written file could be picked up.  The last-good copy is
-        refreshed so the ladder's second rung tracks the promotion.
+        refreshed from the candidate's verified bytes so the ladder's
+        second rung tracks the promotion.
         """
         if artifact.digest is None:
             raise ValueError(
@@ -569,11 +635,7 @@ class ServeEngine:
             )
         self._loaded_once = True
         self._install(artifact.classifier, _PRIMARY, artifact)
-        if self.keep_last_good:
-            try:
-                save_artifact(artifact, last_good_path(self.artifact_path))
-            except OSError:
-                pass  # a full disk must not fail the swap path
+        self._refresh_last_good(artifact)
 
     @property
     def source(self) -> str:

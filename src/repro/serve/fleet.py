@@ -61,7 +61,7 @@ from ..core.classifier import ConstantClassifier, MonotoneClassifier
 from ..obs import recorder
 from ..resilience.errors import CircuitOpenError
 from ..resilience.retry import CircuitBreaker, RetryPolicy
-from .artifact import ModelArtifact, load_artifact, quarantine_artifact, save_artifact
+from .artifact import ModelArtifact, load_artifact, quarantine_artifact
 from .engine import (
     FAILED,
     INVALID,
@@ -69,6 +69,7 @@ from .engine import (
     ServeEngine,
     ServeLoadTransient,
     read_serve_journal,
+    write_verified_copy,
 )
 
 __all__ = ["UNAVAILABLE", "FleetModelHealth", "ModelFleet"]
@@ -625,7 +626,7 @@ class ModelFleet:
         )
         if incumbent is not None:
             try:
-                save_artifact(incumbent, slot.artifact_path)
+                write_verified_copy(incumbent, slot.artifact_path)
             except OSError:
                 pass  # a full disk must not fail the reject path
         slot.fingerprint = _fingerprint(slot.artifact_path)
@@ -667,17 +668,37 @@ class ModelFleet:
     def _attempt_swap(
         self, slot: _Slot, fingerprint: Tuple[int, int]
     ) -> Optional[Dict[str, Any]]:
+        """Run the swap machine on a changed file in a ``serve.swap`` span.
+
+        The span carries the ``model``, the ``outcome`` (``install``,
+        ``promote``, ``reject``, or ``transient`` when the load failed
+        retryably) and, for a reject, its ``reason``.
+        """
+        rec = recorder()
+        with rec.span("serve.swap") as span:
+            outcome, event = self._swap(slot, fingerprint)
+            if rec.enabled:
+                span.set_attr("model", slot.name)
+                span.set_attr("outcome", outcome)
+                if event is not None and "reason" in event:
+                    span.set_attr("reason", event["reason"])
+        return event
+
+    def _swap(
+        self, slot: _Slot, fingerprint: Tuple[int, int]
+    ) -> Tuple[str, Optional[Dict[str, Any]]]:
+        """:meth:`_attempt_swap`'s body: ``(outcome, swap event or None)``."""
         rec = recorder()
         if rec.enabled:
             rec.incr("serve.fleet.swap_candidates")
         try:
             candidate = self._loader(slot.artifact_path)
         except ValueError as exc:
-            return self._reject(slot, reason=f"verification: {exc}")
+            return "reject", self._reject(slot, reason=f"verification: {exc}")
         except (ServeLoadTransient, OSError):
             # Transient store trouble: leave the fingerprint stale so the
             # next poll retries; nothing to quarantine.
-            return None
+            return "transient", None
         incumbent = self._incumbent(slot)
         if incumbent is None or incumbent.digest == candidate.digest:
             # First deploy (nothing to compare against) or a cosmetic
@@ -687,32 +708,34 @@ class ModelFleet:
             slot.last_verified = candidate
             slot.fingerprint = fingerprint
             if incumbent is None:
-                return slot.record("install", digest=_short(candidate))
-            return None
+                return "install", slot.record("install", digest=_short(candidate))
+            return "install", None
         dim = self._artifact_dim(incumbent)
         cand_dim = self._artifact_dim(candidate)
         if dim is not None and cand_dim is not None and dim != cand_dim:
-            return self._reject(
+            return "reject", self._reject(
                 slot, reason=f"canary: dim {cand_dim} != incumbent {dim}"
             )
         if dim is None:
             dim = cand_dim
         if dim is None:
-            return self._reject(slot, reason="canary: no usable 'dim' metadata")
+            return "reject", self._reject(
+                slot, reason="canary: no usable 'dim' metadata"
+            )
         coords = self._canary_coords(slot, dim)
         started = time.monotonic()
         try:
             incumbent_labels = incumbent.classifier.classify_matrix(coords)
             candidate_labels = candidate.classifier.classify_matrix(coords)
         except ValueError as exc:
-            return self._reject(slot, reason=f"canary: {exc}")
+            return "reject", self._reject(slot, reason=f"canary: {exc}")
         disagree = float(np.mean(incumbent_labels != candidate_labels))
         if rec.enabled:
             rec.record_time(
                 "serve.fleet.canary_seconds", time.monotonic() - started
             )
         if disagree > self.canary_tolerance:
-            return self._reject(
+            return "reject", self._reject(
                 slot,
                 reason=(
                     f"canary: {disagree:.2f} disagreement > "
@@ -736,7 +759,7 @@ class ModelFleet:
                 digest=_short(candidate),
                 disagreement=disagree,
             )
-        return slot.record(
+        return "promote", slot.record(
             "promote", digest=_short(candidate), disagreement=disagree
         )
 

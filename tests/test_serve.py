@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -491,6 +492,98 @@ class TestServeMetrics:
         assert counters["serve.shed"].value == 1
         assert counters["serve.installs.primary"].value == 1
         assert "serve.request_seconds" in registry.timers
+
+
+class TestLastGoodCopy:
+    """The last-good copy is the verified primary's bytes, written only
+    when the file on disk differs."""
+
+    def test_second_reload_leaves_last_good_untouched(self, deployed):
+        engine = ServeEngine(deployed)
+        assert engine.reload() is True
+        before = last_good_path(deployed).stat()
+        assert engine.reload() is True
+        after = last_good_path(deployed).stat()
+        assert after.st_ino == before.st_ino
+        assert after.st_mtime_ns == before.st_mtime_ns
+
+    def test_last_good_bytes_equal_primary(self, deployed, legacy_deployed):
+        for path in (deployed, legacy_deployed):
+            assert ServeEngine(path).reload() is True
+            assert last_good_path(path).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncate", "garbage", "tamper"])
+    def test_damaged_last_good_is_rewritten(self, deployed, damage):
+        ServeEngine(deployed).reload()
+        lg = last_good_path(deployed)
+        if damage == "truncate":
+            lg.write_bytes(lg.read_bytes()[:150])
+        elif damage == "garbage":
+            lg.write_text("garbage")
+        else:
+            _assert_tamper_rejected(lg)
+        assert ServeEngine(deployed).reload() is True
+        assert lg.read_bytes() == deployed.read_bytes()
+        assert load_artifact(lg).digest == load_artifact(deployed).digest
+
+    def test_install_verified_writes_loadable_last_good(
+        self, tmp_path, labeled_points
+    ):
+        fresh = fit_artifact(labeled_points, "passive")
+        save_artifact(fresh, tmp_path / "saved.json")
+        engine = ServeEngine(tmp_path / "model.json")
+        engine.install_verified(fresh)
+        lg = last_good_path(tmp_path / "model.json")
+        assert load_artifact(lg).digest == fresh.digest
+        assert lg.read_bytes() == (tmp_path / "saved.json").read_bytes()
+
+    def test_loader_hook_without_cached_text(self, deployed):
+        def loader(path):
+            return dataclasses.replace(load_artifact(path))
+
+        engine = ServeEngine(deployed, loader=loader)
+        assert engine.reload() is True
+        assert engine.artifact.verified_text is not None  # rendered on write
+        lg = last_good_path(deployed)
+        assert load_artifact(lg).digest == engine.model_digest
+        assert lg.read_bytes() == deployed.read_bytes()
+
+    def test_keep_last_good_off_writes_nothing(self, deployed):
+        assert ServeEngine(deployed, keep_last_good=False).reload() is True
+        assert not last_good_path(deployed).exists()
+
+    def test_cached_text_ignored_by_equality_and_repr(self, deployed, artifact):
+        loaded = load_artifact(deployed)
+        assert loaded.verified_text == deployed.read_text()
+        bare = dataclasses.replace(loaded)
+        assert bare.verified_text is None
+        assert bare == loaded
+        assert repr(bare) == repr(loaded)
+        assert "verified_text" not in repr(loaded)
+        assert set(loaded.body()) == set(artifact.body())
+        with pytest.raises(TypeError):
+            ModelArtifact(classifier=artifact.classifier, verified_text="x")
+
+    def test_reload_span_and_counters(self, deployed):
+        from repro import obs
+
+        with obs.metrics_session(name="lg", trace=True) as reg:
+            engine = ServeEngine(deployed)
+            engine.reload()
+            engine.reload()
+            deployed.write_text("garbage")
+            engine.reload()
+            absent = deployed.with_name("absent.json")
+            ServeEngine(absent, keep_last_good=False).reload()
+        spans = [e for e in reg.trace_events if e["name"] == "serve.reload"]
+        assert [e["args"] for e in spans] == [
+            {"rung": "primary", "last_good": "written"},
+            {"rung": "primary", "last_good": "unchanged"},
+            {"rung": "last_good"},
+            {"rung": "fallback", "last_good": "off"},
+        ]
+        assert reg.counter_value("serve.last_good_writes") == 1
+        assert reg.counter_value("serve.last_good_unchanged") == 1
 
 
 class TestFaultSpec:

@@ -393,6 +393,31 @@ class TestFleetHealthAndMetrics:
         assert counters["serve.fleet.quarantined_models"].value == 1
         assert counters["serve.fleet.polls"].value == 1
 
+    def test_swap_spans_carry_outcome_and_reason(self, fleet_dir, rng):
+        from repro import obs
+
+        original = (fleet_dir / "alpha.json").read_bytes()
+        with obs.metrics_session(name="swap", trace=True) as reg:
+            with ModelFleet.from_directory(fleet_dir, canary_count=16) as fleet:
+                fleet.dispatch("alpha", rng.random((4, 2)))
+                hostile = ModelArtifact(
+                    classifier=ConstantClassifier(1),
+                    fit={"mode": "manual", "dim": 2},
+                )
+                save_artifact(hostile, fleet_dir / "alpha.json")
+                fleet.poll()
+                # The re-pinned incumbent is its verified bytes, unchanged.
+                assert (fleet_dir / "alpha.json").read_bytes() == original
+                refit = _refit(load_artifact(fleet_dir / "alpha.json"), 1)
+                save_artifact(refit, fleet_dir / "alpha.json")
+                fleet.poll()
+        spans = [e["args"] for e in reg.trace_events
+                 if e["name"] == "serve.swap"]
+        assert [a["outcome"] for a in spans] == ["reject", "promote"]
+        assert all(a["model"] == "alpha" for a in spans)
+        assert spans[0]["reason"].startswith("canary:")
+        assert "reason" not in spans[1]
+
     def test_repr(self, fleet_dir, rng):
         with ModelFleet.from_directory(fleet_dir, resident_limit=2) as fleet:
             fleet.dispatch("alpha", rng.random((4, 2)))
