@@ -7,15 +7,19 @@ the production engine, is Dinic with a *vectorized frontier BFS* over a
 split residual adjacency: a static CSR of the forward arcs, built once
 per solve, plus a per-phase CSR of just the reverse arcs with usable
 residual, so the dead zero-capacity reverse arcs are never gathered.  A
-scaled-down Python DFS then walks only the level-graph *survivors* (arcs
-on shortest source-sink paths), merged into (tail, arc id) order.  The
-survivor DFS replays the reference engine's traversal exactly — same
-levels, same per-node candidate order, same pointer/retreat semantics —
-and the per-push writeback applies the identical ``+b`` / ``-b``
-sequences with ``np.ufunc.at`` (unbuffered, in index order), so values
-*and* final flows are bit-identical to the loop reference
-:func:`~repro.flow.dinic.dinic_max_flow`.  Its last BFS, the one that
-cannot reach the sink, is the residual-reachable set:
+forward arc without usable residual keeps its CSR slot but points at a
+sentinel vertex ``num_nodes`` that the BFS treats as visited, so each BFS
+depth is one gather per part and a mark of the heads it reaches; after a
+phase just the pushed arcs are re-pointed.  A backward prune over those
+gathers keeps the level-graph *survivors* (arcs on shortest source-sink
+paths), and a scaled-down Python DFS walks them, merged into (tail, arc
+id) order.  The survivor DFS replays the reference engine's traversal
+exactly — same levels, same per-node candidate order, same
+pointer/retreat semantics — and the per-push writeback applies the
+identical ``+b`` / ``-b`` sequences with ``np.ufunc.at`` (unbuffered, in
+index order), so values *and* final flows are bit-identical to the loop
+reference :func:`~repro.flow.dinic.dinic_max_flow`.  Its last BFS, the
+one that cannot reach the sink, is the residual-reachable set:
 :func:`dinic_array_solve` returns it for the cut readout.
 
 The engine shares the epsilon-boundary contract of
@@ -29,7 +33,7 @@ of the maximum flow.  It runs at every network size; see
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -90,13 +94,60 @@ def _reverse_adjacency(
     return _tail_csr(network, 2 * pairs + 1)
 
 
-#: One CSR part of a residual adjacency: ``(indptr, arcs, heads, usable)``.
-#: ``usable`` masks the positions with usable residual, or is ``None`` when
-#: every arc of the part is usable.
-Part = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
+def _forward_positions(
+    indptr: np.ndarray, arcs: np.ndarray, tails: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Positions of the forward arcs ``targets`` in the forward CSR.
 
-#: The level-graph arcs of one depth, per part: ``(arcs, positions, heads)``
-#: with ``arcs[positions]`` the arc ids and ``heads`` their heads.
+    Each tail's slice ``arcs[indptr[u]:indptr[u + 1]]`` is in ascending
+    arc-id order, so one vectorized binary search over the targets' tail
+    slices finds them, in ``O(log(max out-degree))`` passes over just the
+    targets.  ``tails`` is the network's per-arc tail array.
+    """
+    owners = tails[targets]
+    lo = indptr[owners]
+    hi = indptr[owners + 1]
+    while (lo < hi).any():
+        # Where lo == hi the search has ended on the target itself, so
+        # ``mid`` stays in range and leaves both bounds where they are.
+        mid = (lo + hi) >> 1
+        below = arcs[mid] < targets
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def _refresh_heads(
+    network: FlowNetwork,
+    indptr: np.ndarray,
+    arcs: np.ndarray,
+    heads: np.ndarray,
+    forward: np.ndarray,
+) -> None:
+    """Re-point the forward CSR positions of the arcs ``forward``.
+
+    An arc with usable residual (``caps - flows > RESIDUAL_EPS``) gets its
+    real head back; one without is parked on the sentinel vertex
+    ``num_nodes``, which the BFS treats as visited.  Only pushed arcs
+    change residual, so after each phase the engine refreshes just those:
+    a saturated arc is parked, and one a reverse push freed is restored.
+    """
+    caps, flows = network.caps, network.flows
+    heads[_forward_positions(indptr, arcs, network.tails, forward)] = np.where(
+        caps[forward] - flows[forward] > _EPS,
+        network.heads[forward],
+        network.num_nodes,
+    )
+
+
+#: One CSR part of a residual adjacency: ``(indptr, arcs, heads)``.  A
+#: position whose arc has no usable residual holds the sentinel head
+#: ``num_nodes``.
+Part = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Everything one BFS depth gathered, per part: ``(arcs, positions, ends)``
+#: with ``arcs[positions]`` the arc ids and ``ends`` their heads
+#: (sentinel included), unfiltered.
 Layer = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -105,42 +156,41 @@ def _level_graph(
 ) -> Tuple[np.ndarray, List[Layer]]:
     """Vectorized BFS level graph over usable residual arcs, up to the sink.
 
-    Together the ``parts`` must hold every usable residual arc.  Returns
-    ``(level, layers)``.  ``level[v]`` is the exact shortest residual
-    distance from ``source`` — the value the reference engine's scalar BFS
-    computes, independent of visit order — for every ``v`` no deeper than
-    the sink, and ``-1`` otherwise: the sweep stops at the sink's depth,
-    since no vertex past it lies on a shortest path.  When the sink is
-    unreachable the sweep runs out, and ``level >= 0`` is the whole
-    residual-reachable set.  ``layers[d]`` holds the level-graph arcs
-    leaving depth ``d`` (usable residual, head at depth ``d + 1``) as
-    positions into each part, in no particular order.
+    Together the ``parts`` must hold every usable residual arc, and only
+    usable arcs may point at a real vertex.  Returns ``(level, layers)``.
+    ``level`` has ``num_nodes + 1`` entries: ``level[v]`` is the exact
+    shortest residual distance from ``source`` — the value the reference
+    engine's scalar BFS computes, independent of visit order — for every
+    ``v`` no deeper than the sink, and ``-1`` otherwise: the sweep stops at
+    the sink's depth, since no vertex past it lies on a shortest path.
+    When the sink is unreachable the sweep runs out, and
+    ``level[:num_nodes] >= 0`` is the whole residual-reachable set.  The
+    last entry is the sentinel's: visited, at a depth no real vertex has.
+
+    Each depth takes one gather per part and marks the heads it reaches;
+    the marked vertices not yet visited are the next frontier, in
+    ascending order.  ``layers[d]`` keeps depth ``d``'s gathers as they
+    are; the level-graph arcs among them are those whose head has
+    ``level == d + 1`` (:func:`_sink_reaching`).
     """
-    level = np.full(num_nodes, -1, dtype=np.int64)
+    level = np.full(num_nodes + 1, -1, dtype=np.int64)
+    level[num_nodes] = num_nodes
     level[source] = 0
-    slot = np.empty(num_nodes, dtype=np.int64)
     frontier = np.array([source], dtype=np.int64)
     layers: List[Layer] = []
     depth = 0
     while level[sink] < 0:
-        # The usable arcs into unvisited vertices all land one level
-        # deeper, so they are exactly this depth's layer.
         layer: Layer = []
-        for indptr, arcs, heads, usable in parts:
+        marked = np.zeros(num_nodes + 1, dtype=bool)
+        for indptr, arcs, heads in parts:
             positions = _frontier_positions(indptr, frontier)
-            if usable is not None:
-                positions = positions[usable[positions]]
             ends = heads[positions]
-            into = level[ends] < 0
-            layer.append((arcs, positions[into], ends[into]))
-        fresh = np.concatenate([ends for _arcs, _positions, ends in layer])
-        if fresh.size == 0:
+            marked[ends] = True
+            layer.append((arcs, positions, ends))
+        marked &= level < 0
+        frontier = marked.nonzero()[0]
+        if frontier.size == 0:
             break
-        # Deduplicate in O(k) instead of np.unique's sort: whichever
-        # occurrence of a vertex the scatter keeps, exactly one matches.
-        order = np.arange(fresh.size)
-        slot[fresh] = order
-        frontier = fresh[slot[fresh] == order]
         depth += 1
         level[frontier] = depth
         layers.append(layer)
@@ -148,7 +198,7 @@ def _level_graph(
 
 
 def _sink_reaching(
-    tails: np.ndarray, layers: List[Layer], num_nodes: int, sink: int
+    tails: np.ndarray, level: np.ndarray, layers: List[Layer], sink: int
 ) -> List[np.ndarray]:
     """Keep the level-graph arcs ``(u, v)`` with
     ``level[u] + 1 + dist_t(v) == level[sink]``.
@@ -156,18 +206,22 @@ def _sink_reaching(
     ``dist_t`` is the residual distance to the sink; an arc passes iff its
     head reaches the sink inside the level graph.  One backward sweep over
     the layers, deepest first, marks those heads: the sink is live, and a
-    tail at depth ``d`` is live iff one of its arcs enters a live vertex at
-    depth ``d + 1``.  The parts of one layer read only marks made by
-    deeper layers, so their order does not matter.  ``tails`` is the
-    network's per-arc tail array.  Returns the surviving arc ids, one
-    array per layer part, deepest layer first.
+    tail at depth ``d`` is live iff one of its gathered arcs enters a live
+    vertex at depth ``d + 1``.  A live head at any other depth, or the
+    never-live sentinel, drops the arc.  Marks made at depth ``d`` sit on
+    depth-``d`` vertices, which no arc of that layer keeps, so the order of
+    a layer's parts does not matter.  ``tails`` is the network's per-arc
+    tail array.  Returns the surviving arc ids, one array per layer part,
+    deepest layer first.
     """
-    live = np.zeros(num_nodes, dtype=bool)
+    live = np.zeros(len(level), dtype=bool)
     live[sink] = True
     kept: List[np.ndarray] = []
-    for layer in reversed(layers):
-        for arcs, positions, heads in layer:
-            hits = arcs[positions[live[heads]]]
+    for depth in range(len(layers) - 1, -1, -1):
+        for arcs, positions, ends in layers[depth]:
+            into = live[ends].nonzero()[0]
+            into = into[level[ends[into]] == depth + 1]
+            hits = arcs[positions[into]]
             live[tails[hits]] = True
             kept.append(hits)
     return kept
@@ -196,18 +250,16 @@ def dinic_array_solve(
     arc_heads = network.heads
     arc_tails = network.tails
     with rec.span("csr_snapshot"):
-        # The forward arcs never change, so their CSR is built once.
+        # The forward arcs never move, so their CSR is built once; an arc
+        # without usable residual is parked on the sentinel head n.
         # Reverse arcs carry no capacity and most carry no flow either;
         # each phase gathers just the usable ones (_reverse_adjacency).
         f_indptr, f_arcs, f_heads = _tail_csr(
             network, np.arange(0, len(arc_heads), 2, dtype=np.int64)
         )
-        # Usable residual per forward position and per reverse arc (by
-        # edge index).  Only pushed arcs change residual, so after each
-        # phase the masks are re-evaluated just there.
-        f_slot = np.empty(len(f_arcs), dtype=np.int64)
-        f_slot[f_arcs >> 1] = np.arange(len(f_arcs), dtype=np.int64)
-        f_usable = (caps[0::2] - flows[0::2] > _EPS)[f_arcs >> 1]
+        dead = np.flatnonzero(~(caps[0::2] - flows[0::2] > _EPS))
+        f_heads[_forward_positions(f_indptr, f_arcs, arc_tails, 2 * dead)] = n
+        # Usable residual per reverse arc, by edge index.
         r_usable = caps[1::2] - flows[1::2] > _EPS
 
     # Count the flow the network already carries: 0.0 on a cold network.
@@ -224,9 +276,9 @@ def dinic_array_solve(
             network, np.flatnonzero(r_usable)
         )
         reverse_arcs += len(r_arcs)
-        parts = [(f_indptr, f_arcs, f_heads, f_usable)]
+        parts = [(f_indptr, f_arcs, f_heads)]
         if r_arcs.size:
-            parts.append((r_indptr, r_arcs, r_heads, None))
+            parts.append((r_indptr, r_arcs, r_heads))
         level, layers = _level_graph(parts, n, source, sink)
         if level[sink] < 0:
             break
@@ -234,13 +286,17 @@ def dinic_array_solve(
 
         # Survivors in (tail, arc id) order — the loop DFS candidate
         # order: sort by arc id, then group stably by tail.
-        kept = _sink_reaching(arc_tails, layers, n, sink)
+        kept = _sink_reaching(arc_tails, level, layers, sink)
         kept_arcs = np.sort(np.concatenate(kept))
         kept_tails = arc_tails[kept_arcs]
         order = tail_order(kept_tails, n)
         kept_arcs = kept_arcs[order]
         if rec.enabled:
-            found = sum(len(part[1]) for layer in layers for part in layer)
+            found = sum(
+                int(np.count_nonzero(level[ends] == depth + 1))
+                for depth, layer in enumerate(layers)
+                for _arcs, _positions, ends in layer
+            )
             survivors += found
             pruned += found - len(kept_arcs)
         sub_bounds = np.searchsorted(
@@ -312,7 +368,7 @@ def dinic_array_solve(
         np.subtract.at(flows, arcs_seq ^ 1, amounts)
         edges = arcs_seq >> 1
         forward = 2 * edges
-        f_usable[f_slot[edges]] = caps[forward] - flows[forward] > _EPS
+        _refresh_heads(network, f_indptr, f_arcs, f_heads, forward)
         r_usable[edges] = caps[forward + 1] - flows[forward + 1] > _EPS
 
     if rec.enabled:
@@ -324,17 +380,18 @@ def dinic_array_solve(
         rec.incr("flow.dinic_array.pruned_arcs", pruned)
         rec.incr("flow.dinic_array.reverse_arcs", reverse_arcs)
         rec.observe("flow.dinic_array.paths_per_call", paths)
-    return float(total), level >= 0
+    return float(total), level[:n] >= 0
 
 
 def dinic_array_max_flow(network: FlowNetwork, source: int, sink: int) -> float:
     """Array-native Dinic; bit-identical flows/value to the loop reference.
 
     Per phase: one vectorized BFS over the split residual adjacency (the
-    solve's static forward CSR, filtered to usable arcs, plus the phase's
-    usable reverse arcs) builds the level graph up to the sink's depth;
-    one backward sweep prunes it to the arcs on shortest source-sink paths
-    (:func:`_sink_reaching`); and the blocking-flow DFS runs over
+    solve's static forward CSR, its unusable arcs parked on the sentinel
+    head, plus the phase's usable reverse arcs) levels the vertices up to
+    the sink's depth; one backward sweep over its gathers prunes them to
+    the arcs on shortest source-sink paths (:func:`_sink_reaching`); and
+    the blocking-flow DFS runs over
     compacted mirrors of just those *survivors*, merged into (tail, arc
     id) order.  Within a phase no reverse arc of a level-graph arc can
     become admissible (its level points backwards), so the level graph

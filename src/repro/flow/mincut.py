@@ -80,7 +80,7 @@ def _residual_reach(network: FlowNetwork, source: int) -> np.ndarray:
         candidates = candidates[~seen[candidates]]
         if candidates.size == 0:
             break
-        # Deduplicate in O(k) with the scatter ``_level_graph`` uses; the
+        # Deduplicate in O(k) with a last-writer-wins scatter; the
         # frontier's order does not matter to reachability.
         order = np.arange(candidates.size)
         slot[candidates] = order

@@ -89,18 +89,42 @@ def _dinic_prune_off_by_one() -> ContextManager[None]:
     """
     from ..flow import array
 
-    def off_by_one(tails, layers, num_nodes, sink):  # type: ignore[no-untyped-def]
-        live = np.zeros(num_nodes, dtype=bool)
+    def off_by_one(tails, level, layers, sink):  # type: ignore[no-untyped-def]
+        live = np.zeros(len(level), dtype=bool)
         live[sink] = True
         kept = []
-        for layer in reversed(layers):
-            hits = [arcs[positions[live[heads]]]
-                    for arcs, positions, heads in layer]
+        for depth in range(len(layers) - 1, -1, -1):
+            hits = []
+            for arcs, positions, ends in layers[depth]:
+                on = np.flatnonzero(live[ends])
+                on = on[level[ends[on]] == depth + 1]
+                hits.append(arcs[positions[on]])
             live[tails[np.concatenate(hits)[:-1]]] = True
             kept.extend(hits)
         return kept
 
     return _rebound(array, "_sink_reaching", off_by_one)
+
+
+def _dinic_stale_sentinel() -> ContextManager[None]:
+    """Skip Dinic's per-phase refresh of the forward heads.
+
+    The forward adjacency parks an arc without usable residual on a
+    sentinel head, and after each phase re-points just the pushed arcs.
+    Without that refresh an arc a phase saturates keeps its real head, so
+    later BFS passes count it as usable and assign levels too shallow for
+    any augmenting path; an arc a reverse push frees stays parked, so
+    what only it reaches goes missing.  Dinic then ends short of a
+    maximum flow, or hands over a reached set that a usable arc leaves;
+    the cut readout's check rejects either, which the passive
+    differential must catch.
+    """
+    from ..flow import array
+
+    def stale(network, indptr, arcs, heads, forward):  # type: ignore[no-untyped-def]
+        return None
+
+    return _rebound(array, "_refresh_heads", stale)
 
 
 def _dinic_reverse_arc_dropped() -> ContextManager[None]:
@@ -249,6 +273,7 @@ MUTANTS: Dict[str, Callable[[], ContextManager[None]]] = {
     "edge_box_strict": _edge_box_strict,
     "dinic_prune_off_by_one": _dinic_prune_off_by_one,
     "dinic_reverse_arc_dropped": _dinic_reverse_arc_dropped,
+    "dinic_stale_sentinel": _dinic_stale_sentinel,
     "capacity_plus_one": _capacity_plus_one,
     "matching_last_free": _matching_last_free,
     "classify_strict_ties": _classify_strict_ties,

@@ -147,6 +147,36 @@ def _first_fit_chains(ys: Sequence[float], indices: Sequence[int]) -> List[List[
     return chains
 
 
+def _xy_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``np.lexsort((ys, xs))``: ascending ``x``, then ``y``, then index.
+
+    An unstable ``argsort`` of ``xs`` alone, with only the runs of tied
+    ``x`` re-sorted by ``(y, index)``.  On continuous coordinates few
+    points tie, so this costs one single-key sort where ``lexsort`` pays
+    an indirect stable sort per key.  ``-0.0`` ties with ``0.0`` and
+    ``±inf`` with itself, as in ``lexsort``; NaN is not allowed.
+    """
+    order = np.argsort(xs)
+    sorted_xs = xs[order]
+    tied = sorted_xs[1:] == sorted_xs[:-1]
+    if not tied.any():
+        return order
+    # Positions inside a run of equal x: tied with a neighbour either side.
+    in_run = np.zeros(len(xs), dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    spots = np.flatnonzero(in_run)
+    # A run starts where x differs from the previous sorted x.  Runs number
+    # upwards along the sorted order, so sorting by run first leaves every
+    # run where it was.
+    starts = np.ones(len(spots), dtype=bool)
+    starts[1:] = ~tied[spots[1:] - 1]
+    runs = np.cumsum(starts)
+    members = order[spots]
+    order[spots] = members[np.lexsort((members, ys[members], runs))]
+    return order
+
+
 def patience_chain_decomposition(points: PointSet) -> ChainDecomposition:
     """Exact minimum chain decomposition for ``d <= 2``.
 
@@ -184,7 +214,7 @@ def patience_chain_decomposition(points: PointSet) -> ChainDecomposition:
 
     xs = points.coords[:, 0]
     ys = points.coords[:, 1]
-    order = np.lexsort((ys, xs))  # ascending x, ties by ascending y
+    order = _xy_order(xs, ys)  # ascending x, ties by ascending y
     rest_ys = ys[order]
     peeled: List[List[int]] = []
     while len(order):

@@ -20,6 +20,7 @@ from repro.poset.chains import (
     minimum_chain_decomposition,
     patience_chain_decomposition,
 )
+from repro.poset.chains import _xy_order
 from repro.poset.width import brute_force_width
 
 
@@ -154,6 +155,36 @@ class TestPatienceDecomposition:
         assert reg.counter_value("poset.patience.peeled_points") == peeled
         assert d.num_chains == len(sizes)
         assert d.chains == _reference_patience(ps)
+
+
+#: Tie-heavy coordinates: signed zeros, infinities and a few repeats.
+_TIE_VALUES = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf])
+
+
+@st.composite
+def _coordinate_pairs(draw):
+    n = draw(st.integers(0, 40))
+    value = st.one_of(_TIE_VALUES, st.floats(-3.0, 3.0))
+    xs = draw(st.lists(value, min_size=n, max_size=n))
+    ys = draw(st.lists(value, min_size=n, max_size=n))
+    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+
+
+class TestXYOrder:
+    """The patience sort order equals ``np.lexsort((ys, xs))``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_coordinate_pairs())
+    def test_equals_lexsort(self, pair):
+        xs, ys = pair
+        assert _xy_order(xs, ys).tolist() == np.lexsort((ys, xs)).tolist()
+
+    def test_all_tied_and_untied(self):
+        gen = np.random.default_rng(4)
+        ys = gen.random(500)
+        for xs in (np.zeros(500), -np.zeros(500), gen.random(500),
+                   gen.integers(0, 3, 500).astype(float)):
+            assert _xy_order(xs, ys).tolist() == np.lexsort((ys, xs)).tolist()
 
 
 class TestAutoDispatch:

@@ -1,7 +1,8 @@
 """Tests for the array-native flow engine (repro.flow.array).
 
 Covers the ``FlowNetwork.csr`` layout contract, bit-identity of
-``dinic_array`` with the loop-Dinic reference, the solver-equivalence
+``dinic_array`` with the loop-Dinic reference, its per-phase BFS levels
+and sentinel-parked forward arcs, the solver-equivalence
 suite of the production engine against that reference (random and
 epsilon-boundary instances plus the replayable corpus), and the cut
 readout — from its own sweep or from array Dinic's last BFS — against a
@@ -11,7 +12,8 @@ scalar reference BFS.
 from __future__ import annotations
 
 from collections import deque
-from typing import Set
+from typing import List, Set
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,8 +38,10 @@ from repro.flow import (
     min_cut_from_residual,
     solve_min_cut,
 )
+from repro.flow import array
 from repro.flow.array import dinic_array_solve
 from repro.flow.graph import MIN_MEAN_RUN, tail_order
+from repro.flow.mincut import _residual_reach
 from repro.fuzz.corpus import iter_corpus, load_reproducer
 from repro.fuzz.generators import random_flow_network
 from repro.obs import metrics_session
@@ -84,6 +88,25 @@ def _scalar_min_cut(network: FlowNetwork, source: int, sink: int,
         and not has_residual(arc.capacity - arc.flow)
     ]
     return MinCut(flow_value, reachable, cut_arcs)
+
+
+def _reference_levels(network: FlowNetwork, source: int,
+                      sink: int) -> List[int]:
+    """Scalar BFS distances over usable residual arcs, cut off past the
+    sink's depth (``-1`` there and for unreachable vertices)."""
+    level = [-1] * network.num_nodes
+    level[source] = 0
+    queue: deque = deque([source])
+    while queue:
+        u = queue.popleft()
+        for arc in network.adjacency[u]:
+            v = int(network.heads[arc])
+            if level[v] < 0 and has_residual(network.residual(arc)):
+                level[v] = level[u] + 1
+                queue.append(v)
+    if level[sink] >= 0:
+        level = [d if d <= level[sink] else -1 for d in level]
+    return level
 
 
 class TestFlowNetworkCSR:
@@ -286,6 +309,77 @@ class TestDinicArrayBitIdentity:
             assert dinic_array_max_flow(array_net, 0, 59) == \
                 dinic_max_flow(loop_net, 0, 59)
             assert array_net.flows.tolist() == loop_net.flows.tolist()
+
+
+class TestLevelGraph:
+    """The marked-frontier BFS over the sentinel-headed forward CSR."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pruning_flow_networks())
+    def test_every_phase_levels_equal_reference_bfs(self, case):
+        """Each BFS, the final one included, assigns the scalar BFS's
+        distances on the residual state the phase starts from."""
+        network, source, sink = case
+        original = array._level_graph
+        checked: List[int] = []
+
+        def compared(parts, num_nodes, src, snk):  # type: ignore[no-untyped-def]
+            level, layers = original(parts, num_nodes, src, snk)
+            assert level[:num_nodes].tolist() == \
+                _reference_levels(network, src, snk)
+            checked.append(int(level[snk]))
+            return level, layers
+
+        loop_net = _clone(network)
+        with mock.patch.object(array, "_level_graph", compared):
+            value = dinic_array_max_flow(network, source, sink)
+        assert value == dinic_max_flow(loop_net, source, sink)
+        assert checked and checked[-1] == -1
+        assert checked[:-1] == sorted(checked[:-1])
+
+    def test_sentinel_set_then_cleared(self):
+        """Phase 1 saturates 1 -> 2; phase 2 pushes it back across the
+        reverse arc 2 -> 1, so its head is the sentinel for exactly one
+        BFS and real again in the last."""
+        net = FlowNetwork(6)
+        for u, v in [(0, 1), (1, 2), (2, 5), (1, 4), (4, 5), (0, 3), (3, 2)]:
+            net.add_edge(u, v, 1.0)
+        loop_net = _clone(net)
+        original = array._level_graph
+        heads: List[int] = []
+
+        def spied(parts, num_nodes, src, snk):  # type: ignore[no-untyped-def]
+            _indptr, arcs, forward_heads = parts[0]
+            position = int(np.flatnonzero(arcs == 2)[0])
+            heads.append(int(forward_heads[position]))
+            return original(parts, num_nodes, src, snk)
+
+        with mock.patch.object(array, "_level_graph", spied), \
+                metrics_session() as reg:
+            value, reached = dinic_array_solve(net, 0, 5)
+        assert heads == [2, 6, 2]
+        assert value == dinic_max_flow(loop_net, 0, 5) == 2.0
+        assert net.flows.tobytes() == loop_net.flows.tobytes()
+        assert net.flows[2] == 0.0  # the arc is free again
+        assert np.flatnonzero(reached).tolist() == [0]
+        assert reg.counter_value("flow.dinic_array.phases") == 2
+        assert reg.counter_value("flow.dinic_array.pushes") == 3 + 5
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reached_equals_residual_reach(self, seed):
+        size = 20 + 7 * seed
+        net = random_flow_network(size, 0.15, seed=seed)
+        value, reached = dinic_array_solve(net, 0, size - 1)
+        assert value == dinic_max_flow(_clone(net), 0, size - 1)
+        assert reached.tobytes() == _residual_reach(net, 0).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(multigraph_flow_networks())
+    def test_reached_equals_residual_reach_on_multigraphs(self, case):
+        network, source, sink = case
+        _value, reached = dinic_array_solve(network, source, sink)
+        assert reached.tobytes() == \
+            _residual_reach(network, source).tobytes()
 
 
 class TestSolverEquivalence:

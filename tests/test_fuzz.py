@@ -181,6 +181,7 @@ class TestStructureCheck:
         original_peel = chains._peel_mask
         original_prune = array._sink_reaching
         original_reverse = array._reverse_adjacency
+        original_refresh = array._refresh_heads
         original_dominance = classifier.pairwise_weak_dominance
         original_box = pairwise._box_candidates
         original_inf = passive._effective_infinity
@@ -206,6 +207,9 @@ class TestStructureCheck:
         with apply_mutant("dinic_reverse_arc_dropped"):
             assert array._reverse_adjacency is not original_reverse
             assert array._sink_reaching is original_prune
+        with apply_mutant("dinic_stale_sentinel"):
+            assert array._refresh_heads is not original_refresh
+            assert array._reverse_adjacency is original_reverse
         with apply_mutant("patience_peel_strict"):
             assert chains._peel_mask is not original_peel
             assert bitset._greedy_first_phase is original_greedy
@@ -224,6 +228,7 @@ class TestStructureCheck:
         assert pairwise._box_candidates is original_box
         assert array._sink_reaching is original_prune
         assert array._reverse_adjacency is original_reverse
+        assert array._refresh_heads is original_refresh
         assert classifier._minimal_anchors is original_anchors
 
     def test_unknown_mutant_rejected(self):
@@ -412,6 +417,16 @@ class TestMutantSelfTest:
         # from its BFS, so the reached set it hands over is not closed;
         # the cut readout's closure check must reject it.
         report = run_fuzz(runs=8, seed=3, mutant="dinic_reverse_arc_dropped",
+                          shrink=False)
+        assert not report.ok, "mutant was not detected"
+        assert any("flow is not maximum" in d.detail
+                   for _family, _run, d in report.findings)
+
+    def test_stale_sentinel_mutant_is_detected(self):
+        # Without the per-phase refresh, saturated forward arcs keep their
+        # heads and freed ones stay parked, so a BFS level graph is wrong;
+        # the cut readout's check must catch the short flow.
+        report = run_fuzz(runs=8, seed=3, mutant="dinic_stale_sentinel",
                           shrink=False)
         assert not report.ok, "mutant was not detected"
         assert any("flow is not maximum" in d.detail
