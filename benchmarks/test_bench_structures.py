@@ -2,7 +2,7 @@
 
 Not tied to a single paper table; they quantify the engineering choices
 called out in DESIGN.md (patience vs matching decomposition, sweepline vs
-matrix contending mask, incremental vs batch 1-D threshold solving).
+matrix contending mask, the prefix-sum batch 1-D threshold solver).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import PointSet
-from repro.core.errindex import ThresholdErrorIndex
 from repro.core.passive import contending_mask
 from repro.core.passive_1d import best_threshold
 from repro.datasets.synthetic import width_controlled
@@ -42,26 +41,8 @@ def test_contending_mask_fast_path(benchmark, path):
     benchmark.extra_info.update({"path": path, "contending": int(mask.sum())})
 
 
-def test_incremental_threshold_index(benchmark):
-    """O(log n) streaming updates vs repeated batch re-solves."""
-    gen = np.random.default_rng(2)
-    values = gen.random(5_000)
-    labels = (values > 0.5).astype(int)
-
-    def stream():
-        index = ThresholdErrorIndex(values)
-        for v, l in zip(values, labels):
-            index.insert(float(v), int(l))
-        return index.best()
-
-    tau, err = benchmark(stream)
-    _tau2, expected = best_threshold(values, labels)
-    assert err == pytest.approx(expected)
-    benchmark.extra_info["n"] = 5_000
-
-
 def test_batch_threshold_resolve(benchmark):
-    """The numpy batch solver, for contrast with the incremental index."""
+    """The numpy prefix-sum solver the 1-D recursion evaluates thresholds with."""
     gen = np.random.default_rng(2)
     values = gen.random(5_000)
     labels = (values > 0.5).astype(int)

@@ -11,11 +11,9 @@ disagrees with the ground truth.
 Run:  python examples/record_linkage.py
 """
 
-from repro import error_count, solve_passive
-from repro._util import format_table
+from repro import solve_passive
 from repro.core.validation import conflict_matching_lower_bound
 from repro.datasets.records import generate_record_linkage
-from repro.evaluation import holdout_evaluation
 from repro.poset import dominance_width
 
 
@@ -50,15 +48,6 @@ def main() -> None:
     print(f"\nexact monotone optimum k* = {result.optimal_error:.0f} "
           f"(certified lower bound {lower:.0f}) — typos and namesakes make "
           "a perfect monotone matcher impossible")
-
-    report = holdout_evaluation(points, test_fraction=0.25, rng=22)
-    print(format_table([{
-        "split": "train", **{k: round(v, 3) for k, v in
-                             report.train_metrics.items()},
-    }, {
-        "split": "held-out", **{k: round(v, 3) for k, v in
-                                report.test_metrics.items()},
-    }]))
 
     # What does the matcher get wrong?  Mostly namesakes.
     wrong = [i for i in range(points.n)

@@ -87,13 +87,7 @@ from .core.budgeted import (
     choose_epsilon_for_budget,
 )
 from .core.callback_oracle import CallbackOracle
-from .core.errindex import OnlineThreshold1D, ThresholdErrorIndex
 from .core.repair import RepairReport, repair_labels
-from .core.exceptions_variant import (
-    ExceptionAugmentedClassifier,
-    exception_error,
-    with_exceptions,
-)
 from .core.validation import (
     AuditReport,
     audit_active_result,
@@ -106,12 +100,6 @@ from .poset import (
     maximum_antichain,
     minimum_chain_decomposition,
 )
-from .evaluation import (
-    classification_metrics,
-    cross_validate,
-    holdout_evaluation,
-    train_test_split,
-)
 from .resilience import (
     FaultSpec,
     FaultyOracle,
@@ -120,7 +108,6 @@ from .resilience import (
     RetryPolicy,
     RunReport,
 )
-from .serialization import load_classifier, save_classifier
 from .stats import SamplingPlan
 
 __version__ = "1.0.0"
@@ -161,17 +148,10 @@ __all__ = [
     "optimal_error_of_family_input",
     "theoretical_totalcost",
     "theoretical_nonoptcnt_lower_bound",
-    "ThresholdErrorIndex",
-    "OnlineThreshold1D",
-    "ExceptionAugmentedClassifier",
-    "with_exceptions",
-    "exception_error",
     "AuditReport",
     "audit_passive_result",
     "audit_active_result",
     "conflict_matching_lower_bound",
-    "save_classifier",
-    "load_classifier",
     "BudgetedResult",
     "active_classify_budgeted",
     "choose_epsilon_for_budget",
@@ -179,10 +159,6 @@ __all__ = [
     "explain_rejection",
     "decision_boundary_1d",
     "boundary_staircase_2d",
-    "train_test_split",
-    "classification_metrics",
-    "holdout_evaluation",
-    "cross_validate",
     "CallbackOracle",
     "RepairReport",
     "repair_labels",

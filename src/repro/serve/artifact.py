@@ -4,7 +4,8 @@ A *model artifact* is the unit of deployment for the serving layer: a
 single JSON file holding a fitted classifier together with everything a
 server needs to answer queries and to degrade gracefully when it cannot:
 
-* the primary classifier (any family :mod:`repro.serialization` handles);
+* the primary classifier (a constant, threshold or upset classifier,
+  encoded by :func:`classifier_to_dict`);
 * an optional *fallback* classifier — typically the trivial majority
   baseline recorded at fit time — served, flagged as degraded, when the
   primary is unloadable;
@@ -13,7 +14,8 @@ server needs to answer queries and to degrade gracefully when it cannot:
   what was deployed.  Fits write ``"chains": null``; older artifacts that
   embed the chain decomposition still load (``repro width`` reports it).
 
-The envelope is versioned and checksummed::
+This module owns the whole on-disk format.  The envelope is versioned and
+checksummed::
 
     {"magic": "repro-model-artifact", "schema_version": 1,
      "digest": "<sha256 of the canonical body JSON>", "body": {...}}
@@ -33,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,20 +44,22 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from .._util import PathLike, atomic_write_text
-from ..core.classifier import ConstantClassifier
+from ..core.classifier import (
+    ConstantClassifier,
+    MonotoneClassifier,
+    ThresholdClassifier,
+    UpsetClassifier,
+)
 from ..core.points import PointSet
 from ..obs import recorder
-from ..serialization import (
-    AnyClassifier,
-    classifier_from_dict,
-    classifier_to_dict,
-)
 
 __all__ = [
     "ARTIFACT_MAGIC",
     "ARTIFACT_SCHEMA_VERSION",
     "ModelArtifact",
     "artifact_digest",
+    "classifier_from_dict",
+    "classifier_to_dict",
     "fit_artifact",
     "load_artifact",
     "quarantine_artifact",
@@ -65,8 +70,85 @@ __all__ = [
 ARTIFACT_MAGIC = "repro-model-artifact"
 ARTIFACT_SCHEMA_VERSION = 1
 
+#: Version tag inside every classifier payload of an artifact body.
+_CLASSIFIER_FORMAT_VERSION = 1
+
 #: Cap on quarantine-name probing; beyond this the oldest slot is reused.
 _MAX_QUARANTINE_SLOTS = 64
+
+
+def classifier_to_dict(classifier: MonotoneClassifier) -> Dict[str, Any]:
+    """Encode a classifier as the JSON-safe payload an artifact body holds.
+
+    ``+/-inf`` thresholds are written as the strings ``"inf"`` / ``"-inf"``
+    because JSON has no infinities.
+    """
+    payload: Dict[str, Any]
+    if isinstance(classifier, ConstantClassifier):
+        payload = {"kind": "constant", "value": classifier.value}
+    elif isinstance(classifier, ThresholdClassifier):
+        tau: Any = classifier.tau
+        if math.isinf(tau):
+            tau = "inf" if tau > 0 else "-inf"
+        payload = {"kind": "threshold", "tau": tau, "dim": classifier.dim}
+    elif isinstance(classifier, UpsetClassifier):
+        payload = {
+            "kind": "upset",
+            "dim": int(classifier.anchors.shape[1]),
+            "anchors": classifier.anchors.tolist(),
+        }
+    else:
+        raise TypeError(f"cannot serialize classifier of type {type(classifier)!r}")
+    payload["format_version"] = _CLASSIFIER_FORMAT_VERSION
+    return payload
+
+
+def classifier_from_dict(payload: Any) -> MonotoneClassifier:
+    """Decode a :func:`classifier_to_dict` payload.
+
+    Fields are taken as stored, never coerced: ``value`` is the JSON
+    integer 0 or 1, ``dim`` a JSON integer >= 0 (an upset's equals its
+    anchors' column count), and ``tau`` a number or ``"inf"`` / ``"-inf"``.
+    Every structural problem raises ``ValueError``, so callers treat
+    hostile bytes as a single exception type.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"classifier payload must be an object, got {type(payload).__name__}"
+        )
+    version = payload.get("format_version")
+    if version != _CLASSIFIER_FORMAT_VERSION:
+        raise ValueError(f"unsupported classifier format version: {version!r}")
+    kind = payload.get("kind")
+    if kind not in ("constant", "threshold", "upset"):
+        raise ValueError(f"unknown classifier kind: {kind!r}")
+    try:
+        # Exact type tests, as in _chains_from_body: a bool is not an int.
+        if kind == "constant":
+            value = payload["value"]
+            if type(value) is not int or value not in (0, 1):
+                raise ValueError("'value' must be the JSON integer 0 or 1")
+            return ConstantClassifier(value)
+        dim = payload["dim"]
+        if type(dim) is not int or dim < 0:
+            raise ValueError("'dim' must be a JSON integer >= 0")
+        if kind == "threshold":
+            tau = payload["tau"]
+            number = isinstance(tau, (int, float)) and not isinstance(tau, bool)
+            if not number and tau not in ("inf", "-inf"):
+                raise ValueError("'tau' must be a number or 'inf' / '-inf'")
+            return ThresholdClassifier(float(tau), dim=dim)
+        anchors = payload["anchors"]
+        if not isinstance(anchors, list):
+            raise ValueError("'anchors' must be a list")
+        upset = UpsetClassifier(anchors, dim=dim)
+        if upset.anchors.shape[1] != dim:
+            raise ValueError(
+                f"'dim' is {dim} but the anchors have {upset.anchors.shape[1]} columns"
+            )
+        return upset
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed {kind!r} classifier payload: {exc!r}") from None
 
 
 @dataclass
@@ -101,8 +183,8 @@ class ModelArtifact:
         and takes no part in ``body()``, equality or ``repr``.
     """
 
-    classifier: AnyClassifier
-    fallback: Optional[AnyClassifier] = None
+    classifier: MonotoneClassifier
+    fallback: Optional[MonotoneClassifier] = None
     fit: Dict[str, Any] = field(default_factory=dict)
     chains: Optional[List[List[int]]] = None
     certificate: Optional[Dict[str, Any]] = None
@@ -184,10 +266,9 @@ def load_artifact(path: PathLike) -> ModelArtifact:
     rec = recorder()
     try:
         raw = path.read_text()
+        envelope = json.loads(raw)
     except OSError as exc:
         raise ValueError(f"{path}: cannot read artifact: {exc}") from None
-    try:
-        envelope = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         _count_reject(rec)
         raise ValueError(f"{path}: not parseable as JSON: {exc}") from None
@@ -239,9 +320,9 @@ def _count_reject(rec: Any) -> None:
 
 def _artifact_from_body(body: Dict[str, Any]) -> ModelArtifact:
     """Decode a verified body; raises bare ``ValueError`` on bad structure."""
-    classifier = classifier_from_dict(body.get("classifier"))  # type: ignore[arg-type]
+    classifier = classifier_from_dict(body.get("classifier"))
     fallback_doc = body.get("fallback")
-    fallback: Optional[AnyClassifier] = None
+    fallback: Optional[MonotoneClassifier] = None
     if fallback_doc is not None:
         fallback = classifier_from_dict(fallback_doc)
     fit = body.get("fit")
@@ -369,7 +450,7 @@ def fit_artifact(
         "dim": int(points.dim),
     }
     certificate: Optional[Dict[str, Any]] = None
-    classifier: AnyClassifier
+    classifier: MonotoneClassifier
     if mode == "passive":
         from ..core.passive import solve_passive
 

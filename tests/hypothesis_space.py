@@ -1,4 +1,4 @@
-"""The hypothesis space of monotone classifiers over a finite point set.
+"""Exhaustive test oracle: the hypothesis space of monotone classifiers.
 
 Section 3 of the paper works with the *effective* 1-D classifiers
 ``H_mono(P) = { h^tau : tau in P or tau = -inf }`` (eq. (7)): every other
@@ -14,7 +14,8 @@ materializes that notion and its multi-dimensional analogue:
 * :func:`count_monotone_assignments` — the number of such assignments
   (the poset's Dedekind problem), via memoized recursion.
 
-Tests use these as independent oracles for the passive solvers.
+Tests use these as independent oracles for the passive solvers; no
+pipeline stage runs them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from .points import PointSet
+from repro import PointSet
 
 __all__ = [
     "effective_thresholds",

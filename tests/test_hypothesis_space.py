@@ -1,4 +1,4 @@
-"""Tests for hypothesis-space enumeration (repro.core.hypothesis_space)."""
+"""Tests for the hypothesis-space enumeration oracle (tests/hypothesis_space.py)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PointSet, ThresholdClassifier, is_monotone_assignment, solve_passive
-from repro.core.hypothesis_space import (
+from .hypothesis_space import (
     count_monotone_assignments,
     effective_thresholds,
     enumerate_monotone_assignments,

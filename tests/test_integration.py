@@ -18,15 +18,13 @@ from repro import (
     audit_active_result,
     audit_passive_result,
     error_count,
-    load_classifier,
-    save_classifier,
     solve_passive,
-    with_exceptions,
 )
 from repro.cli import main as cli_main
 from repro.datasets.synthetic import planted_monotone, width_controlled
 from repro.experiments._common import chainwise_optimum
 from repro.io import load_csv, save_csv
+from repro.serve.artifact import ModelArtifact, load_artifact, save_artifact
 
 
 class TestFullPipelines:
@@ -50,22 +48,10 @@ class TestFullPipelines:
         result = active_classify(points.with_hidden_labels(), oracle,
                                  epsilon=0.5, rng=2)
         path = tmp_path / "model.json"
-        save_classifier(result.classifier, path)
-        served = load_classifier(path)
+        save_artifact(ModelArtifact(result.classifier), path)
+        served = load_artifact(path).classifier
         assert (served.classify_set(points)
                 == result.classifier.classify_set(points)).all()
-
-    def test_train_with_exceptions_serialize_serve(self, tmp_path):
-        points = width_controlled(1_500, 3, noise=0.1, rng=3)
-        oracle = LabelOracle(points)
-        result = active_classify(points.with_hidden_labels(), oracle,
-                                 epsilon=0.5, rng=4)
-        augmented = with_exceptions(result.classifier, points, oracle)
-        path = tmp_path / "model.json"
-        save_classifier(augmented, path)
-        served = load_classifier(path)
-        assert (served.classify_set(points)
-                == augmented.classify_set(points)).all()
 
     def test_cli_generate_then_active_then_audit(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -116,8 +102,8 @@ class TestFailureInjection:
     def test_corrupt_model_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"kind": "threshold"}')
-        with pytest.raises(ValueError):
-            load_classifier(path)
+        with pytest.raises(ValueError, match=str(path)):
+            load_artifact(path)
 
     def test_oracle_ground_truth_mismatch_is_detectable(self):
         """Auditing against the wrong oracle flags the label check."""

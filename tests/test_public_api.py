@@ -35,8 +35,7 @@ class TestExports:
         modules = [
             "repro.core", "repro.poset", "repro.flow", "repro.stats",
             "repro.baselines", "repro.datasets", "repro.experiments",
-            "repro.io", "repro.viz", "repro.cli", "repro.serialization",
-            "repro.evaluation",
+            "repro.io", "repro.viz", "repro.cli",
         ]
         for name in modules:
             module = importlib.import_module(name)

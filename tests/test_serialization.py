@@ -1,6 +1,13 @@
-"""Tests for classifier serialization (repro.serialization)."""
+"""Tests for the classifier codec and its on-disk form, the model artifact.
+
+``classifier_to_dict`` / ``classifier_from_dict`` (``repro.serve.artifact``)
+encode the classifier payloads an artifact body holds; ``save_artifact`` /
+``load_artifact`` are the only way a classifier reaches or leaves disk.
+"""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -10,17 +17,27 @@ from repro import (
     ThresholdClassifier,
     UpsetClassifier,
 )
-from repro.core.exceptions_variant import ExceptionAugmentedClassifier
-from repro.serialization import (
+from repro.serve.artifact import (
+    ModelArtifact,
+    artifact_digest,
     classifier_from_dict,
     classifier_to_dict,
-    load_classifier,
-    save_classifier,
+    fit_artifact,
+    load_artifact,
+    save_artifact,
 )
 
 
 def _predictions_match(a, b, coords):
     return (a.classify_matrix(coords) == b.classify_matrix(coords)).all()
+
+
+def _round_trip(classifier, path):
+    """Save ``classifier`` as an artifact at ``path`` and load it back."""
+    save_artifact(ModelArtifact(classifier=classifier), path)
+    loaded = load_artifact(path).classifier
+    assert classifier_to_dict(loaded) == classifier_to_dict(classifier)
+    return loaded
 
 
 @pytest.fixture
@@ -31,53 +48,35 @@ def probe_coords(rng):
 class TestRoundTrips:
     def test_constant(self, tmp_path):
         for value in (0, 1):
-            path = tmp_path / f"c{value}.json"
-            save_classifier(ConstantClassifier(value), path)
-            loaded = load_classifier(path)
+            loaded = _round_trip(ConstantClassifier(value),
+                                 tmp_path / f"c{value}.json")
             assert isinstance(loaded, ConstantClassifier)
             assert loaded.value == value
 
     def test_threshold(self, tmp_path, probe_coords):
         h = ThresholdClassifier(0.37, dim=1)
-        path = tmp_path / "t.json"
-        save_classifier(h, path)
-        loaded = load_classifier(path)
+        loaded = _round_trip(h, tmp_path / "t.json")
         assert loaded.tau == 0.37 and loaded.dim == 1
         assert _predictions_match(h, loaded, probe_coords)
 
     def test_threshold_infinities(self, tmp_path):
         for tau in (float("inf"), float("-inf")):
-            path = tmp_path / "inf.json"
-            save_classifier(ThresholdClassifier(tau), path)
-            assert load_classifier(path).tau == tau
+            assert _round_trip(ThresholdClassifier(tau),
+                               tmp_path / "inf.json").tau == tau
 
     def test_upset(self, tmp_path, probe_coords):
         h = UpsetClassifier([(0.2, 0.8), (0.7, 0.1)])
-        path = tmp_path / "u.json"
-        save_classifier(h, path)
-        loaded = load_classifier(path)
+        loaded = _round_trip(h, tmp_path / "u.json")
         assert isinstance(loaded, UpsetClassifier)
         assert loaded.num_anchors == 2
         assert _predictions_match(h, loaded, probe_coords)
 
     def test_empty_upset(self, tmp_path, probe_coords):
         h = UpsetClassifier([], dim=2)
-        path = tmp_path / "u0.json"
-        save_classifier(h, path)
-        loaded = load_classifier(path)
+        loaded = _round_trip(h, tmp_path / "u0.json")
         assert loaded.num_anchors == 0
+        assert loaded.anchors.shape == (0, 2)
         assert _predictions_match(h, loaded, probe_coords)
-
-    def test_with_exceptions(self, tmp_path, probe_coords):
-        base = ThresholdClassifier(0.5)
-        h = ExceptionAugmentedClassifier(base, {(0.25, 0.25): 1, (0.75, 0.75): 0})
-        path = tmp_path / "e.json"
-        save_classifier(h, path)
-        loaded = load_classifier(path)
-        assert isinstance(loaded, ExceptionAugmentedClassifier)
-        assert loaded.num_exceptions == 2
-        coords = np.array([[0.25, 0.25], [0.75, 0.75], [0.9, 0.9]])
-        assert (h.classify_matrix(coords) == loaded.classify_matrix(coords)).all()
 
 
 class TestValidation:
@@ -98,9 +97,25 @@ class TestValidation:
         with pytest.raises(TypeError):
             classifier_to_dict(Weird())
 
+    @pytest.mark.parametrize("classifier", [
+        ConstantClassifier(0),
+        ThresholdClassifier(2, dim=0),
+        ThresholdClassifier(-0.5, dim=3),
+        ThresholdClassifier(float("-inf"), dim=1),
+        UpsetClassifier([(0.5,), (0.25,)]),
+        UpsetClassifier([(1.0, 2.0, 3.0)]),
+        UpsetClassifier([], dim=0),
+        UpsetClassifier([], dim=4),
+    ], ids=repr)
+    def test_every_written_payload_loads(self, classifier):
+        """The strict decoder accepts everything the encoder writes."""
+        payload = json.loads(json.dumps(classifier_to_dict(classifier)))
+        loaded = classifier_from_dict(payload)
+        assert classifier_to_dict(loaded) == payload
+
 
 class TestHardenedBoundary:
-    """`load_classifier` is a strict validation boundary: hostile or
+    """`load_artifact` is a strict validation boundary: hostile or
     truncated bytes raise ValueError naming the file — never a raw
     TypeError/KeyError traceback — and writes are atomic."""
 
@@ -108,21 +123,30 @@ class TestHardenedBoundary:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match=str(path)):
-            load_classifier(path)
+            load_artifact(path)
 
     def test_non_object_document_names_file(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(ValueError, match=str(path)):
-            load_classifier(path)
+            load_artifact(path)
 
     def test_truncated_file_names_file(self, tmp_path):
         path = tmp_path / "t.json"
-        save_classifier(UpsetClassifier([(0.2, 0.8)]), path)
+        save_artifact(ModelArtifact(UpsetClassifier([(0.2, 0.8)])), path)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         with pytest.raises(ValueError, match=str(path)):
-            load_classifier(path)
+            load_artifact(path)
+
+    def test_bare_classifier_file_is_not_an_artifact(self, tmp_path):
+        """A bare classifier payload is not a loadable model file."""
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(
+            {"format_version": 1, "kind": "constant", "value": 1}))
+        with pytest.raises(ValueError, match="not a model artifact") as info:
+            load_artifact(path)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("payload", [
         {"format_version": 1, "kind": "constant"},            # missing value
@@ -131,44 +155,64 @@ class TestHardenedBoundary:
         {"format_version": 1, "kind": "upset", "anchors": 7, "dim": 2},
         {"format_version": 1, "kind": "upset",
          "anchors": [[0.1], [0.2, 0.3]], "dim": 2},           # ragged
-        {"format_version": 1, "kind": "with_exceptions",
-         "base": {"format_version": 1, "kind": "constant", "value": 0},
-         "exceptions": [{"coords": None, "label": 1}]},
-        {"format_version": 1, "kind": "with_exceptions",
-         "base": None, "exceptions": []},
+        # Fields are taken as stored, never coerced.
+        {"format_version": 1, "kind": "upset",
+         "anchors": [[0.1, 0.2, 0.3]], "dim": 2},             # dim mismatch
+        {"format_version": 1, "kind": "upset", "anchors": [], "dim": -2},
+        {"format_version": 1, "kind": "threshold", "tau": 0.5, "dim": -1},
+        {"format_version": 1, "kind": "threshold", "tau": 0.5, "dim": 1.7},
+        {"format_version": 1, "kind": "threshold", "tau": 0.5, "dim": True},
+        {"format_version": 1, "kind": "threshold", "tau": True, "dim": 0},
+        {"format_version": 1, "kind": "threshold", "tau": "0.5", "dim": 0},
+        {"format_version": 1, "kind": "threshold", "tau": 10 ** 400, "dim": 0},
+        {"format_version": 1, "kind": "constant", "value": 1.9},
+        {"format_version": 1, "kind": "constant", "value": "1"},
+        {"format_version": 1, "kind": "constant", "value": True},
     ])
     def test_structural_violations_raise_value_error(self, payload):
         with pytest.raises(ValueError):
             classifier_from_dict(payload)
 
+    def test_digest_valid_dim_mismatch_rejected(self, tmp_path):
+        """A well-digested artifact whose upset misstates its dim is
+        rejected at load, not served to fail every request."""
+        body = ModelArtifact(UpsetClassifier([(0.1, 0.2, 0.3)])).body()
+        body["classifier"]["dim"] = 2
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "magic": "repro-model-artifact", "schema_version": 1,
+            "digest": artifact_digest(body), "body": body,
+        }))
+        with pytest.raises(ValueError, match="'dim' is 2"):
+            load_artifact(path)
+
     def test_byte_mutation_regression(self, tmp_path, rng):
-        """Every byte-mutated classifier file either loads or raises a
-        clean ValueError — the same contract the fuzzer enforces."""
+        """Every byte-mutated artifact either loads or raises a clean
+        ValueError — the same contract the fuzzer enforces."""
         from repro.fuzz.generators import mutate_bytes
 
         source = tmp_path / "source.json"
-        save_classifier(
-            ExceptionAugmentedClassifier(
-                UpsetClassifier([(0.2, 0.8), (0.7, 0.1)]),
-                {(0.25, 0.25): 1}),
+        save_artifact(
+            ModelArtifact(UpsetClassifier([(0.2, 0.8), (0.7, 0.1)]),
+                          fallback=ConstantClassifier(1)),
             source)
         text = source.read_text()
         target = tmp_path / "mutated.json"
         for k in range(64):
             target.write_bytes(mutate_bytes(text, rng, mutations=1 + k % 4))
             try:
-                loaded = load_classifier(target)
+                loaded = load_artifact(target)
             except ValueError as exc:
                 assert str(target) in str(exc)
             else:
-                loaded.classify_matrix(np.zeros((1, 2)))
+                loaded.classifier.classify_matrix(np.zeros((1, 2)))
 
     def test_atomic_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         """A crash mid-write must leave the previous file intact."""
         import repro._util as util
 
         path = tmp_path / "c.json"
-        save_classifier(ConstantClassifier(1), path)
+        save_artifact(ModelArtifact(ConstantClassifier(1)), path)
 
         real_replace = util.os.replace
 
@@ -177,9 +221,9 @@ class TestHardenedBoundary:
 
         monkeypatch.setattr(util.os, "replace", exploding_replace)
         with pytest.raises(OSError):
-            save_classifier(ConstantClassifier(0), path)
+            save_artifact(ModelArtifact(ConstantClassifier(0)), path)
         monkeypatch.setattr(util.os, "replace", real_replace)
-        assert load_classifier(path).value == 1
+        assert load_artifact(path).classifier.value == 1
 
 
 class TestTrainedClassifierRoundTrip:
@@ -190,6 +234,6 @@ class TestTrainedClassifierRoundTrip:
         ps = planted_monotone(200, 2, noise=0.1, rng=5)
         result = solve_passive(ps)
         path = tmp_path / "trained.json"
-        save_classifier(result.classifier, path)
-        loaded = load_classifier(path)
+        save_artifact(fit_artifact(ps), path)
+        loaded = load_artifact(path).classifier
         assert (loaded.classify_set(ps) == result.assignment).all()

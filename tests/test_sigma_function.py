@@ -11,7 +11,7 @@ import pytest
 
 from repro import LabelOracle, ThresholdClassifier, error_count
 from repro.core.active_1d import SigmaErrorFunction, active_classify_1d
-from repro.core.hypothesis_space import effective_thresholds
+from .hypothesis_space import effective_thresholds
 from repro.datasets.synthetic import planted_threshold_1d
 
 

@@ -1,8 +1,8 @@
 """Stateful property-based tests (hypothesis RuleBasedStateMachine).
 
-These machines drive long random interaction sequences against the
-incremental structures, checking after every step that they agree with a
-trivially-correct reference model.
+The machine drives long random probe / restore / reset sequences against
+the label oracle, checking after every step that its accounting agrees
+with a trivially-correct reference model.
 """
 
 from __future__ import annotations
@@ -17,42 +17,6 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro import HIDDEN, LabelOracle, PointSet
-from repro.core.errindex import ThresholdErrorIndex
-from repro.core.passive_1d import best_threshold
-
-CANDIDATES = [float(v) for v in range(8)]
-
-
-class ThresholdIndexMachine(RuleBasedStateMachine):
-    """The segment-tree index must always match a brute-force re-solve."""
-
-    def __init__(self):
-        super().__init__()
-        self.index = ThresholdErrorIndex(CANDIDATES)
-        self.values: list = []
-        self.labels: list = []
-        self.weights: list = []
-
-    @rule(value=st.sampled_from(CANDIDATES), label=st.integers(0, 1),
-          weight=st.floats(0.1, 4.0))
-    def insert(self, value, label, weight):
-        self.index.insert(value, label, weight)
-        self.values.append(value)
-        self.labels.append(label)
-        self.weights.append(weight)
-
-    @invariant()
-    def minimum_matches_batch_solver(self):
-        if not self.values:
-            return
-        _tau, err = self.index.best()
-        _tau2, expected = best_threshold(self.values, self.labels, self.weights)
-        assert abs(err - expected) < 1e-9 * max(1.0, expected)
-
-    @invariant()
-    def accounting_consistent(self):
-        assert self.index.num_inserted == len(self.values)
-        assert abs(self.index.total_weight - sum(self.weights)) < 1e-9
 
 
 class OracleMachine(RuleBasedStateMachine):
@@ -109,10 +73,6 @@ class OracleMachine(RuleBasedStateMachine):
         for i in set(range(self.n)) - self.asked:
             assert revealed[i] == HIDDEN
 
-
-TestThresholdIndexMachine = ThresholdIndexMachine.TestCase
-TestThresholdIndexMachine.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None)
 
 TestOracleMachine = OracleMachine.TestCase
 TestOracleMachine.settings = settings(
