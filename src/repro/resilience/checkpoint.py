@@ -7,8 +7,9 @@ invariant is "never re-pay a probe".  Two artifacts deliver it:
   charged* reveal ``{"i": index, "l": label}`` as it happens (flushed and
   fsynced per line).  :class:`JournaledOracle` writes it transparently in
   front of any oracle; :func:`replay_journal` re-seeds a fresh oracle
-  from it, making already-paid probes free dedup hits on resume.  A
-  truncated final line (crash mid-write) is tolerated on load.
+  from it, making already-paid probes free dedup hits on resume.  The
+  file is a :mod:`repro._journal` journal: a torn tail (crash mid-write)
+  is skipped on load and cut off when the journal is reopened.
 * **Checkpoint snapshot** — a JSON document (written with
   :func:`repro._util.atomic_write_json`, so it is never observed
   half-written) holding the run's identity metadata plus the ``Σ_i``
@@ -28,11 +29,11 @@ resume.  Closing it would need the oracle itself to be transactional.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from .._journal import Journal, read_entries
 from .._util import PathLike, atomic_write_json
 from ..obs import recorder
 from .wrappers import OracleWrapper
@@ -54,21 +55,15 @@ def journal_path(checkpoint: PathLike) -> Path:
     return checkpoint.with_name(checkpoint.name + ".journal")
 
 
-def _truncate_torn_tail(path: Path) -> None:
-    """Cut a partial final line (a crash mid-append) back to the last newline.
-
-    Appending onto a torn line would merge the next entry into it, leaving
-    a corrupt line mid-file that :func:`read_journal` rejects.
-    """
-    if not path.exists():
-        return
-    with open(path, "rb+") as handle:
-        data = handle.read()
-        if not data or data.endswith(b"\n"):
-            return
-        handle.truncate(data.rfind(b"\n") + 1)
-        handle.flush()
-        os.fsync(handle.fileno())
+def _is_probe_entry(entry: Any) -> bool:
+    """A meta header, or a reveal taken as stored: ``i`` a JSON integer
+    and ``l`` the JSON integer 0 or 1 (a bool is neither)."""
+    if not isinstance(entry, dict):
+        return False
+    if "meta" in entry:
+        return True
+    label = entry.get("l")
+    return type(entry.get("i")) is int and type(label) is int and label in (0, 1)
 
 
 class JournaledOracle(OracleWrapper):
@@ -84,23 +79,11 @@ class JournaledOracle(OracleWrapper):
     def __init__(self, inner: Any, path: PathLike,
                  meta: Optional[Dict[str, Any]] = None) -> None:
         super().__init__(inner)
-        self._path = Path(path)
         self.appends = 0
-        _truncate_torn_tail(self._path)
-        fresh = not self._path.exists() or self._path.stat().st_size == 0
-        self._handle = open(self._path, "a", encoding="utf-8")
-        if fresh and meta is not None:
-            self._write_line({"meta": meta})
-
-    # ------------------------------------------------------------------
-
-    def _write_line(self, payload: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._log = Journal(path, _is_probe_entry, meta=meta)
 
     def _journal(self, index: int, label: int) -> None:
-        self._write_line({"i": int(index), "l": int(label)})
+        self._log.append({"i": int(index), "l": int(label)})
         self.appends += 1
         rec = recorder()
         if rec.enabled:
@@ -127,8 +110,7 @@ class JournaledOracle(OracleWrapper):
 
     def close(self) -> None:
         """Close the journal file handle (idempotent)."""
-        if not self._handle.closed:
-            self._handle.close()
+        self._log.close()
 
     def __enter__(self) -> "JournaledOracle":
         return self
@@ -137,38 +119,25 @@ class JournaledOracle(OracleWrapper):
         self.close()
 
     def __repr__(self) -> str:
-        return (f"JournaledOracle({self._inner!r}, path={str(self._path)!r}, "
+        return (f"JournaledOracle({self._inner!r}, path={str(self._log.path)!r}, "
                 f"appends={self.appends})")
 
 
 def read_journal(path: PathLike) -> Tuple[Optional[Dict[str, Any]], Dict[int, int]]:
     """Load ``(meta, revealed)`` from a probe journal.
 
-    Malformed trailing lines (a crash mid-append) are skipped; malformed
-    lines in the middle of the file are an error, because they mean the
-    journal was edited or corrupted rather than merely truncated.
+    A torn tail (a crash mid-append) is skipped; any other line that is
+    not a meta header or a reveal raises ``ValueError`` naming the file
+    and line, because it means the journal was edited or corrupted rather
+    than merely cut short.
     """
-    path = Path(path)
     meta: Optional[Dict[str, Any]] = None
     revealed: Dict[int, int] = {}
-    if not path.exists():
-        return meta, revealed
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            if lineno == len(lines) - 1:
-                break  # torn final append — expected crash artifact
-            raise ValueError(
-                f"corrupt probe journal {path}: bad line {lineno + 1}"
-            ) from None
+    for entry in read_entries(path, _is_probe_entry):
         if "meta" in entry:
             meta = entry["meta"]
         else:
-            revealed[int(entry["i"])] = int(entry["l"])
+            revealed[entry["i"]] = entry["l"]
     return meta, revealed
 
 

@@ -106,9 +106,11 @@ def classifier_to_dict(classifier: MonotoneClassifier) -> Dict[str, Any]:
 def classifier_from_dict(payload: Any) -> MonotoneClassifier:
     """Decode a :func:`classifier_to_dict` payload.
 
-    Fields are taken as stored, never coerced: ``value`` is the JSON
-    integer 0 or 1, ``dim`` a JSON integer >= 0 (an upset's equals its
-    anchors' column count), and ``tau`` a number or ``"inf"`` / ``"-inf"``.
+    Fields are taken as stored, never coerced: ``format_version`` is the
+    JSON integer 1, ``value`` the JSON integer 0 or 1, ``dim`` a JSON
+    integer >= 0 (an upset's equals its anchors' column count), every
+    anchor entry a JSON number, and ``tau`` a number or ``"inf"`` /
+    ``"-inf"``.
     Every structural problem raises ``ValueError``, so callers treat
     hostile bytes as a single exception type.
     """
@@ -117,7 +119,7 @@ def classifier_from_dict(payload: Any) -> MonotoneClassifier:
             f"classifier payload must be an object, got {type(payload).__name__}"
         )
     version = payload.get("format_version")
-    if version != _CLASSIFIER_FORMAT_VERSION:
+    if type(version) is not int or version != _CLASSIFIER_FORMAT_VERSION:
         raise ValueError(f"unsupported classifier format version: {version!r}")
     kind = payload.get("kind")
     if kind not in ("constant", "threshold", "upset"):
@@ -141,6 +143,8 @@ def classifier_from_dict(payload: Any) -> MonotoneClassifier:
         anchors = payload["anchors"]
         if not isinstance(anchors, list):
             raise ValueError("'anchors' must be a list")
+        if not set(map(type, itertools.chain.from_iterable(anchors))) <= {int, float}:
+            raise ValueError("'anchors' entries must be JSON numbers")
         upset = UpsetClassifier(anchors, dim=dim)
         if upset.anchors.shape[1] != dim:
             raise ValueError(

@@ -32,7 +32,6 @@ see ``docs/serving.md`` for the metric catalog and the operational flags.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import deque
@@ -43,6 +42,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._journal import Journal, read_entries, rotated_journal_segments
 from .._util import PathLike, as_float_matrix, atomic_write_text
 from ..core.classifier import ConstantClassifier, MonotoneClassifier
 from ..obs import recorder
@@ -166,165 +166,30 @@ class _Pending:
     deadline_at: Optional[float]
 
 
-def rotated_journal_segments(path: PathLike) -> List[Path]:
-    """Rotated segments paired with a journal path, oldest first.
-
-    Rotation names segments ``<journal>.1`` (most recently rotated) up
-    through ``<journal>.k`` (oldest retained), so the stitching order is
-    ``.k, ..., .1`` followed by the live file itself.
-    """
-    path = Path(path)
-    segments: List[Path] = []
-    k = 1
-    while True:
-        segment = path.with_name(f"{path.name}.{k}")
-        if not segment.exists():
-            break
-        segments.append(segment)
-        k += 1
-    segments.reverse()
-    return segments
-
-
-def _journal_entries(path: Path, tolerate_tail: bool) -> List[Dict[str, Any]]:
-    """Parse one journal file into entries, policing corruption.
-
-    A maximal *suffix* of malformed lines is tolerated when
-    ``tolerate_tail`` — a crash mid-append (or several crash/append
-    cycles in a row) can tear multiple trailing records, and none of
-    them ever happened.  A malformed line *followed by a valid one*
-    means the journal body itself is corrupt and raises ``ValueError``
-    naming the file, as does any malformed line in a rotated segment
-    (segments are only ever rotated between complete, fsynced lines).
-    """
-    lines = path.read_text(errors="replace").splitlines()
-    entries: List[Dict[str, Any]] = []
-    first_corrupt: Optional[int] = None
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            entry: Any = json.loads(line)
-        except json.JSONDecodeError:
-            entry = None
-        if not isinstance(entry, dict):
-            if first_corrupt is None:
-                first_corrupt = lineno
-            continue
-        if first_corrupt is not None:
-            raise ValueError(
-                f"{path}:{first_corrupt + 1}: corrupt journal line"
-            )
-        entries.append(entry)
-    if first_corrupt is not None and not tolerate_tail:
-        raise ValueError(f"{path}:{first_corrupt + 1}: corrupt journal line")
-    return entries
-
-
 def read_serve_journal(
     path: PathLike,
 ) -> Tuple[Optional[Dict[str, Any]], int, int, Optional[str]]:
     """Load ``(meta, last_seq, answered, last_model_digest)`` from a journal.
 
-    Rotated segments (``<journal>.1..k``, see :class:`_ServeJournal`)
-    are stitched in oldest-first order before the live file, so warm
-    restart accounting spans rotation boundaries.  A torn tail — one or
-    more truncated trailing lines from a crash mid-append — is tolerated
-    in the newest file; malformed lines anywhere else raise
-    ``ValueError`` naming the file, because they mean the journal itself
-    is corrupt rather than merely cut short.
+    Rotated segments (``<journal>.1..k``) are stitched in oldest-first
+    order before the live file, so warm restart accounting spans rotation
+    boundaries.  The journal is a :mod:`repro._journal` journal: a torn
+    tail of the newest file is skipped, and a malformed line anywhere
+    else raises ``ValueError`` naming the file and line.
     """
-    path = Path(path)
     meta: Optional[Dict[str, Any]] = None
     last_seq = -1
     answered = 0
     last_digest: Optional[str] = None
-    files = rotated_journal_segments(path)
-    if path.exists():
-        files.append(path)
-    for index, file in enumerate(files):
-        for entry in _journal_entries(file, tolerate_tail=index == len(files) - 1):
-            if "meta" in entry:
-                meta = entry["meta"]
-            elif "model" in entry:
-                last_digest = entry.get("model")
-            elif "seq" in entry:
-                last_seq = max(last_seq, int(entry["seq"]))
-                answered += 1
+    for entry in read_entries(path):
+        if "meta" in entry:
+            meta = entry["meta"]
+        elif "model" in entry:
+            last_digest = entry.get("model")
+        elif "seq" in entry:
+            last_seq = max(last_seq, int(entry["seq"]))
+            answered += 1
     return meta, last_seq, answered, last_digest
-
-
-class _ServeJournal:
-    """Append-only fsynced request journal (crash-safe accounting).
-
-    With ``max_bytes`` set the journal rotates: when an append would push
-    the live file past the cap it is renamed to ``<journal>.1`` (existing
-    segments shift to ``.2..k``, the oldest beyond ``keep_segments`` is
-    dropped) and a fresh live file starts with its own meta line, so every
-    segment is self-describing.  :func:`read_serve_journal` stitches the
-    retained segments back together.
-    """
-
-    def __init__(
-        self,
-        path: PathLike,
-        meta: Optional[Dict[str, Any]] = None,
-        max_bytes: Optional[int] = None,
-        keep_segments: int = 8,
-    ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1; got {max_bytes}")
-        if keep_segments < 1:
-            raise ValueError(f"keep_segments must be >= 1; got {keep_segments}")
-        self.path = Path(path)
-        self.max_bytes = max_bytes
-        self.keep_segments = int(keep_segments)
-        self._meta = meta
-        self.rotations = 0
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._size = self.path.stat().st_size
-        self.appends = 0
-        if fresh and meta is not None:
-            self.write({"meta": meta})
-
-    def write(self, payload: Dict[str, Any]) -> None:
-        line = json.dumps(payload, sort_keys=True) + "\n"
-        if (
-            self.max_bytes is not None
-            and self._size > 0
-            and self._size + len(line) > self.max_bytes
-        ):
-            self._rotate()
-        self._handle.write(line)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._size += len(line)
-        self.appends += 1
-        rec = recorder()
-        if rec.enabled:
-            rec.incr("serve.journal_appends")
-
-    def _rotate(self) -> None:
-        """Shift ``.k-1 -> .k`` (dropping the oldest), live ``-> .1``."""
-        self._handle.close()
-        for k in range(self.keep_segments - 1, 0, -1):
-            src = self.path.with_name(f"{self.path.name}.{k}")
-            if src.exists():
-                os.replace(src, self.path.with_name(f"{self.path.name}.{k + 1}"))
-        os.replace(self.path, self.path.with_name(f"{self.path.name}.1"))
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._size = 0
-        self.rotations += 1
-        rec = recorder()
-        if rec.enabled:
-            rec.incr("serve.journal_rotations")
-        if self._meta is not None:
-            self.write({"meta": self._meta})
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
 
 
 class ServeEngine:
@@ -417,9 +282,9 @@ class ServeEngine:
         self.shed = 0
         self.answered = 0
 
-        self._journal: Optional[_ServeJournal] = None
+        self._journal: Optional[Journal] = None
         if journal_path is not None:
-            self._journal = _ServeJournal(
+            self._journal = Journal(
                 journal_path,
                 meta={
                     "artifact_path": str(self.artifact_path),
@@ -428,6 +293,7 @@ class ServeEngine:
                 },
                 max_bytes=journal_max_bytes,
                 keep_segments=journal_keep,
+                metrics="serve.journal",
             )
 
     # ------------------------------------------------------------------
@@ -440,9 +306,10 @@ class ServeEngine:
     ) -> "ServeEngine":
         """Resume after a crash: continue the journal, reload last-good.
 
-        Reads the (possibly mid-append-truncated) journal, restores the
-        request sequence number past every answered request, and
-        constructs an engine that appends to the same journal.  The first
+        Reads the journal (skipping a torn tail left by a crash
+        mid-append), restores the request sequence number past every
+        answered request, and constructs an engine that appends to the
+        same journal, cutting the torn tail off first.  The first
         query then walks the normal load ladder — if the primary artifact
         was the casualty of the crash, the verified last-good copy (or
         the fallback) serves, flagged accordingly.
@@ -474,7 +341,7 @@ class ServeEngine:
         if artifact is not None and artifact.fallback is not None:
             self._embedded_fallback = artifact.fallback
         if self._journal is not None:
-            self._journal.write({"model": self.model_digest, "source": source})
+            self._journal.append({"model": self.model_digest, "source": source})
         rec = recorder()
         if rec.enabled:
             rec.incr("serve.installs")
@@ -689,7 +556,7 @@ class ServeEngine:
             request_id, status, self._source, labels, not verified, latency
         )
         if self._journal is not None:
-            self._journal.write(
+            self._journal.append(
                 {
                     "seq": request_id,
                     "n": int(len(labels)),

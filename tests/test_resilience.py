@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import time
 
@@ -339,10 +340,46 @@ class TestJournal:
         assert revealed == {i: int(truth.labels[i]) for i in (0, 1, 3, 4)}
         assert path.read_text(encoding="utf-8").endswith("\n")
 
+    @pytest.mark.parametrize("tail, kept", [
+        ('{"i": 2, "l"\n{"i": 3', {}),
+        ('{"i": 2}\n\n5', {}),
+        ('{"i": 2, "l": 1, "pad": "' + "x" * 5000, {}),  # beyond one tail read
+        ('{"i": 2, "l": 1}', {2: 1}),  # whole, only its newline lost
+    ])
+    def test_reopen_cuts_whole_torn_tail(self, tmp_path, tail, kept):
+        """Every trailing line that is not a record is torn, not just the
+        last one; reopening cuts them all before the next append."""
+        path = tmp_path / "torn.journal"
+        path.write_text('{"meta": {"n": 9}}\n{"i": 1, "l": 0}\n' + tail,
+                        encoding="utf-8")
+        assert read_journal(path) == ({"n": 9}, {1: 0, **kept})
+        truth = _truth()
+        with JournaledOracle(LabelOracle(truth), path,
+                             meta={"n": 9}) as journaled:
+            journaled.probe(4)
+        meta, revealed = read_journal(path)
+        assert meta == {"n": 9}
+        assert revealed == {1: 0, **kept, 4: int(truth.labels[4])}
+
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "corrupt.journal"
         path.write_text('not json\n{"i": 1, "l": 0}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="corrupt probe journal"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:1: corrupt journal line")):
+            read_journal(path)
+
+    @pytest.mark.parametrize("line", [
+        "5", "[1]", '{"x": 1}', '{"i": 1}', '{"i": true, "l": 0}',
+        '{"i": 1.0, "l": 0}', '{"i": 1, "l": 2}', '{"i": 1, "l": false}',
+    ])
+    def test_non_entry_line_raises_naming_file(self, tmp_path, line):
+        """Well-formed JSON that is not a reveal is corruption, taken as
+        stored like the artifact codec: ``i`` a non-bool JSON integer,
+        ``l`` the JSON integer 0 or 1."""
+        path = tmp_path / "odd.journal"
+        path.write_text(f'{line}\n{{"i": 2, "l": 1}}\n', encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:1: corrupt journal line")):
             read_journal(path)
 
     def test_restore_rejects_contradicting_label(self):

@@ -168,6 +168,12 @@ class TestHardenedBoundary:
         {"format_version": 1, "kind": "constant", "value": 1.9},
         {"format_version": 1, "kind": "constant", "value": "1"},
         {"format_version": 1, "kind": "constant", "value": True},
+        {"format_version": True, "kind": "constant", "value": 1},
+        {"format_version": 1.0, "kind": "constant", "value": 1},
+        {"format_version": 1, "kind": "upset",
+         "anchors": [["0.1", "0.2"]], "dim": 2},
+        {"format_version": 1, "kind": "upset",
+         "anchors": [[True, False]], "dim": 2},
     ])
     def test_structural_violations_raise_value_error(self, payload):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from repro.serve import (
     ARTIFACT_MAGIC,
     ARTIFACT_SCHEMA_VERSION,
     ModelArtifact,
+    ModelFleet,
     QueryResult,
     ServeEngine,
     ServeFaultSpec,
@@ -493,6 +494,23 @@ class TestServeMetrics:
         assert counters["serve.installs.primary"].value == 1
         assert "serve.request_seconds" in registry.timers
 
+    def test_every_journal_line_is_fsynced_and_timed(self, deployed,
+                                                     tmp_path, rng):
+        from repro import obs
+
+        registry = obs.MetricsRegistry("serve-test")
+        with obs.metrics_session(registry):
+            engine = ServeEngine(deployed, journal_path=tmp_path / "j",
+                                 journal_max_bytes=256)
+            for _ in range(6):
+                engine.classify_batch(rng.random((2, 2)))
+            engine.close()
+        lines = sum(len(path.read_text().splitlines()) for path in
+                    rotated_journal_segments(tmp_path / "j") + [tmp_path / "j"])
+        assert registry.counters["serve.journal_appends"].value == lines
+        assert registry.counters["serve.journal_rotations"].value >= 1
+        assert registry.timers["journal.fsync_seconds"].count == lines
+
 
 class TestLastGoodCopy:
     """The last-good copy is the verified primary's bytes, written only
@@ -865,6 +883,47 @@ class TestTornTail:
         result = restarted.classify_batch(rng.random((3, 2)))
         assert result.ok and result.request_id == 4
         restarted.close()
+
+    @pytest.mark.parametrize("cut", [3, 11, 23])
+    def test_torn_tail_survives_two_warm_restarts(self, deployed, tmp_path,
+                                                  rng, cut):
+        """Reopening cuts the torn tail off: appending onto it would merge
+        the next record into it, and the second restart's read would find
+        a corrupt line followed by valid ones."""
+        journal = tmp_path / "serve.journal"
+        engine = ServeEngine(deployed, journal_path=journal)
+        for _ in range(4):
+            engine.classify_batch(rng.random((3, 2)))
+        engine.abandon()
+        with open(journal, "a") as handle:
+            handle.write('{"seq": 4, "n": 3, "status": "ok"}'[:cut])
+        first = ServeEngine.warm_restart(deployed, journal)
+        for _ in range(2):
+            assert first.classify_batch(rng.random((3, 2))).ok
+        first.abandon()
+        second = ServeEngine.warm_restart(deployed, journal)
+        assert second.resumed_requests == 6
+        assert read_serve_journal(journal)[1:3] == (5, 6)
+        assert second.classify_batch(rng.random((3, 2))).request_id == 6
+        second.close()
+
+    @pytest.mark.parametrize("cut", [3, 11, 23])
+    def test_torn_fleet_journal_keeps_model_loadable(self, deployed, tmp_path,
+                                                     rng, cut):
+        journals = tmp_path / "journals"
+        journal = journals / "m.journal.jsonl"
+        with ModelFleet({"m": deployed}, journal_dir=journals) as fleet:
+            for _ in range(4):
+                fleet.dispatch("m", rng.random((3, 2)))
+            fleet.abandon("m")
+            with open(journal, "a") as handle:
+                handle.write('{"seq": 4, "n": 3, "status": "ok"}'[:cut])
+            for _ in range(2):  # the first dispatch warm-restarts
+                assert fleet.dispatch("m", rng.random((3, 2))).ok
+            fleet.abandon("m")
+            result = fleet.dispatch("m", rng.random((3, 2)))
+            assert result.ok and result.request_id == 6
+            assert fleet.resumed_requests("m") == 7
 
     def test_torn_then_valid_line_is_corruption(self, tmp_path):
         journal = tmp_path / "j.jsonl"
